@@ -54,17 +54,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """'a:b:k' for k equispaced points, or a comma-separated list."""
+    """'a:b:k' for k equispaced points, or a comma-separated list; all finite."""
     if ":" in text:
         a, b, k = text.split(":")
         count = int(k)
         if count < 1:
             raise DomainError(f"grid count must be positive, got {count}")
         lo, hi = float(a), float(b)
-        if count == 1:
-            return [lo]
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    return [float(v) for v in text.split(",") if v.strip()]
+        values = [lo] if count == 1 else \
+            [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    else:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"grid values must be finite, got {text!r}")
+    return values
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -212,16 +215,16 @@ def _cmd_continuous(args, out: Path) -> int:
             })
             files.append("partition_continuous.json")
         elif kind == "range-clt":
-            rows = [[c, range_second_order_cdf(args.beta, args.t, c,
-                                               use_exact_radius=args.exact_radius),
-                     1.0 - norm_cdf(c)] for c in cgrid]
+            tails = range_second_order_cdf(args.beta, args.t, cgrid,
+                                           use_exact_radius=args.exact_radius)
+            rows = [[c, tail, 1.0 - norm_cdf(c)] for c, tail in zip(cgrid, tails)]
             _write_csv(out / "range_clt.csv",
                        ["C", "tail_probability", "one_minus_phi"], rows)
             files.append("range_clt.csv")
         elif kind == "endpoint-clt":
-            rows = [[c, endpoint_clt_continuous(args.beta, args.t, c,
-                                                use_exact_radius=args.exact_radius),
-                     norm_cdf(c)] for c in cgrid]
+            cdfs = endpoint_clt_continuous(args.beta, args.t, cgrid,
+                                           use_exact_radius=args.exact_radius)
+            rows = [[c, cdf, norm_cdf(c)] for c, cdf in zip(cgrid, cdfs)]
             _write_csv(out / "endpoint_clt.csv", ["C", "cdf", "phi"], rows)
             files.append("endpoint_clt.csv")
         else:

@@ -307,51 +307,81 @@ def partition_function_continuous(beta: float, t: float,
     )
 
 
-def range_second_order_cdf(beta: float, t: float, C: float,
+def _levels(C) -> tuple[list[float], bool]:
+    """CLT levels as a list of floats, and whether ``C`` was a scalar."""
+    arr = np.asarray(C, dtype=float)
+    if arr.ndim > 1:
+        raise DomainError(f"C must be a scalar or a 1-D sequence, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"CLT levels must be finite, got {C!r}")
+    return arr.reshape(-1).tolist(), arr.ndim == 0
+
+
+def range_second_order_cdf(beta: float, t: float, C,
                            use_exact_radius: bool = False,
                            order: int = 16,
-                           floor: float = DEFAULT_FLOOR) -> float:
+                           floor: float = DEFAULT_FLOOR) -> float | list[float]:
     """Tail probability of the normalized range under the tilted measure.
 
     Returns P(C < (R_t - beta^(1/3) t) / (sqrt(t)/sqrt(3))), which tends to
     1 - Phi(C); exactly 1.0 when the threshold falls below the integration
-    cutoff.
+    cutoff and 0.0 when it lies at or beyond the denominator's upper limit.
+    ``C`` is a finite level (returns a float) or a sequence of them (returns
+    a list in input order); the C-independent denominator is integrated once
+    per call, so a sequence costs one numerator integral per level only.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
+    levels, scalar = _levels(C)
     r_lo, c = _z_domain(beta, t, floor)
     r_hi = 4.0 * c * t
     width = 0.125 * math.sqrt(t)
-    den, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, use_exact_radius,
-                                       width, order, 1e-10)
-    thr = c * t + C * math.sqrt(t) / math.sqrt(3.0)
-    if thr <= r_lo:
-        return 1.0
-    num, _, _ = _tilted_range_integral(beta, t, thr, max(r_hi, thr + math.sqrt(t)),
-                                       use_exact_radius, width, order, 1e-10)
-    return min(num / den, 1.0)
+    den, _, hi = _tilted_range_integral(beta, t, r_lo, r_hi, use_exact_radius,
+                                        width, order, 1e-10)
+    tails = []
+    for level in levels:
+        thr = c * t + level * math.sqrt(t) / math.sqrt(3.0)
+        if thr <= r_lo:
+            tails.append(1.0)
+        elif thr >= hi:
+            tails.append(0.0)
+        else:
+            num, _, _ = _tilted_range_integral(
+                beta, t, thr, max(r_hi, thr + math.sqrt(t)),
+                use_exact_radius, width, order, 1e-10)
+            tails.append(min(num / den, 1.0))
+    return tails[0] if scalar else tails
 
 
-def endpoint_clt_continuous(beta: float, t: float, C: float,
+def endpoint_clt_continuous(beta: float, t: float, C,
                             use_exact_radius: bool = False,
                             order: int = 16,
-                            floor: float = DEFAULT_FLOOR) -> float:
+                            floor: float = DEFAULT_FLOOR) -> float | list[float]:
     """Conditional CDF P((B_t - c** t)/(sigma** sqrt(t)) <= C | B_t > 0).
 
     Two-dimensional weighted quadrature of the joint density against the
     tilt, over the saddle window in r; the x integral runs over the gap
     s = r - x, where the joint mass concentrates on the scale t/r.  The
     numerator clips x at the CLT threshold; the denominator is unclipped.
+
+    ``C`` is a finite level (returns a float) or a sequence of them (returns
+    a list in input order).  Only the clip depends on C, so every level is
+    read off one sweep over the nodes: a sequence costs one sweep.  The
+    s-panels differ per r node, so the sweep walks the r nodes in order and
+    each level's sum is accumulated exactly as a one-level call would.
     """
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
+    levels, scalar = _levels(C)
     r_lo, c = _z_domain(beta, t, floor)
+    if not levels:
+        return []
     r_hi = 4.0 * c * t
     st = math.sqrt(t)
     g = continuous_constants(beta).g_dstar
-    x_cut = c * t + C * st / math.sqrt(3.0)
+    x_cuts = [c * t + level * st / math.sqrt(3.0) for level in levels]
     R, WR = _panels(r_lo, r_hi, 0.25 * st, order)
-    num = 0.0
+    num = [0.0] * len(x_cuts)
     den = 0.0
     for r_val, w_r in zip(R, WR):
         weight = w_r * math.exp(
@@ -363,12 +393,15 @@ def endpoint_clt_continuous(beta: float, t: float, C: float,
         keep = xv > 0.0
         if not keep.any():
             continue
-        h_scaled, _, _ = _joint_series_scaled(t, xv[keep], np.float64(r_val))
+        xk = xv[keep]
+        h_scaled, _, _ = _joint_series_scaled(t, xk, np.float64(r_val))
         contrib = h_scaled * WS[keep]
         den += weight * float(contrib.sum())
-        below = xv[keep] <= x_cut
-        if below.any():
-            num += weight * float(contrib[below].sum())
+        for i, x_cut in enumerate(x_cuts):
+            below = xk <= x_cut
+            if below.any():
+                num[i] += weight * float(contrib[below].sum())
     if den <= 0.0:
         raise DomainError("empty quadrature window; increase t or lower the floor")
-    return num / den
+    cdfs = [float(n / den) for n in num]
+    return cdfs[0] if scalar else cdfs

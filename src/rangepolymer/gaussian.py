@@ -1,17 +1,10 @@
-"""Standard normal density and CDF, scalar and vectorized."""
+"""Standard normal constant and CDF."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-def phi(z):
-    """Standard normal density; accepts floats or numpy arrays."""
-    return np.exp(-0.5 * np.square(z)) / SQRT2PI
 
 
 def norm_cdf(z: float) -> float:

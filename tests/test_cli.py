@@ -178,6 +178,17 @@ def test_exit_codes(tmp_path):
     assert main(["constants"]) == 1  # missing --beta
 
 
+@pytest.mark.parametrize("grid", ["nan", "0,inf", "-inf:0:3", "1e308:-1e308:3"])
+def test_non_finite_clt_grid_exits_2_without_artifacts(tmp_path, capsys, grid):
+    out = tmp_path / "run"
+    assert main(["continuous", "--beta", "1", "--t", "40",
+                 "--outputs", "Z,range-clt,endpoint-clt", f"--grid={grid}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_exact_law_files_byte_identical(tmp_path):
     args = ["exact", "--beta", "1", "--n", "40", "--outputs", "law,Z"]
     out1, out2 = tmp_path / "a", tmp_path / "b"

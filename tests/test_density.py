@@ -19,11 +19,17 @@ from rangepolymer import (
     range_density,
     range_second_order_cdf,
 )
+from rangepolymer.continuous import continuous_constants
 from rangepolymer.density import (
+    DEFAULT_FLOOR,
     joint_density_grid,
     range_density_grid,
     small_range_weight_bound,
+    _joint_series_scaled,
     _panels,
+    _tilt_exponent,
+    _tilted_range_integral,
+    _z_domain,
 )
 
 PREFACTOR = 8.0 / math.sqrt(3.0)
@@ -175,19 +181,37 @@ class TestRangeSecondOrder:
 
     def test_monotone_nonincreasing_in_C(self):
         grid = np.linspace(-2.0, 2.0, 9)
-        vals = [range_second_order_cdf(1.0, 40.0, float(c)) for c in grid]
+        vals = range_second_order_cdf(1.0, 40.0, grid)
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_threshold_beyond_the_upper_limit_is_zero(self):
+        # 1e308 sqrt(t/3) overflows to inf: no mass lies beyond it
+        assert range_second_order_cdf(1.0, 40.0, 1e308) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+    def test_non_finite_level_rejected(self, bad):
+        with pytest.raises(DomainError):
+            range_second_order_cdf(1.0, 40.0, bad)
 
 
 class TestEndpointClt:
     def test_monotone_nondecreasing_in_C(self):
         grid = np.linspace(-2.0, 2.0, 9)
-        vals = [endpoint_clt_continuous(1.0, 40.0, float(c)) for c in grid]
+        vals = endpoint_clt_continuous(1.0, 40.0, grid)
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_extreme_levels(self):
-        assert endpoint_clt_continuous(1.0, 40.0, -9.0) == pytest.approx(0.0, abs=1e-3)
-        assert endpoint_clt_continuous(1.0, 40.0, 9.0) == pytest.approx(1.0, abs=1e-3)
+        lo, hi = endpoint_clt_continuous(1.0, 40.0, [-9.0, 9.0])
+        assert lo == pytest.approx(0.0, abs=1e-3)
+        assert hi == pytest.approx(1.0, abs=1e-3)
+
+    def test_overflowing_levels_clip_everything_or_nothing(self):
+        assert endpoint_clt_continuous(1.0, 10.0, [-1e308, 1e308]) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+    def test_non_finite_level_rejected(self, bad):
+        with pytest.raises(DomainError):
+            endpoint_clt_continuous(1.0, 40.0, bad)
 
     def test_median_drifts_toward_half(self):
         # the endpoint sits O(1) inside the range, an O(1/sqrt(t)) CLT shift;
@@ -195,3 +219,77 @@ class TestEndpointClt:
         v40 = endpoint_clt_continuous(1.0, 40.0, 0.0)
         v160 = endpoint_clt_continuous(1.0, 160.0, 0.0)
         assert abs(v160 - 0.5) < abs(v40 - 0.5)
+
+
+# Per-level references: the one-level-per-call loops that the level-sequence
+# sweeps replaced.  The sweeps must reproduce them bit for bit.
+
+def _range_tail_one_level(beta, t, C, use_exact_radius, order=16,
+                          floor=DEFAULT_FLOOR):
+    r_lo, c = _z_domain(beta, t, floor)
+    r_hi = 4.0 * c * t
+    width = 0.125 * math.sqrt(t)
+    den, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, use_exact_radius,
+                                       width, order, 1e-10)
+    thr = c * t + C * math.sqrt(t) / math.sqrt(3.0)
+    if thr <= r_lo:
+        return 1.0
+    num, _, _ = _tilted_range_integral(beta, t, thr, max(r_hi, thr + math.sqrt(t)),
+                                       use_exact_radius, width, order, 1e-10)
+    return min(num / den, 1.0)
+
+
+def _endpoint_cdf_one_level(beta, t, C, use_exact_radius, order=16,
+                            floor=DEFAULT_FLOOR):
+    r_lo, c = _z_domain(beta, t, floor)
+    r_hi = 4.0 * c * t
+    st_ = math.sqrt(t)
+    g = continuous_constants(beta).g_dstar
+    x_cut = c * t + C * st_ / math.sqrt(3.0)
+    R, WR = _panels(r_lo, r_hi, 0.25 * st_, order)
+    num = 0.0
+    den = 0.0
+    for r_val, w_r in zip(R, WR):
+        weight = w_r * math.exp(
+            float(_tilt_exponent(beta, t, np.float64(r_val), g, use_exact_radius)))
+        gap_scale = min(t / r_val, st_)
+        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
+        S, WS = _panels(0.0, s_max, 0.5 * gap_scale, order)
+        xv = r_val - S
+        keep = xv > 0.0
+        if not keep.any():
+            continue
+        h_scaled, _, _ = _joint_series_scaled(t, xv[keep], np.float64(r_val))
+        contrib = h_scaled * WS[keep]
+        den += weight * float(contrib.sum())
+        below = xv[keep] <= x_cut
+        if below.any():
+            num += weight * float(contrib[below].sum())
+    return num / den
+
+
+# unsorted, one duplicate, -4 below the cutoff at t=10 for both betas, +-9
+_ORACLE_LEVELS = [0.5, -9.0, 1.0, -4.0, 0.5, 9.0]
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("exact_radius", [False, True])
+class TestLevelSweepMatchesPerLevelOracle:
+    def test_endpoint_cdf_bitwise(self, beta, exact_radius):
+        swept = endpoint_clt_continuous(beta, 10.0, _ORACLE_LEVELS,
+                                        use_exact_radius=exact_radius)
+        oracle = [_endpoint_cdf_one_level(beta, 10.0, c, exact_radius)
+                  for c in _ORACLE_LEVELS]
+        assert swept == oracle
+        scalar = endpoint_clt_continuous(beta, 10.0, 1.0, use_exact_radius=exact_radius)
+        assert type(scalar) is float and scalar == oracle[2]
+
+    def test_range_tail_bitwise(self, beta, exact_radius):
+        swept = range_second_order_cdf(beta, 10.0, _ORACLE_LEVELS,
+                                       use_exact_radius=exact_radius)
+        oracle = [_range_tail_one_level(beta, 10.0, c, exact_radius)
+                  for c in _ORACLE_LEVELS]
+        assert swept == oracle
+        assert oracle[3] == 1.0  # the below-cutoff branch is exercised
+        scalar = range_second_order_cdf(beta, 10.0, 1.0, use_exact_radius=exact_radius)
+        assert type(scalar) is float and scalar == oracle[2]
