@@ -129,59 +129,60 @@ def _cmd_rate_curves(args, out: Path) -> int:
     }, [name])
 
 
+_EXACT_OUTPUTS = ("law", "Z", "free-energy", "clt", "ldp")
+
+
 def _cmd_exact(args, out: Path) -> int:
     outputs = [s.strip() for s in args.outputs.split(",") if s.strip()]
+    for kind in outputs:
+        if kind not in _EXACT_OUTPUTS:
+            raise DomainError(f"unknown exact output {kind!r}")
+    ns = [int(v) for v in _parse_grid(args.n_grid)] if args.n_grid else \
+        sorted({max(2, args.n // 4), max(2, args.n // 2), args.n})
+    thetas = _parse_grid(args.grid) if args.grid else [0.3, 0.5, 0.7, 0.95]
     cap = args.cap_override or EXACT_LAW_CAP
-    files: list[str] = []
     law = polymer_law(args.beta, args.n, cap=cap)
     consts = free_energy_g_star(args.beta) if args.beta > 0 else None
+    writes = []  # every output is computed before the first file is written
     for kind in outputs:
         if kind == "law":
             name = f"law.{args.format}"
-            (law.tilted.to_csv if args.format == "csv" else law.tilted.to_json)(out / name)
-            files.append(name)
+            write = law.tilted.to_csv if args.format == "csv" else law.tilted.to_json
+            writes.append((write, (out / name,)))
         elif kind == "Z":
-            _write_json(out / "partition.json", {
+            writes.append((_write_json, (out / "partition.json", {
                 "beta": args.beta, "n": args.n,
                 "log_partition": law.log_partition,
                 "partition_value": law.partition_value,
-            })
-            files.append("partition.json")
+            })))
         elif kind == "free-energy":
-            ns = [int(v) for v in _parse_grid(args.n_grid)] if args.n_grid else \
-                sorted({max(2, args.n // 4), max(2, args.n // 2), args.n})
             seq = free_energy_sequence(args.beta, ns, cap=cap)
             ref = consts.g_star if consts else 0.0
-            _write_csv(out / "free_energy.csv",
-                       ["n", "free_energy", "g_star", "error"],
-                       [[n, fe, ref, fe - ref] for n, fe in seq])
-            files.append("free_energy.csv")
+            writes.append((_write_csv, (
+                out / "free_energy.csv", ["n", "free_energy", "g_star", "error"],
+                [[n, fe, ref, fe - ref] for n, fe in seq])))
         elif kind == "clt":
-            _write_json(out / "clt.json", {
+            writes.append((_write_json, (out / "clt.json", {
                 "beta": args.beta, "n": args.n,
                 "ks_distance": clt_check(args.beta, args.n, cap=cap),
                 "convention": "sup",
-            })
-            files.append("clt.json")
-        elif kind == "ldp":
-            thetas = _parse_grid(args.grid) if args.grid else [0.3, 0.5, 0.7, 0.95]
-            emp = ldp_empirical(args.beta, args.n, thetas, cap=cap)
+            })))
+        else:  # ldp
             rows = []
-            for theta, rate in emp:
+            for theta, rate in ldp_empirical(args.beta, args.n, thetas, cap=cap):
                 analytic = ldp_rate_discrete_info(args.beta, theta)[0] \
                     if args.beta > 0 else math.nan
                 rows.append([theta, rate, analytic, rate - analytic])
-            _write_csv(out / "ldp.csv",
-                       ["theta", "empirical_rate", "analytic_rate", "difference"],
-                       rows)
-            files.append("ldp.csv")
-        else:
-            raise DomainError(f"unknown exact output {kind!r}")
+            writes.append((_write_csv, (
+                out / "ldp.csv",
+                ["theta", "empirical_rate", "analytic_rate", "difference"], rows)))
+    for write, write_args in writes:  # write_args[0] is the file's path
+        write(*write_args)
     return _finish(out, "exact", {
         "beta": args.beta, "n": args.n, "outputs": outputs,
         "cap": cap, "format": args.format, "grid": args.grid,
         "n_grid": args.n_grid,
-    }, files)
+    }, [write_args[0].name for _, write_args in writes])
 
 
 def _cmd_continuous(args, out: Path) -> int:
@@ -409,8 +410,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args, out)
     except ResourceCapError as exc:
-        sys.stderr.write(f"error: {exc}\n"
-                         "hint: pass --cap-override to raise the limit\n")
+        sys.stderr.write(f"error: {exc}\n")
         return 3
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")

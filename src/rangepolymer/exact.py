@@ -8,8 +8,8 @@ convolved with one final +-1 step that does not update the range.
 Three independent routes produce the same table:
 
   * ``enumerate_joint_law``  - brute force over all 2^(n-1) prefixes (n <= 24)
-  * ``joint_law_exact``      - reflection-series aggregation, exact integer
-                               counts, practical to n ~ 600
+  * ``joint_law_exact``      - reflection-series aggregation streamed row by
+                               row, exact integer counts, up to n = 1033
   * ``joint_law_dp``         - (position, min, max) dynamic program, small n
 
 The aggregation collapses the sum of two-barrier reflection counts over all
@@ -19,9 +19,12 @@ windows [-a, b] with a + b = s into
 
 where B_s(y) = sum_k N_m(y + 2k(s+2)) is a lattice comb of binomial counts
 and T_s is the symmetric prefix sum of B_s; the count of paths with range
-r = s + 1 and endpoint X is the second difference of G in s.  All counts are
-exact Python integers, converted to correctly rounded doubles at the end, so
-the alternating reflection series suffers no cancellation.
+r = s + 1 and endpoint X is the second difference of G in s.  The builder
+walks s = 0 .. m once over dense numpy object rows of exact Python ints,
+keeping only the current G row and its first difference, and converts each
+finished count row to correctly rounded doubles at once, so the alternating
+reflection series suffers no cancellation and no big-integer table is held.
+Above n = 1033 a count exceeds the double range.
 """
 
 from __future__ import annotations
@@ -71,34 +74,25 @@ class JointEndpointRangeLaw:
 
     def prob(self, x: int, r: int) -> float:
         """Probability of (endpoint, range) = (x, r); 0.0 off support."""
-        return self._index().get((int(x), int(r)), 0.0)
-
-    def _index(self) -> dict[tuple[int, int], float]:
-        idx = getattr(self, "_idx", None)
-        if idx is None:
-            idx = {
-                (int(x), int(r)): float(p)
-                for x, r, p in zip(self.xs, self.rs, self.ps)
-            }
-            object.__setattr__(self, "_idx", idx)
-        return idx
+        x, r = int(x), int(r)
+        lo, hi = np.searchsorted(self.xs, [x, x + 1])
+        i = lo + int(np.searchsorted(self.rs[lo:hi], r))
+        return float(self.ps[i]) if i < hi and self.rs[i] == r else 0.0
 
     def entries(self):
         """Iterate (x, r, p) in the deterministic storage order."""
-        for x, r, p in zip(self.xs, self.rs, self.ps):
-            yield int(x), int(r), float(p)
+        return zip(self.xs.tolist(), self.rs.tolist(), self.ps.tolist())
+
+    def _marginal(self, keys: np.ndarray) -> dict[int, float]:
+        # bincount adds in storage order, as a running dict sum would
+        uq, inv = np.unique(keys, return_inverse=True)
+        return dict(zip(uq.tolist(), np.bincount(inv, weights=self.ps).tolist()))
 
     def endpoint_marginal(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for x, _, p in self.entries():
-            out[x] = out.get(x, 0.0) + p
-        return out
+        return self._marginal(self.xs)
 
     def range_marginal(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for _, r, p in self.entries():
-            out[r] = out.get(r, 0.0) + p
-        return out
+        return self._marginal(self.rs)
 
     def total_mass(self) -> float:
         return float(math.fsum(self.ps.tolist()))
@@ -130,64 +124,6 @@ def _law_from_counts(n: int, counts: dict[tuple[int, int], int]) -> JointEndpoin
     return JointEndpointRangeLaw(n=n, xs=xs, rs=rs, ps=ps)
 
 
-def _endpoint_counts(m: int) -> list[int]:
-    """N[y + m] = number of m-step paths ending at y, exact integers."""
-    N = [0] * (2 * m + 1)
-    for j in range(m + 1):
-        N[2 * j] = math.comb(m, j)
-    return N
-
-
-def _prefix_counts(m: int) -> dict[tuple[int, int], int]:
-    """Exact counts over (range r, endpoint X) for the m-step walk S_0..S_m."""
-    if m == 0:
-        return {(1, 0): 1}
-    N = _endpoint_counts(m)
-    total = 1 << m
-    par = m % 2
-    g_prev2: dict[int, int] = {}
-    g_prev1: dict[int, int] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for s in range(m + 1):
-        W = s + 2
-        lim = min(s, m)
-        B: dict[int, int] = {}
-        for y in range(-lim, lim + 1):
-            if (y - par) % 2:
-                continue
-            acc = 0
-            k = -((m + y) // (2 * W))
-            top = (m - y) // (2 * W)
-            while k <= top:
-                z = y + 2 * k * W
-                if -m <= z <= m:
-                    acc += N[z + m]
-                k += 1
-            B[y] = acc
-        # symmetric prefix sums T(q) = sum over |y| <= q of B(y)
-        T: dict[int, int] = {}
-        if par == 0:
-            run = B.get(0, 0)
-            T[0] = run
-            for q in range(2, lim + 1, 2):
-                run += B.get(q, 0) + B.get(-q, 0)
-                T[q] = run
-        else:
-            run = 0
-            for q in range(1, lim + 1, 2):
-                run += B.get(q, 0) + B.get(-q, 0)
-                T[q] = run
-        g_cur: dict[int, int] = {}
-        for X, bX in B.items():
-            g_cur[X] = (s - abs(X) + 1) * bX + T[abs(X)] - total
-        for X, g in g_cur.items():
-            c = g - 2 * g_prev1.get(X, 0) + g_prev2.get(X, 0)
-            if c:
-                counts[(s + 1, X)] = c
-        g_prev2, g_prev1 = g_prev1, g_cur
-    return counts
-
-
 def _convolve_final_step(prefix: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     law: dict[tuple[int, int], int] = {}
     for (r, X), c in prefix.items():
@@ -199,21 +135,66 @@ def _convolve_final_step(prefix: dict[tuple[int, int], int]) -> dict[tuple[int, 
 
 @lru_cache(maxsize=12)
 def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
-    return _law_from_counts(n, _convolve_final_step(_prefix_counts(n - 1)))
+    """Stream the range rows r = 1 .. n of the law over dense endpoint rows.
+
+    Rows are numpy object arrays of exact ints indexed by the half-index
+    h = (X + m) / 2.  Only the current G row and its first difference in s
+    stay alive; each finished count row is converted straight to doubles.
+    """
+    m = n - 1
+    half = np.arange(m + 1)
+    absx = np.abs(2 * half - m)
+    binom = np.zeros(2 * m + 2, dtype=object)  # padded for the residue sums
+    binom[: m + 1] = [math.comb(m, j) for j in range(m + 1)]
+    # G + 2^m: the constant cancels in the second difference and the row
+    # reads 2^m off the support |X| <= s, where G itself is 0.
+    g = np.full(m + 1, 1 << m, dtype=object)
+    dg = np.zeros(m + 1, dtype=object)
+    seen = np.zeros((n, n + 1), dtype=bool)
+    ps = np.zeros((n, n + 1))
+    for s in range(m + 1):
+        W = s + 2
+        F = binom[: -(-(m + 1) // W) * W].reshape(-1, W).sum(axis=0)
+        a, b = (m - s + 1) // 2, (m + s) // 2 + 1  # the support |X| <= s
+        B = F[half[a:b] % W]  # the comb: residue sums of N_m modulo W
+        k = (b - a + 1) // 2  # entries with X >= 0
+        pairs = B[b - a - k:] + B[k - 1::-1]  # B(q) + B(-q), q >= 0
+        if (b - a) % 2:
+            pairs[0] = B[k - 1]  # X = 0 counts once
+        ax = absx[a:b]
+        g_s = (s - ax + 1) * B + np.cumsum(pairs)[ax // 2]
+        d = g_s - g[a:b]
+        c = d - dg[a:b]  # paths with range s + 1 ending at X
+        g[a:b], dg[a:b] = g_s, d
+        row = np.append(c, 0)  # one final +-1 step: x = X - 1 and X + 1
+        row[1:] += c
+        seen[s, a:b + 1] = row != 0
+        try:
+            ps[s, a:b + 1] = np.ldexp(row.astype(float), -n)
+        except OverflowError as exc:
+            raise ResourceCapError(
+                f"n={n}: an exact path count exceeds the double range "
+                "(2^1024), so its probability cannot be formed as count * "
+                "2^-n; raising the cap does not help"
+            ) from exc
+    hx, ri = np.nonzero(seen.T)  # x ascending, then r ascending
+    return JointEndpointRangeLaw(n=n, xs=2 * hx - n, rs=ri + 1, ps=ps[ri, hx])
 
 
 def joint_law_exact(n: int, cap: int = EXACT_LAW_CAP) -> JointEndpointRangeLaw:
-    """Exact joint law of (S_n, R_n) by reflection-series aggregation.
+    """Exact joint law of (S_n, R_n), streamed one range row at a time.
 
-    Runs in roughly O(n^2 log n) big-integer operations; the default cap of
-    600 keeps both time and the dynamic range of the binomial counts sane.
-    Results are cached per n.
+    O(n^2) exact-integer operations on numpy object rows; only a few rows of
+    n ints and the float64 (r, x) table (8 MB at n = 1000) are held.  Raises
+    ResourceCapError above the cap and when a count exceeds the double range
+    (first at n = 1034).  Results are cached per n.
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if n > cap:
         raise ResourceCapError(
-            f"n={n} exceeds the exact-law cap ({cap}); raise the cap to override"
+            f"n={n} exceeds the exact-law cap ({cap}); raise the cap "
+            "(--cap-override) to override"
         )
     return _exact_law_cached(n)
 

@@ -204,3 +204,27 @@ def test_cap_override_allows_larger_n(tmp_path):
                  "--cap-override", "650", "--out", str(out)]) == 0
     payload = json.loads(_read(out / "partition.json"))
     assert math.isfinite(payload["log_partition"])
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--outputs", "law,free-energy", "--n-grid", "inf"], 2),
+    (["--outputs", "law,bogus"], 2),
+    (["--outputs", "law,ldp", "--grid", "0.5,1.5"], 2),
+    (["--outputs", "law,free-energy", "--n-grid", "700"], 3),
+])
+def test_exact_failure_writes_no_artifact(tmp_path, capsys, extra, code):
+    out = tmp_path / "run"
+    assert main(["exact", "--beta", "1", "--n", "10", *extra,
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_exact_past_double_range_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["exact", "--beta", "1", "--n", "1034", "--outputs", "law,Z",
+                 "--cap-override", "2000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "double range" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []

@@ -9,6 +9,7 @@ well inside the 1e-12 contract.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +30,7 @@ from rangepolymer import (
     speed_c_star,
     tilde_c_d,
 )
+from rangepolymer.exact import _convolve_final_step, _law_from_counts
 
 C_STAR_1 = 0.86833203774014073374
 G_STAR_1 = -1.6020534482122631031
@@ -182,6 +184,108 @@ class TestJointLawExact:
         for rf, xf in [(0.6, 0.4), (0.7, 0.5), (0.5, 0.3)]:
             assert slope_gap(400, rf, xf) <= 0.03
             assert slope_gap(400, rf, xf) < slope_gap(200, rf, xf)
+
+
+def _dict_prefix_counts(m):
+    """Reference builder: the reflection aggregation over dicts of exact ints.
+
+    Exact counts over (range r, endpoint X) for the m-step walk S_0..S_m,
+    image by image and entry by entry, as the library computed them before
+    it streamed dense rows.
+    """
+    if m == 0:
+        return {(1, 0): 1}
+    N = [0] * (2 * m + 1)  # N[y + m]: m-step paths ending at y
+    for j in range(m + 1):
+        N[2 * j] = math.comb(m, j)
+    total = 1 << m
+    par = m % 2
+    g_prev2: dict[int, int] = {}
+    g_prev1: dict[int, int] = {}
+    counts: dict[tuple[int, int], int] = {}
+    for s in range(m + 1):
+        W = s + 2
+        lim = min(s, m)
+        B: dict[int, int] = {}
+        for y in range(-lim, lim + 1):
+            if (y - par) % 2:
+                continue
+            acc = 0
+            k = -((m + y) // (2 * W))
+            top = (m - y) // (2 * W)
+            while k <= top:
+                z = y + 2 * k * W
+                if -m <= z <= m:
+                    acc += N[z + m]
+                k += 1
+            B[y] = acc
+        # symmetric prefix sums T(q) = sum over |y| <= q of B(y)
+        T: dict[int, int] = {}
+        if par == 0:
+            run = B.get(0, 0)
+            T[0] = run
+            for q in range(2, lim + 1, 2):
+                run += B.get(q, 0) + B.get(-q, 0)
+                T[q] = run
+        else:
+            run = 0
+            for q in range(1, lim + 1, 2):
+                run += B.get(q, 0) + B.get(-q, 0)
+                T[q] = run
+        g_cur: dict[int, int] = {}
+        for X, bX in B.items():
+            g_cur[X] = (s - abs(X) + 1) * bX + T[abs(X)] - total
+        for X, g in g_cur.items():
+            c = g - 2 * g_prev1.get(X, 0) + g_prev2.get(X, 0)
+            if c:
+                counts[(s + 1, X)] = c
+        g_prev2, g_prev1 = g_prev1, g_cur
+    return counts
+
+
+def _dict_law(n):
+    return _law_from_counts(n, _convolve_final_step(_dict_prefix_counts(n - 1)))
+
+
+def _dict_marginal(law, axis):
+    out = {}
+    for entry in law.entries():
+        out[entry[axis]] = out.get(entry[axis], 0.0) + entry[2]
+    return out
+
+
+class TestRowBuilderMatchesDictOracle:
+    """The row-streaming builder is bitwise the dict aggregation it replaced."""
+
+    @pytest.mark.parametrize("n", list(range(1, 65)) + [150, 301])
+    def test_table_bitwise(self, n):
+        got, ref = joint_law_exact(n), _dict_law(n)
+        assert np.array_equal(got.xs, ref.xs)
+        assert np.array_equal(got.rs, ref.rs)
+        assert got.ps.tobytes() == ref.ps.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 150])
+    def test_marginals_bitwise(self, n):
+        law = joint_law_exact(n)
+        assert law.endpoint_marginal() == _dict_marginal(law, 0)
+        assert law.range_marginal() == _dict_marginal(law, 1)
+        tilted = polymer_law(1.0, n).tilted
+        assert tilted.endpoint_marginal() == _dict_marginal(tilted, 0)
+        assert tilted.range_marginal() == _dict_marginal(tilted, 1)
+
+    def test_prob_on_and_off_support(self):
+        law = joint_law_exact(9)
+        for x, r, p in law.entries():
+            assert law.prob(x, r) == p
+        present = set(zip(law.xs.tolist(), law.rs.tolist()))
+        for x in range(-12, 13):
+            for r in range(-1, 12):
+                if (x, r) not in present:
+                    assert law.prob(x, r) == 0.0
+
+    def test_overflow_past_double_range_is_a_cap_error(self):
+        with pytest.raises(ResourceCapError, match="double range"):
+            joint_law_exact(1034, cap=2000)
 
 
 class TestPolymerLaw:
