@@ -63,7 +63,6 @@ from .mc import (
     corollary_bound_check,
     flory_probe,
     polymer_estimate_tilted,
-    sample_walk,
 )
 from .roots import RootResult
 
@@ -113,7 +112,6 @@ __all__ = [
     "rate_J",
     "rate_J_prime",
     "reflection_min_max_endpoint",
-    "sample_walk",
     "sigma_star",
     "speed_c_star",
     "tilde_c_d",

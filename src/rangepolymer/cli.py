@@ -185,56 +185,60 @@ def _cmd_exact(args, out: Path) -> int:
     }, [write_args[0].name for _, write_args in writes])
 
 
+_CONTINUOUS_OUTPUTS = ("density", "Z", "range-clt", "endpoint-clt")
+
+
 def _cmd_continuous(args, out: Path) -> int:
     outputs = [s.strip() for s in args.outputs.split(",") if s.strip()]
-    files: list[str] = []
+    for kind in outputs:
+        if kind not in _CONTINUOUS_OUTPUTS:
+            raise DomainError(f"unknown continuous output {kind!r}")
+    if not args.t > 0.0:
+        raise DomainError(f"t must be positive, got {args.t!r}")
     cgrid = _parse_grid(args.grid) if args.grid else [-2.0, -1.0, 0.0, 1.0, 2.0]
+    st_ = math.sqrt(args.t)
+    rs = _parse_grid(args.r_grid) if args.r_grid else \
+        [0.05 * st_ + (6.0 - 0.05) * st_ * i / 120 for i in range(121)]
+    writes = []  # every output is computed before the first file is written
     for kind in outputs:
         if kind == "density":
-            st_ = math.sqrt(args.t)
-            rs = _parse_grid(args.r_grid) if args.r_grid else \
-                [0.05 * st_ + (6.0 - 0.05) * st_ * i / 120 for i in range(121)]
             rows = []
             for r in rs:
                 se = range_density(args.t, r)
                 rows.append([r, se.value, se.truncation_bound])
-            _write_csv(out / "range_density.csv",
-                       ["argument", "value", "error_bound"], rows)
-            files.append("range_density.csv")
+            writes.append((_write_csv, (out / "range_density.csv",
+                                        ["argument", "value", "error_bound"], rows)))
         elif kind == "Z":
             res = partition_function_continuous(
                 args.beta, args.t, use_exact_radius=args.exact_radius)
             cont = continuous_constants(args.beta)
             asym = math.log(cont.prefactor) + cont.g_dstar * args.t
-            _write_json(out / "partition_continuous.json", {
+            writes.append((_write_json, (out / "partition_continuous.json", {
                 "beta": args.beta, "t": args.t,
                 "use_exact_radius": args.exact_radius,
                 "value": res.value, "log_value": res.log_value,
                 "abs_error_estimate": res.abs_error_estimate,
                 "nodes": res.nodes, "domain": list(res.domain),
                 "ratio_to_asymptote": math.exp(res.log_value - asym),
-            })
-            files.append("partition_continuous.json")
+            })))
         elif kind == "range-clt":
             tails = range_second_order_cdf(args.beta, args.t, cgrid,
                                            use_exact_radius=args.exact_radius)
             rows = [[c, tail, 1.0 - norm_cdf(c)] for c, tail in zip(cgrid, tails)]
-            _write_csv(out / "range_clt.csv",
-                       ["C", "tail_probability", "one_minus_phi"], rows)
-            files.append("range_clt.csv")
-        elif kind == "endpoint-clt":
+            writes.append((_write_csv, (out / "range_clt.csv",
+                                        ["C", "tail_probability", "one_minus_phi"], rows)))
+        else:  # endpoint-clt
             cdfs = endpoint_clt_continuous(args.beta, args.t, cgrid,
                                            use_exact_radius=args.exact_radius)
             rows = [[c, cdf, norm_cdf(c)] for c, cdf in zip(cgrid, cdfs)]
-            _write_csv(out / "endpoint_clt.csv", ["C", "cdf", "phi"], rows)
-            files.append("endpoint_clt.csv")
-        else:
-            raise DomainError(f"unknown continuous output {kind!r}")
+            writes.append((_write_csv, (out / "endpoint_clt.csv", ["C", "cdf", "phi"], rows)))
+    for write, write_args in writes:  # write_args[0] is the file's path
+        write(*write_args)
     return _finish(out, "continuous", {
         "beta": args.beta, "t": args.t, "outputs": outputs,
         "exact_radius": args.exact_radius, "grid": cgrid,
         "r_grid": args.r_grid,
-    }, files)
+    }, [write_args[0].name for _, write_args in writes])
 
 
 def _estimate_payload(est) -> dict:

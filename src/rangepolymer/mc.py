@@ -33,7 +33,6 @@ __all__ = [
     "BrownianRangeHistograms",
     "WALK_BLOCK",
     "PATH_BLOCK",
-    "sample_walk",
     "polymer_estimate_tilted",
     "corollary_bound_check",
     "flory_probe",
@@ -92,30 +91,6 @@ def _map_blocks(fn, nblocks: int, threads: int) -> list:
         return list(pool.map(fn, range(nblocks)))
 
 
-def sample_walk(d: int, n: int, seed: int) -> tuple[tuple[int, ...], int]:
-    """One walk: endpoint S_n and the count of distinct sites among S_0..S_{n-1}.
-
-    In d = 1 the visited sites form an interval, so the set size must equal
-    max - min + 1; that identity is asserted on the sample.
-    """
-    if d < 1 or n < 1:
-        raise DomainError(f"need d >= 1 and n >= 1, got d={d!r}, n={n!r}")
-    rng = _stream(seed, 0)
-    if d == 1:
-        steps = np.where(rng.random(n) < 0.5, -1, 1)
-        pos = np.concatenate(([0], np.cumsum(steps)))
-        visited = pos[:n]
-        distinct = len(set(visited.tolist()))
-        span = int(visited.max()) - int(visited.min()) + 1
-        assert distinct == span, "1-d visited set is not an interval"
-        return (int(pos[-1]),), distinct
-    dirs = _direction_table(d)
-    idx = rng.integers(0, 2 * d, size=n)
-    pos = np.vstack([np.zeros(d, dtype=np.int64), np.cumsum(dirs[idx], axis=0)])
-    visited = {tuple(p) for p in pos[:n].tolist()}
-    return tuple(int(v) for v in pos[-1]), len(visited)
-
-
 def _direction_table(d: int) -> np.ndarray:
     dirs = np.zeros((2 * d, d), dtype=np.int64)
     for axis in range(d):
@@ -128,12 +103,15 @@ def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
     """(endpoints, ranges) for one block of drifted 1-d walks.
 
     The range over S_0..S_{n-1} is computed two ways on every sample - the
-    interval identity max - min + 1 and a sort-based distinct count - and
-    the two are asserted equal.
+    interval identity max - min + 1 and a distinct-site count read off an
+    occupancy table of the 2n + 1 sites the walk can reach - and the two are
+    asserted equal.  Both run in linear time per walk.
     """
     rng = _stream(seed, block)
-    steps = np.where(rng.random((count, n)) < 0.5 * (1.0 + c), 1, -1).astype(np.int32)
-    pos = np.cumsum(steps, axis=1)
+    steps = (rng.random((count, n)) < 0.5 * (1.0 + c)).view(np.int8)
+    steps *= 2
+    steps -= 1
+    pos = np.cumsum(steps, axis=1, dtype=np.int32)
     endpoints = pos[:, -1].astype(np.int64)
     if n == 1:
         return endpoints, np.ones(count, dtype=np.int64)
@@ -141,10 +119,11 @@ def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
     lo = np.minimum(prefix.min(axis=1), 0)
     hi = np.maximum(prefix.max(axis=1), 0)
     ranges = (hi - lo + 1).astype(np.int64)
-    walked = np.concatenate([np.zeros((count, 1), dtype=np.int32), prefix], axis=1)
-    walked.sort(axis=1)
-    distinct = 1 + np.count_nonzero(np.diff(walked, axis=1), axis=1)
-    if not np.array_equal(distinct, ranges):
+    width = 2 * n + 1
+    occupied = np.zeros((count, width), dtype=bool)
+    occupied[:, n] = True  # origin
+    occupied.reshape(-1)[prefix + np.arange(n, count * width, width)[:, None]] = True
+    if not np.array_equal(np.count_nonzero(occupied, axis=1), ranges):
         raise AssertionError("1-d visited-set size disagrees with max - min + 1")
     return endpoints, ranges
 
@@ -171,17 +150,21 @@ def _walk_block_nd(seed: int, block: int, count: int, n: int, d: int):
     return norms, ranges.astype(np.int64)
 
 
-def _collect_1d(beta, n, seed, samples, drift, threads):
-    """Per-sample (endpoint, range, log-weight) arrays under the proposal."""
+def _walk_blocks(kernel, seed: int, samples: int, n: int, arg, threads: int):
+    """kernel(seed, block, count, n, arg) over the WALK_BLOCK blocks of
+    ``samples`` walks; each of its two per-sample arrays joined in block order."""
     nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
 
     def job(b: int):
-        count = min(WALK_BLOCK, samples - b * WALK_BLOCK)
-        return _walk_block_1d(seed, b, count, n, drift)
+        return kernel(seed, b, min(WALK_BLOCK, samples - b * WALK_BLOCK), n, arg)
 
     parts = _map_blocks(job, nblocks, threads)
-    e = np.concatenate([p[0] for p in parts])
-    r = np.concatenate([p[1] for p in parts])
+    return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
+
+
+def _collect_1d(beta, n, seed, samples, drift, threads):
+    """Per-sample (endpoint, range, log-weight) arrays under the proposal."""
+    e, r = _walk_blocks(_walk_block_1d, seed, samples, n, drift, threads)
     logw = -beta * float(n) * float(n) / r
     if drift != 0.0:
         logw = logw - (
@@ -234,6 +217,8 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
         raise DomainError(f"beta must be nonnegative, got {beta!r}")
     if n < 1 or samples < 2:
         raise DomainError(f"need n >= 1 and samples >= 2, got {n!r}, {samples!r}")
+    if not math.isfinite(c_point):
+        raise DomainError(f"c_point must be finite, got {c_point!r}")
     if drift is None:
         drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
     TiltedProposal(drift)  # validates the range
@@ -282,16 +267,9 @@ def corollary_bound_check(beta: float, d: int, n: int, seed: int,
     """
     if d < 2:
         raise DomainError(f"this check concerns d >= 2, got d={d!r}")
-    if beta < 0.0:
-        raise DomainError(f"beta must be nonnegative, got {beta!r}")
-    nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
-
-    def job(b: int):
-        count = min(WALK_BLOCK, samples - b * WALK_BLOCK)
-        return _walk_block_nd(seed, b, count, n, d)
-
-    parts = _map_blocks(job, nblocks, threads)
-    r = np.concatenate([p[1] for p in parts])
+    if not beta >= 0.0 or samples < 1:
+        raise DomainError(f"need beta >= 0 and samples >= 1, got {beta!r}, {samples!r}")
+    _, r = _walk_blocks(_walk_block_nd, seed, samples, n, d, threads)
     logw = -beta * float(n) * float(n) / r
     w, ess = _normalized_weights(logw)
     est = _ratio_estimate(w, r / n, np.ones_like(w), samples, ess)
@@ -332,8 +310,8 @@ def flory_probe(d: int, beta: float, n_grid, seed: int, samples: int,
     Grid points whose effective sample size collapses below 1% are dropped
     from the fit but still reported.
     """
-    if d < 1:
-        raise DomainError(f"need d >= 1, got {d!r}")
+    if d < 1 or samples < 1:
+        raise DomainError(f"need d >= 1 and samples >= 1, got {d!r}, {samples!r}")
     points: list[FloryPoint] = []
     for k, n in enumerate(n_grid):
         n = int(n)
@@ -343,15 +321,7 @@ def flory_probe(d: int, beta: float, n_grid, seed: int, samples: int,
             e, r, logw = _collect_1d(beta, n, sub_seed, samples, drift, threads)
             f = np.abs(e).astype(float)
         else:
-            nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
-
-            def job(b: int, _n=n, _s=sub_seed):
-                count = min(WALK_BLOCK, samples - b * WALK_BLOCK)
-                return _walk_block_nd(_s, b, count, _n, d)
-
-            parts = _map_blocks(job, nblocks, threads)
-            f = np.concatenate([p[0] for p in parts])
-            rr = np.concatenate([p[1] for p in parts])
+            f, rr = _walk_blocks(_walk_block_nd, sub_seed, samples, n, d, threads)
             logw = -beta * float(n) * float(n) / rr
         w, ess = _normalized_weights(logw)
         est = _ratio_estimate(w, f, np.ones_like(w), samples, ess)
@@ -401,6 +371,34 @@ class BrownianRangeHistograms:
                 fh.write(f"endpoint,{lo:.17g},{hi:.17g},{v:.17g},{s:.17g}\n")
 
 
+def _path_block(seed: int, block: int, count: int, nsteps: int, sd: float,
+                time_chunk: int):
+    """(endpoints, minima, maxima) over one block of discretized paths from 0.
+
+    Increments come in (count, L) chunks of at most ``time_chunk`` steps, which
+    fixes the stream order; each chunk is drawn into the front of one buffer.
+    """
+    rng = _stream(seed, block)
+    x = np.zeros(count)
+    lo = np.zeros(count)
+    hi = np.zeros(count)
+    extreme = np.empty(count)
+    buf = np.empty(count * min(time_chunk, nsteps))
+    left = nsteps
+    while left > 0:
+        L = min(time_chunk, left)
+        inc = buf[: count * L].reshape(count, L)
+        rng.standard_normal(out=inc)
+        inc *= sd  # bitwise rng.normal(0.0, sd)
+        np.cumsum(inc, axis=1, out=inc)
+        inc += x[:, None]
+        np.minimum(lo, inc.min(axis=1, out=extreme), out=lo)
+        np.maximum(hi, inc.max(axis=1, out=extreme), out=hi)
+        x[:] = inc[:, -1]
+        left -= L
+    return x, lo, hi
+
+
 def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
                       range_edges=None, endpoint_edges=None,
                       joint_x_edges=None, joint_r_edges=None,
@@ -412,8 +410,10 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
     documented allowance.  Per-block Philox streams make the result
     reproducible for any thread count.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    if not (math.isfinite(t) and t > 0.0 and math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"t and dt must be finite and positive, got {t!r}, {dt!r}")
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples!r}")
     if dt > t / 1e4:
         raise DomainError(f"dt={dt!r} too coarse; need dt <= t/1e4")
     nsteps = int(round(t / dt))
@@ -435,20 +435,7 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
 
     def job(b: int):
         count = min(PATH_BLOCK, samples - b * PATH_BLOCK)
-        rng = _stream(seed, b)
-        x = np.zeros(count)
-        lo = np.zeros(count)
-        hi = np.zeros(count)
-        left = nsteps
-        while left > 0:
-            L = min(time_chunk, left)
-            inc = rng.normal(0.0, sd, size=(count, L))
-            np.cumsum(inc, axis=1, out=inc)
-            inc += x[:, None]
-            np.minimum(lo, inc.min(axis=1), out=lo)
-            np.maximum(hi, inc.max(axis=1), out=hi)
-            x = inc[:, -1].copy()
-            left -= L
+        x, lo, hi = _path_block(seed, b, count, nsteps, sd, time_chunk)
         rng_vals = hi - lo
         h_r = np.histogram(rng_vals, range_edges)[0]
         h_b = np.histogram(x, endpoint_edges)[0]

@@ -228,3 +228,38 @@ def test_exact_past_double_range_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "double range" in err and "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["brownian", "--t", "1", "--dt", "nan", "--samples", "10"],
+    ["brownian", "--t", "1", "--dt", "0", "--samples", "10"],
+    ["brownian", "--t", "1", "--dt=-1e-4", "--samples", "10"],
+    ["brownian", "--t", "inf", "--dt", "1e-4", "--samples", "10"],
+    ["brownian", "--t", "1", "--dt", "1e-4", "--samples", "0"],
+    ["tilted", "--beta", "1", "--n", "20", "--observable", "endpoint_cdf",
+     "--c-point", "nan", "--samples", "100"],
+    ["corollary", "--beta", "nan", "--d", "2", "--n", "20", "--samples", "10"],
+    ["corollary", "--beta", "1", "--d", "2", "--n", "20", "--samples", "0"],
+    ["flory", "--beta", "1", "--samples", "0"],
+])
+def test_mc_bad_input_exits_2_without_artifacts(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert main(["mc", *args, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [
+    ["--outputs", "Z,bogus"],
+    ["--outputs", "Z,density", "--r-grid", "1,nan"],
+    ["--outputs", "Z,density", "--t", "-4"],
+    ["--outputs", "density,Z", "--beta", "-1"],
+])
+def test_continuous_failure_writes_no_artifact(tmp_path, capsys, extra):
+    out = tmp_path / "run"
+    assert main(["continuous", "--beta", "1", "--t", "4", *extra,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(out.iterdir()) == []

@@ -20,9 +20,16 @@ from rangepolymer import (
     joint_law_exact,
     polymer_estimate_tilted,
     polymer_law,
-    sample_walk,
 )
-from rangepolymer.mc import _collect_1d, _normalized_weights
+from rangepolymer.mc import (
+    WALK_BLOCK,
+    _collect_1d,
+    _normalized_weights,
+    _path_block,
+    _stream,
+    _walk_block_1d,
+    _walk_block_nd,
+)
 
 
 def _exact_d2_range_mean(beta: float, n: int) -> float:
@@ -65,11 +72,88 @@ class TestProposal:
             TiltedProposal(1.0)
 
 
+def _walk_block_1d_oracle(seed: int, block: int, count: int, n: int, c: float):
+    """The walk kernel before the int8 steps and the occupancy check, verbatim."""
+    rng = _stream(seed, block)
+    steps = np.where(rng.random((count, n)) < 0.5 * (1.0 + c), 1, -1).astype(np.int32)
+    pos = np.cumsum(steps, axis=1)
+    endpoints = pos[:, -1].astype(np.int64)
+    if n == 1:
+        return endpoints, np.ones(count, dtype=np.int64)
+    prefix = pos[:, : n - 1]
+    lo = np.minimum(prefix.min(axis=1), 0)
+    hi = np.maximum(prefix.max(axis=1), 0)
+    ranges = (hi - lo + 1).astype(np.int64)
+    walked = np.concatenate([np.zeros((count, 1), dtype=np.int32), prefix], axis=1)
+    walked.sort(axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(walked, axis=1), axis=1)
+    if not np.array_equal(distinct, ranges):
+        raise AssertionError("1-d visited-set size disagrees with max - min + 1")
+    return endpoints, ranges
+
+
+def _path_block_oracle(seed, block, count, nsteps, sd, time_chunk):
+    """The Brownian block loop before the reused draw buffer, verbatim."""
+    rng = _stream(seed, block)
+    x = np.zeros(count)
+    lo = np.zeros(count)
+    hi = np.zeros(count)
+    left = nsteps
+    while left > 0:
+        L = min(time_chunk, left)
+        inc = rng.normal(0.0, sd, size=(count, L))
+        np.cumsum(inc, axis=1, out=inc)
+        inc += x[:, None]
+        np.minimum(lo, inc.min(axis=1), out=lo)
+        np.maximum(hi, inc.max(axis=1), out=hi)
+        x = inc[:, -1].copy()
+        left -= L
+    return x, lo, hi
+
+
+class TestKernelsMatchOracle:
+    @pytest.mark.parametrize("c", [0.0, 0.5, -0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 200])
+    @pytest.mark.parametrize("count", [WALK_BLOCK, 37])
+    def test_walk_block_1d_bitwise(self, n, c, count):
+        got = _walk_block_1d(11, 3, count, n, c)
+        want = _walk_block_1d_oracle(11, 3, count, n, c)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    def test_path_block_bitwise(self):
+        # 10000 steps in chunks of 2048 leave a last chunk of 1808 steps
+        sd = math.sqrt(1e-4)
+        got = _path_block(42, 2, 64, 10000, sd, 2048)
+        want = _path_block_oracle(42, 2, 64, 10000, sd, 2048)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_corrupt_range_trips_the_runtime_check(self, monkeypatch):
+        maximum = np.maximum
+        monkeypatch.setattr(np, "maximum", lambda a, b: maximum(a, b) + 1)
+        with pytest.raises(AssertionError, match="visited-set size"):
+            _walk_block_1d(5, 0, 64, 50, 0.2)
+
+
 class TestSampleWalk:
     def test_two_steps_always_two_sites(self):
         for seed in range(12):
-            _, r = sample_walk(1, 2, seed)
-            assert r == 2
+            _, r = _walk_block_1d(seed, 0, 64, 2, 0.0)
+            assert np.all(r == 2)
+
+    def test_d1_visited_set_is_an_interval(self):
+        # the distinct sites among S_0..S_{n-1}, counted with a Python set on
+        # walks redrawn from the kernel's stream, fill [min, max]
+        count, n, c = 50, 40, 0.3
+        e, r = _walk_block_1d(9, 1, count, n, c)
+        up = _stream(9, 1).random((count, n)) < 0.5 * (1.0 + c)
+        pos = np.cumsum(np.where(up, 1, -1), axis=1)
+        for k in range(count):
+            visited = [0, *pos[k, : n - 1].tolist()]
+            assert len(set(visited)) == max(visited) - min(visited) + 1 == r[k]
+            assert e[k] == pos[k, -1]
 
     def test_d1_mean_range_against_exact_law(self):
         n, samples = 300, 20000
@@ -100,8 +184,10 @@ class TestSampleWalk:
         assert frac(400) < frac(50)
 
     def test_d2_endpoint_shape(self):
-        end, r = sample_walk(2, 64, seed=5)
-        assert len(end) == 2 and 1 <= r <= 64
+        count, n = 16, 64
+        norms, r = _walk_block_nd(5, 0, count, n, 2)
+        assert norms.shape == r.shape == (count,)
+        assert np.all((1 <= r) & (r <= n)) and np.all(norms <= n)
 
 
 class TestTiltedEstimator:
