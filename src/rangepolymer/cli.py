@@ -27,7 +27,7 @@ from .density import (
     range_second_order_cdf,
 )
 from .discrete import free_energy_g_star, ldp_rate_discrete_info
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, check_positive
 from .exact import (
     EXACT_LAW_CAP,
     clt_check,
@@ -55,16 +55,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_grid(text: str) -> list[float]:
     """'a:b:k' for k equispaced points, or a comma-separated list; all finite."""
+    try:
+        if ":" in text:
+            a, b, k = text.split(":")
+            lo, hi, count = float(a), float(b), int(k)
+        else:
+            values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise DomainError(f"malformed grid {text!r}; want 'a:b:k' with an "
+                          "integer k, or a comma-separated list") from None
     if ":" in text:
-        a, b, k = text.split(":")
-        count = int(k)
         if count < 1:
             raise DomainError(f"grid count must be positive, got {count}")
-        lo, hi = float(a), float(b)
         values = [lo] if count == 1 else \
             [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    else:
-        values = [float(v) for v in text.split(",") if v.strip()]
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"grid values must be finite, got {text!r}")
     return values
@@ -193,8 +197,7 @@ def _cmd_continuous(args, out: Path) -> int:
     for kind in outputs:
         if kind not in _CONTINUOUS_OUTPUTS:
             raise DomainError(f"unknown continuous output {kind!r}")
-    if not args.t > 0.0:
-        raise DomainError(f"t must be positive, got {args.t!r}")
+    check_positive("t", args.t)
     cgrid = _parse_grid(args.grid) if args.grid else [-2.0, -1.0, 0.0, 1.0, 2.0]
     st_ = math.sqrt(args.t)
     rs = _parse_grid(args.r_grid) if args.r_grid else \

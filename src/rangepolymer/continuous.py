@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, check_positive
 from .roots import RootResult
 
 __all__ = [
@@ -85,8 +85,7 @@ def unit_ball_volume(k: int) -> float:
 
 def continuous_constants(beta: float, d: int = 1) -> ContinuousConstants:
     """All explicit constants at one beta (see the type docstring for d >= 2)."""
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
+    check_positive("beta", beta)
     if d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
     c = _CBRT(beta)
@@ -111,8 +110,7 @@ def positive_cubic_root(beta: float, theta: float = 0.0) -> RootResult:
     first step overshoots past the root and the iterates then decrease
     monotonically onto it; no bracketing or Cardano branch logic is needed.
     """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
+    check_positive("beta", beta)
     if theta < 0.0:
         raise DomainError(f"theta must be nonnegative, got {theta!r}")
 
@@ -167,8 +165,7 @@ def ldp_rate_continuous(beta: float, theta: float) -> float:
 
 def ldp_rate_continuous_info(beta: float, theta: float) -> tuple[float, str, float]:
     """Rate plus branch id ("boundary" or "interior") and auxiliary root."""
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
+    check_positive("beta", beta)
     if theta < 0.0:
         raise DomainError(f"theta must be nonnegative, got {theta!r}")
     g = _g_dstar(beta)
@@ -187,8 +184,7 @@ def laplace_exponent_coeffs(beta: float, order: int) -> list[float]:
     a_2 = -3/2, and a_k = (-1)^(k+1) beta^((2-k)/3) for k >= 3 (the geometric
     tail of -beta/c; the quadratic term ends the contribution of -c^2/2).
     """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
+    check_positive("beta", beta)
     if order < 2:
         raise DomainError(f"order must be at least 2, got {order!r}")
     c = _CBRT(beta)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, check_positive
 from .roots import RootResult, bisect_newton
 
 __all__ = [
@@ -58,11 +58,6 @@ class PolymerConstants:
     g_star_infimum: float
     sigma_star: float
     c_tilde: float
-
-
-def _check_beta(beta: float) -> None:
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
 
 
 def _I(x: float) -> float:
@@ -107,7 +102,7 @@ def rate_I_prime(x: float) -> float:
 
 def tilde_c_d(beta: float, d: int = 1) -> float:
     """Range-fraction threshold beta / (beta + log 2d) in dimension d."""
-    _check_beta(beta)
+    check_positive("beta", beta)
     if d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
     return beta / (beta + math.log(2.0 * d))
@@ -169,7 +164,7 @@ def speed_c_star(beta: float, tol: float = 1e-12) -> RootResult:
     The reported residual is the speed equation evaluated at the returned
     value; the bracket is in c coordinates.
     """
-    _check_beta(beta)
+    check_positive("beta", beta)
     u, res = _speed_gap(beta)
     if abs(res.residual) > tol:
         raise SolverError(
@@ -203,7 +198,7 @@ def free_energy_g_star(beta: float) -> PolymerConstants:
     ``g_star_infimum`` the variational form -(beta/c* + I(c*)); the two agree
     up to (residual of the speed solve)/c*.
     """
-    _check_beta(beta)
+    check_positive("beta", beta)
     u, _ = _speed_gap(beta)
     return _constants_from_gap(beta, u)
 
@@ -243,7 +238,7 @@ def ldp_rate_discrete(beta: float, theta: float) -> float:
 
 def ldp_rate_discrete_info(beta: float, theta: float) -> tuple[float, str, float]:
     """Rate plus branch id ("boundary" or "interior") and auxiliary root."""
-    _check_beta(beta)
+    check_positive("beta", beta)
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
     return _ldp_branch(beta, float(theta))

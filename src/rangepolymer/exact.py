@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .discrete import free_energy_g_star
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, check_positive
 from .gaussian import norm_cdf
 
 __all__ = [
@@ -351,8 +351,7 @@ def polymer_law(beta: float, n: int, cap: int = EXACT_LAW_CAP) -> PolymerLaw:
 
     beta = 0 returns the untilted law bit-for-bit with Z = 1.
     """
-    if beta < 0.0:
-        raise DomainError(f"beta must be nonnegative, got {beta!r}")
+    check_positive("beta", beta, allow_zero=True)
     base = joint_law_exact(n, cap=cap)
     if beta == 0.0:
         return PolymerLaw(beta=0.0, n=n, tilted=base, log_partition=0.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrete import free_energy_g_star, tilde_c_d
-from .errors import DomainError
+from .errors import DomainError, check_positive
 
 __all__ = [
     "McEstimate",
@@ -213,8 +213,7 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
     ``drift`` defaults to c*(beta) (0 at beta = 0, where the tilt is trivial
     and the estimator reduces to plain Monte Carlo).
     """
-    if beta < 0.0:
-        raise DomainError(f"beta must be nonnegative, got {beta!r}")
+    check_positive("beta", beta, allow_zero=True)
     if n < 1 or samples < 2:
         raise DomainError(f"need n >= 1 and samples >= 2, got {n!r}, {samples!r}")
     if not math.isfinite(c_point):
@@ -267,8 +266,9 @@ def corollary_bound_check(beta: float, d: int, n: int, seed: int,
     """
     if d < 2:
         raise DomainError(f"this check concerns d >= 2, got d={d!r}")
-    if not beta >= 0.0 or samples < 1:
-        raise DomainError(f"need beta >= 0 and samples >= 1, got {beta!r}, {samples!r}")
+    check_positive("beta", beta, allow_zero=True)
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples!r}")
     _, r = _walk_blocks(_walk_block_nd, seed, samples, n, d, threads)
     logw = -beta * float(n) * float(n) / r
     w, ess = _normalized_weights(logw)
@@ -310,6 +310,7 @@ def flory_probe(d: int, beta: float, n_grid, seed: int, samples: int,
     Grid points whose effective sample size collapses below 1% are dropped
     from the fit but still reported.
     """
+    check_positive("beta", beta, allow_zero=True)
     if d < 1 or samples < 1:
         raise DomainError(f"need d >= 1 and samples >= 1, got {d!r}, {samples!r}")
     points: list[FloryPoint] = []
@@ -410,12 +411,14 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
     documented allowance.  Per-block Philox streams make the result
     reproducible for any thread count.
     """
-    if not (math.isfinite(t) and t > 0.0 and math.isfinite(dt) and dt > 0.0):
-        raise DomainError(f"t and dt must be finite and positive, got {t!r}, {dt!r}")
+    check_positive("t", t)
+    check_positive("dt", dt)
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples!r}")
     if dt > t / 1e4:
         raise DomainError(f"dt={dt!r} too coarse; need dt <= t/1e4")
+    if not t / dt < math.inf:
+        raise DomainError(f"t/dt overflows: t={t!r}, dt={dt!r}")
     nsteps = int(round(t / dt))
     st = math.sqrt(t)
     if range_edges is None:

@@ -263,3 +263,38 @@ def test_continuous_failure_writes_no_artifact(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["constants", "--beta", "inf"],
+    ["constants", "--beta", "nan"],
+    ["rate-curves", "--beta", "inf", "--model", "discrete"],
+    ["rate-curves", "--beta", "inf", "--model", "continuous"],
+    ["exact", "--beta", "nan", "--n", "10", "--outputs", "Z"],
+    ["exact", "--beta", "inf", "--n", "10", "--outputs", "Z"],
+    ["continuous", "--beta", "inf", "--t", "4", "--outputs", "Z"],
+    ["continuous", "--beta", "1", "--t", "inf", "--outputs", "Z"],
+    ["continuous", "--beta", "1", "--t", "inf", "--outputs", "density"],
+    ["mc", "tilted", "--beta", "inf", "--n", "20", "--seed", "1", "--samples", "100"],
+    ["mc", "flory", "--beta", "inf", "--d", "2", "--seed", "1", "--samples", "10"],
+    ["mc", "corollary", "--beta", "inf", "--d", "2", "--n", "10", "--seed", "1",
+     "--samples", "10"],
+    ["mc", "brownian", "--t", "1e300", "--dt", "1e-10", "--seed", "1", "--samples", "10"],
+])
+def test_non_finite_parameter_exits_2_without_artifacts(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "finite" in err or "overflows" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", ["0:1:x", "0:1", "0:1:2:3", "a:1:3", "0,x", "0:1:1.5"])
+def test_malformed_grid_exits_2_without_artifacts(tmp_path, capsys, grid):
+    out = tmp_path / "run"
+    assert main(["rate-curves", "--beta", "1", "--model", "discrete",
+                 f"--grid={grid}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed grid") and "Traceback" not in err
+    assert list(out.iterdir()) == []

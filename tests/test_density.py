@@ -20,12 +20,15 @@ from rangepolymer import (
     range_second_order_cdf,
 )
 from rangepolymer.continuous import continuous_constants
+from rangepolymer.gaussian import SQRT2PI
 from rangepolymer.density import (
     DEFAULT_FLOOR,
+    _EXP_ZERO,
     joint_density_grid,
     range_density_grid,
     small_range_weight_bound,
     _joint_series_scaled,
+    _levels,
     _panels,
     _tilt_exponent,
     _tilted_range_integral,
@@ -293,3 +296,166 @@ class TestLevelSweepMatchesPerLevelOracle:
         assert oracle[3] == 1.0  # the below-cutoff branch is exercised
         scalar = range_second_order_cdf(beta, 10.0, 1.0, use_exact_radius=exact_radius)
         assert type(scalar) is float and scalar == oracle[2]
+
+
+# The plain joint-series kernel and endpoint-CLT sweep that the masked-exp
+# kernel replaced, kept verbatim.  The kernel must reproduce every value,
+# bound and term count bit for bit.
+
+def _oracle_joint_series_scaled(t, x, r, tol=1e-13):
+    st = math.sqrt(t)
+    t32 = t * st
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(r, dtype=float)
+    base = np.square(r) / (2.0 * t)
+    shape = np.broadcast(x, r).shape
+    s_sym = np.zeros(shape)
+    s_asym = np.zeros(shape)
+    k = 0
+    block_max = math.inf
+    while k < 100000:
+        k += 1
+        am = 2.0 * k * r - x
+        ap = 2.0 * k * r + x
+        em = np.exp(base - np.square(am) / (2.0 * t)) / SQRT2PI
+        ep = np.exp(base - np.square(ap) / (2.0 * t)) / SQRT2PI
+        zm2 = np.square(am) / t
+        zp2 = np.square(ap) / t
+        s_sym += 4.0 * k * k * ((zm2 - 1.0) * em + (zp2 - 1.0) * ep)
+        s_asym += (4.0 * k * (k - 1) * am * em - 4.0 * k * (k + 1) * ap * ep) / t32
+        block_max = float(np.max(4.0 * k * k * (zm2 + 1.0) * em))
+        if block_max <= tol * max(1.0, float(np.max(np.abs(s_sym)))):
+            break
+    value = (r - x) / t32 * s_sym + s_asym
+    return value, 10.0 * block_max, k
+
+
+def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False, order=16,
+                                    floor=DEFAULT_FLOOR):
+    if not beta > 0.0:
+        raise DomainError(f"beta must be positive, got {beta!r}")
+    levels, scalar = _levels(C)
+    r_lo, c = _z_domain(beta, t, floor)
+    if not levels:
+        return []
+    r_hi = 4.0 * c * t
+    st_ = math.sqrt(t)
+    g = continuous_constants(beta).g_dstar
+    x_cuts = [c * t + level * st_ / math.sqrt(3.0) for level in levels]
+    R, WR = _panels(r_lo, r_hi, 0.25 * st_, order)
+    num = [0.0] * len(x_cuts)
+    den = 0.0
+    for r_val, w_r in zip(R, WR):
+        weight = w_r * math.exp(
+            float(_tilt_exponent(beta, t, np.float64(r_val), g, use_exact_radius)))
+        gap_scale = min(t / r_val, st_)
+        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
+        S, WS = _panels(0.0, s_max, 0.5 * gap_scale, order)
+        xv = r_val - S
+        keep = xv > 0.0
+        if not keep.any():
+            continue
+        xk = xv[keep]
+        h_scaled, _, _ = _oracle_joint_series_scaled(t, xk, np.float64(r_val))
+        contrib = h_scaled * WS[keep]
+        den += weight * float(contrib.sum())
+        for i, x_cut in enumerate(x_cuts):
+            below = xk <= x_cut
+            if below.any():
+                num[i] += weight * float(contrib[below].sum())
+    if den <= 0.0:
+        raise DomainError("empty quadrature window; increase t or lower the floor")
+    cdfs = [float(n / den) for n in num]
+    return cdfs[0] if scalar else cdfs
+
+
+def _assert_same_series(args):
+    got = _joint_series_scaled(*args)
+    want = _oracle_joint_series_scaled(*args)
+    assert type(got[0]) is type(want[0])
+    assert np.shape(got[0]) == np.shape(want[0])
+    assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+    assert type(got[1]) is float and got[1] == want[1]
+    assert got[2] == want[2]
+    return want
+
+
+def _block_args(t, x, r, k):
+    """Exp arguments of both branches of block k, as the kernels form them."""
+    base = np.square(r) / (2.0 * t)
+    return [base - np.square(2.0 * k * r + sign * x) / (2.0 * t) for sign in (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0, 40.0, 160.0, 640.0])
+class TestJointSeriesMatchesOracle:
+    def test_endpoint_nodes_bitwise(self, t):
+        """The (x, r) sets of the endpoint sweep, from the cutoff to r where
+        the tilt weight is 0.0: live, subnormal-band and all-dead blocks."""
+        beta = 1.0
+        r_lo, c = _z_domain(beta, t, DEFAULT_FLOOR)
+        g = continuous_constants(beta).g_dstar
+        # the weight exp(-beta t^2/r - r^2/2t - g t) is 0.0 once r^2/2t > ~745
+        r_top = max(4.0 * c * t, 1.25 * math.sqrt(1500.0 * t))
+        R, _ = _panels(r_lo, r_top, 0.25 * math.sqrt(t), 16)
+        seen = {"dead_block": 0, "subnormal": 0, "zero_weight": 0}
+        for r_val in R[::max(1, len(R) // 60)]:
+            gap_scale = min(t / r_val, math.sqrt(t))
+            s_max = min(r_val, 30.0 * t / r_val + 4.0 * math.sqrt(t))
+            S, _ = _panels(0.0, s_max, 0.5 * gap_scale, 16)
+            xk = (r_val - S)[r_val - S > 0.0]
+            terms = _assert_same_series((t, xk, np.float64(r_val)))[2]
+            args = [a for k in range(1, terms + 1) for a in _block_args(t, xk, r_val, k)]
+            seen["subnormal"] += any(np.any((a > _EXP_ZERO) & (np.exp(a) < 2.3e-308))
+                                     for a in args)
+            seen["dead_block"] += terms >= 2 and max(a.max() for a in args[-2:]) <= _EXP_ZERO
+            seen["zero_weight"] += math.exp(float(
+                _tilt_exponent(beta, t, np.float64(r_val), g, False))) == 0.0
+        assert min(seen.values()) > 0, seen
+
+    def test_broadcast_grids_bitwise(self, t):
+        st_ = math.sqrt(t)
+        x = np.linspace(0.01 * st_, 3.0 * st_, 37)[:, None]
+        r = np.linspace(0.05 * st_, 8.0 * st_, 41)[None, :]
+        for args in [(t, x, r), (t, x[:, 0], np.float64(2.0 * st_)),
+                     (t, np.array([0.5 * st_]), np.array([st_])), (t, 0.3 * st_, st_),
+                     (t, x[:3, 0], np.float64(st_), 1e-6)]:
+            _assert_same_series(args)
+        want = _oracle_joint_series_scaled(t, x, r)[0] * np.exp(-np.square(r) / (2.0 * t))
+        assert joint_density_grid(t, x, r).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, np.array([5.0, 9.0, 30.0, 60.0]), np.float64(1.0)),  # x > 2kr: signed zeros
+    (1.0, np.array([-5.0, -30.0, 0.2]), np.float64(1.0)),
+    (1.0, np.array([0.5, 0.9]), np.array([1.0, -1.0])),
+    (2.0, np.array([1e-300, 3.0]), np.float64(3.0)),
+    (1e-250, np.array([0.3, 0.5]), np.float64(1.0)),  # t^(3/2) underflows to 0
+    (1e-3, np.array([0.01, 0.02]), np.float64(0.03)),
+    (1.0, np.array([0.5, 0.7, 39.0]), np.float64(40.0)),  # mostly dead from k = 1
+])
+def test_joint_series_off_the_wedge_matches_oracle(args):
+    """Outside 0 < x < r (joint_density_grid does not check) the skipped
+    all-dead blocks must still leave the same signed zeros and NaNs."""
+    with np.errstate(all="ignore"):
+        _assert_same_series(args)
+
+
+def test_endpoint_cdf_matches_oracle_at_t160():
+    levels = [-1.0, 0.0, 1.0]
+    assert endpoint_clt_continuous(1.0, 160.0, levels) == \
+        _oracle_endpoint_clt_continuous(1.0, 160.0, levels)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_endpoint_cdf_matches_oracle_other_betas(beta):
+    levels = [-2.0, 0.0, 1.5]
+    assert endpoint_clt_continuous(beta, 40.0, levels, use_exact_radius=True) == \
+        _oracle_endpoint_clt_continuous(beta, 40.0, levels, use_exact_radius=True)
+
+
+def test_exp_is_exactly_zero_at_and_below_the_dead_threshold():
+    sweep = np.linspace(-800.0, _EXP_ZERO, 200001)
+    assert sweep[-1] == _EXP_ZERO
+    assert not np.exp(sweep).any()
+    assert np.exp(np.array([-1e300, -np.inf])).tolist() == [0.0, 0.0]
+    assert math.exp(_EXP_ZERO) == 0.0
