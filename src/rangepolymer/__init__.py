@@ -58,7 +58,6 @@ from .mc import (
     CorollaryBoundReport,
     FloryProbeResult,
     McEstimate,
-    TiltedProposal,
     brownian_range_mc,
     corollary_bound_check,
     flory_probe,
@@ -84,7 +83,6 @@ __all__ = [
     "RootResult",
     "SeriesEval",
     "SolverError",
-    "TiltedProposal",
     "brownian_range_mc",
     "clt_check",
     "continuous_constants",

@@ -5,6 +5,11 @@ resolved configuration and the artifact version.  Outputs carry no
 timestamps and floats are printed with 17 significant digits, so re-running
 a manifest reproduces every byte.
 
+Each handler writes its artifacts into a ``.staging-*`` directory inside
+``--out`` as soon as it computes them.  Only when the handler returns does
+``main`` write the manifest and move every file into ``--out``; on any error
+the staging directory is removed, so a failed run adds no file to ``--out``.
+
 Exit codes: 0 success (possibly with warnings on stderr), 1 usage,
 2 domain/precondition violation, 3 resource cap exceeded.
 """
@@ -16,6 +21,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -88,18 +94,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _finish(out: Path, command: str, params: dict, outputs: list[str]) -> int:
-    _write_json(out / "manifest.json", {
-        "artifact": "rangepolymer",
-        "artifact_version": __version__,
-        "command": command,
-        "parameters": params,
-        "outputs": sorted(outputs),
-    })
-    return 0
-
-
-def _cmd_constants(args, out: Path) -> int:
+def _cmd_constants(args, out: Path) -> tuple[str, dict]:
     disc = free_energy_g_star(args.beta)
     cont = continuous_constants(args.beta, args.d)
     hdr = ["beta", "d", "c_star", "g_star", "sigma_star", "c_tilde_d",
@@ -108,35 +103,29 @@ def _cmd_constants(args, out: Path) -> int:
     row = [args.beta, args.d, disc.c_star, disc.g_star, disc.sigma_star,
            tilde_c_d(args.beta, args.d), cont.c_dstar, cont.g_dstar,
            cont.sigma_dstar, cont.beta_tilde_d, cont.prefactor]
-    files = []
     if args.format == "csv":
         _write_csv(out / "constants.csv", hdr, [row])
-        files.append("constants.csv")
     else:
         _write_json(out / "constants.json", dict(zip(hdr, row)))
-        files.append("constants.json")
-    return _finish(out, "constants", {"beta": args.beta, "d": args.d,
-                                      "format": args.format}, files)
+    return "constants", {"beta": args.beta, "d": args.d, "format": args.format}
 
 
-def _cmd_rate_curves(args, out: Path) -> int:
+def _cmd_rate_curves(args, out: Path) -> tuple[str, dict]:
     thetas = _parse_grid(args.grid)
     info = ldp_rate_discrete_info if args.model == "discrete" else ldp_rate_continuous_info
     rows = []
     for theta in thetas:
         rate, branch, root = info(args.beta, theta)
         rows.append([theta, rate, branch, root])
-    name = f"rate_curve_{args.model}.csv"
-    _write_csv(out / name, ["theta", "rate", "branch", "aux_root"], rows)
-    return _finish(out, "rate-curves", {
-        "beta": args.beta, "model": args.model, "grid": thetas,
-    }, [name])
+    _write_csv(out / f"rate_curve_{args.model}.csv",
+               ["theta", "rate", "branch", "aux_root"], rows)
+    return "rate-curves", {"beta": args.beta, "model": args.model, "grid": thetas}
 
 
 _EXACT_OUTPUTS = ("law", "Z", "free-energy", "clt", "ldp")
 
 
-def _cmd_exact(args, out: Path) -> int:
+def _cmd_exact(args, out: Path) -> tuple[str, dict]:
     outputs = [s.strip() for s in args.outputs.split(",") if s.strip()]
     for kind in outputs:
         if kind not in _EXACT_OUTPUTS:
@@ -147,52 +136,46 @@ def _cmd_exact(args, out: Path) -> int:
     cap = args.cap_override or EXACT_LAW_CAP
     law = polymer_law(args.beta, args.n, cap=cap)
     consts = free_energy_g_star(args.beta) if args.beta > 0 else None
-    writes = []  # every output is computed before the first file is written
     for kind in outputs:
         if kind == "law":
-            name = f"law.{args.format}"
             write = law.tilted.to_csv if args.format == "csv" else law.tilted.to_json
-            writes.append((write, (out / name,)))
+            write(out / f"law.{args.format}")
         elif kind == "Z":
-            writes.append((_write_json, (out / "partition.json", {
+            _write_json(out / "partition.json", {
                 "beta": args.beta, "n": args.n,
                 "log_partition": law.log_partition,
                 "partition_value": law.partition_value,
-            })))
+            })
         elif kind == "free-energy":
             seq = free_energy_sequence(args.beta, ns, cap=cap)
             ref = consts.g_star if consts else 0.0
-            writes.append((_write_csv, (
-                out / "free_energy.csv", ["n", "free_energy", "g_star", "error"],
-                [[n, fe, ref, fe - ref] for n, fe in seq])))
+            _write_csv(out / "free_energy.csv", ["n", "free_energy", "g_star", "error"],
+                       [[n, fe, ref, fe - ref] for n, fe in seq])
         elif kind == "clt":
-            writes.append((_write_json, (out / "clt.json", {
+            _write_json(out / "clt.json", {
                 "beta": args.beta, "n": args.n,
                 "ks_distance": clt_check(args.beta, args.n, cap=cap),
                 "convention": "sup",
-            })))
+            })
         else:  # ldp
             rows = []
             for theta, rate in ldp_empirical(args.beta, args.n, thetas, cap=cap):
                 analytic = ldp_rate_discrete_info(args.beta, theta)[0] \
                     if args.beta > 0 else math.nan
                 rows.append([theta, rate, analytic, rate - analytic])
-            writes.append((_write_csv, (
-                out / "ldp.csv",
-                ["theta", "empirical_rate", "analytic_rate", "difference"], rows)))
-    for write, write_args in writes:  # write_args[0] is the file's path
-        write(*write_args)
-    return _finish(out, "exact", {
+            _write_csv(out / "ldp.csv",
+                       ["theta", "empirical_rate", "analytic_rate", "difference"], rows)
+    return "exact", {
         "beta": args.beta, "n": args.n, "outputs": outputs,
         "cap": cap, "format": args.format, "grid": args.grid,
         "n_grid": args.n_grid,
-    }, [write_args[0].name for _, write_args in writes])
+    }
 
 
 _CONTINUOUS_OUTPUTS = ("density", "Z", "range-clt", "endpoint-clt")
 
 
-def _cmd_continuous(args, out: Path) -> int:
+def _cmd_continuous(args, out: Path) -> tuple[str, dict]:
     outputs = [s.strip() for s in args.outputs.split(",") if s.strip()]
     for kind in outputs:
         if kind not in _CONTINUOUS_OUTPUTS:
@@ -202,46 +185,41 @@ def _cmd_continuous(args, out: Path) -> int:
     st_ = math.sqrt(args.t)
     rs = _parse_grid(args.r_grid) if args.r_grid else \
         [0.05 * st_ + (6.0 - 0.05) * st_ * i / 120 for i in range(121)]
-    writes = []  # every output is computed before the first file is written
     for kind in outputs:
         if kind == "density":
             rows = []
             for r in rs:
                 se = range_density(args.t, r)
                 rows.append([r, se.value, se.truncation_bound])
-            writes.append((_write_csv, (out / "range_density.csv",
-                                        ["argument", "value", "error_bound"], rows)))
+            _write_csv(out / "range_density.csv", ["argument", "value", "error_bound"], rows)
         elif kind == "Z":
             res = partition_function_continuous(
                 args.beta, args.t, use_exact_radius=args.exact_radius)
             cont = continuous_constants(args.beta)
             asym = math.log(cont.prefactor) + cont.g_dstar * args.t
-            writes.append((_write_json, (out / "partition_continuous.json", {
+            _write_json(out / "partition_continuous.json", {
                 "beta": args.beta, "t": args.t,
                 "use_exact_radius": args.exact_radius,
                 "value": res.value, "log_value": res.log_value,
                 "abs_error_estimate": res.abs_error_estimate,
                 "nodes": res.nodes, "domain": list(res.domain),
                 "ratio_to_asymptote": math.exp(res.log_value - asym),
-            })))
+            })
         elif kind == "range-clt":
             tails = range_second_order_cdf(args.beta, args.t, cgrid,
                                            use_exact_radius=args.exact_radius)
             rows = [[c, tail, 1.0 - norm_cdf(c)] for c, tail in zip(cgrid, tails)]
-            writes.append((_write_csv, (out / "range_clt.csv",
-                                        ["C", "tail_probability", "one_minus_phi"], rows)))
+            _write_csv(out / "range_clt.csv", ["C", "tail_probability", "one_minus_phi"], rows)
         else:  # endpoint-clt
             cdfs = endpoint_clt_continuous(args.beta, args.t, cgrid,
                                            use_exact_radius=args.exact_radius)
             rows = [[c, cdf, norm_cdf(c)] for c, cdf in zip(cgrid, cdfs)]
-            writes.append((_write_csv, (out / "endpoint_clt.csv", ["C", "cdf", "phi"], rows)))
-    for write, write_args in writes:  # write_args[0] is the file's path
-        write(*write_args)
-    return _finish(out, "continuous", {
+            _write_csv(out / "endpoint_clt.csv", ["C", "cdf", "phi"], rows)
+    return "continuous", {
         "beta": args.beta, "t": args.t, "outputs": outputs,
         "exact_radius": args.exact_radius, "grid": cgrid,
         "r_grid": args.r_grid,
-    }, [write_args[0].name for _, write_args in writes])
+    }
 
 
 def _estimate_payload(est) -> dict:
@@ -253,8 +231,7 @@ def _estimate_payload(est) -> dict:
     }
 
 
-def _cmd_mc(args, out: Path) -> int:
-    files: list[str] = []
+def _cmd_mc(args, out: Path) -> tuple[str, dict]:
     params: dict = {"seed": args.seed, "samples": args.samples,
                     "threads": args.threads}
     warn_low_ess = None
@@ -266,7 +243,6 @@ def _cmd_mc(args, out: Path) -> int:
             "beta": args.beta, "n": args.n, "observable": args.observable,
             **_estimate_payload(est),
         })
-        files.append("estimate.json")
         params.update(beta=args.beta, n=args.n, observable=args.observable)
         warn_low_ess = est.low_ess
     elif args.mc_command == "corollary":
@@ -278,7 +254,6 @@ def _cmd_mc(args, out: Path) -> int:
             "satisfied": rep.satisfied, "unreliable": rep.unreliable,
             **_estimate_payload(rep.estimate),
         })
-        files.append("corollary.json")
         params.update(beta=args.beta, d=args.d, n=args.n)
         warn_low_ess = rep.unreliable
     elif args.mc_command == "flory":
@@ -293,7 +268,6 @@ def _cmd_mc(args, out: Path) -> int:
                         "effective_sample_size": p.effective_sample_size,
                         "used": p.used} for p in res.points],
         })
-        files.append("flory.json")
         params.update(beta=args.beta, d=args.d, grid=grid)
         warn_low_ess = any(not p.used for p in res.points)
     elif args.mc_command == "brownian":
@@ -305,14 +279,13 @@ def _cmd_mc(args, out: Path) -> int:
             "positive_fraction": hist.positive_fraction,
             "mean_range": hist.mean_range,
         })
-        files.extend(["histograms.csv", "brownian.json"])
         params.update(t=args.t, dt=args.dt)
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown mc subcommand {args.mc_command!r}")
     if warn_low_ess:
         sys.stderr.write("warning: effective sample size below 1%; "
                          "estimates are reported but weakly supported\n")
-    return _finish(out, f"mc {args.mc_command}", params, files)
+    return f"mc {args.mc_command}", params
 
 
 def _build_parser() -> _Parser:
@@ -322,13 +295,13 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int,
                        default=int(os.environ.get("RANGE_POLYMER_THREADS", "1")))
 
     p = sub.add_parser("constants", help="speed/free-energy/spread table")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--d", type=int, default=1)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     common(p)
 
     p = sub.add_parser("rate-curves", help="LDP rate-function tables")
@@ -348,6 +321,8 @@ def _build_parser() -> _Parser:
                    help="n values for the free-energy sequence")
     p.add_argument("--cap-override", type=int, default=None,
                    help="raise the exact-law size cap")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="format of the law table; the other outputs keep theirs")
     common(p)
 
     p = sub.add_parser("continuous", help="continuous-model quadratures")
@@ -414,14 +389,27 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        return _HANDLERS[args.command](args, out)
-    except ResourceCapError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+        stage = Path(staging)
+        try:
+            command, params = _HANDLERS[args.command](args, stage)
+        except ResourceCapError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 3
+        except DomainError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        names = sorted(p.name for p in stage.iterdir())
+        _write_json(stage / "manifest.json", {
+            "artifact": "rangepolymer",
+            "artifact_version": __version__,
+            "command": command,
+            "parameters": params,
+            "outputs": names,
+        })
+        for name in [*names, "manifest.json"]:
+            os.replace(stage / name, out / name)
+    return 0
 
 
 def entrypoint() -> None:  # console-script target

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrete import free_energy_g_star, tilde_c_d
-from .errors import DomainError, check_positive
+from .errors import DomainError, ResourceCapError, check_positive
 
 __all__ = [
     "McEstimate",
-    "TiltedProposal",
     "CorollaryBoundReport",
     "FloryPoint",
     "FloryProbeResult",
@@ -42,6 +41,7 @@ __all__ = [
 WALK_BLOCK = 4096
 PATH_BLOCK = 512
 LOW_ESS_FRACTION = 0.01
+PATH_STEP_CAP = 10**10  # most path steps (samples * t/dt) brownian_range_mc takes
 
 
 @dataclass(frozen=True)
@@ -57,25 +57,6 @@ class McEstimate:
     samples: int
     effective_sample_size: float
     low_ess: bool = False
-
-
-@dataclass(frozen=True)
-class TiltedProposal:
-    """Drifted-walk proposal: steps +1 with probability (1 + c)/2."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        if not -1.0 < self.c < 1.0:
-            raise DomainError(f"drift must lie in (-1, 1), got {self.c!r}")
-
-    @property
-    def p_up(self) -> float:
-        return 0.5 * (1.0 + self.c)
-
-    @property
-    def p_down(self) -> float:
-        return 0.5 * (1.0 - self.c)
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
@@ -153,6 +134,8 @@ def _walk_block_nd(seed: int, block: int, count: int, n: int, d: int):
 def _walk_blocks(kernel, seed: int, samples: int, n: int, arg, threads: int):
     """kernel(seed, block, count, n, arg) over the WALK_BLOCK blocks of
     ``samples`` walks; each of its two per-sample arrays joined in block order."""
+    if n < 1:
+        raise DomainError(f"need walk length n >= 1, got {n!r}")
     nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
 
     def job(b: int):
@@ -220,7 +203,8 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
         raise DomainError(f"c_point must be finite, got {c_point!r}")
     if drift is None:
         drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
-    TiltedProposal(drift)  # validates the range
+    if not -1.0 < drift < 1.0:
+        raise DomainError(f"drift must lie in (-1, 1), got {drift!r}")
     e, r, logw = _collect_1d(beta, n, seed, samples, drift, threads)
     if not np.all(np.isfinite(logw)):
         raise AssertionError("non-finite log-weight on valid inputs")
@@ -408,7 +392,8 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
     """Histogram (B_t, R_t) over discretized Brownian paths.
 
     Requires dt <= t / 1e4 so the discretization bias stays within the
-    documented allowance.  Per-block Philox streams make the result
+    documented allowance, and raises ResourceCapError past PATH_STEP_CAP
+    path steps in all.  Per-block Philox streams make the result
     reproducible for any thread count.
     """
     check_positive("t", t)
@@ -420,6 +405,9 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
     if not t / dt < math.inf:
         raise DomainError(f"t/dt overflows: t={t!r}, dt={dt!r}")
     nsteps = int(round(t / dt))
+    if samples * nsteps > PATH_STEP_CAP:
+        raise ResourceCapError(f"samples * t/dt = {samples * nsteps:.3g} path steps "
+                               f"exceeds the cap of {PATH_STEP_CAP:.0e}")
     st = math.sqrt(t)
     if range_edges is None:
         range_edges = np.linspace(0.0, 6.0 * st, 61)

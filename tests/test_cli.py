@@ -2,11 +2,14 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from rangepolymer import cli, joint_law_exact
 from rangepolymer.cli import main
-from rangepolymer import joint_law_exact
 
 
 def _read(path):
@@ -241,6 +244,8 @@ def test_exact_past_double_range_exits_3(tmp_path, capsys):
     ["corollary", "--beta", "nan", "--d", "2", "--n", "20", "--samples", "10"],
     ["corollary", "--beta", "1", "--d", "2", "--n", "20", "--samples", "0"],
     ["flory", "--beta", "1", "--samples", "0"],
+    ["corollary", "--beta", "1", "--d", "2", "--n", "0", "--samples", "10"],
+    ["flory", "--beta", "1", "--grid", "0,5", "--samples", "10"],
 ])
 def test_mc_bad_input_exits_2_without_artifacts(tmp_path, capsys, args):
     out = tmp_path / "run"
@@ -298,3 +303,152 @@ def test_malformed_grid_exits_2_without_artifacts(tmp_path, capsys, grid):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed grid") and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_brownian_step_cap_exits_3_at_once(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["mc", "brownian", "--t", "1e12", "--dt", "1e-4", "--seed", "1",
+                 "--samples", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "exceeds the cap" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["rate-curves", "--beta", "1", "--model", "discrete"],
+    ["continuous", "--beta", "1", "--t", "4"],
+    ["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "1", "--samples", "10"],
+])
+def test_format_only_where_honoured(tmp_path, args):
+    out = tmp_path / "run"
+    assert main([*args, "--format", "json", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_exact_format_selects_the_law_table_only(tmp_path):
+    out = tmp_path / "run"
+    assert main(["exact", "--beta", "1", "--n", "10", "--outputs", "law,ldp",
+                 "--format", "json", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["law.json", "ldp.csv",
+                                                    "manifest.json"]
+
+
+def test_failure_mid_command_leaves_out_as_it_was(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "sentinel.txt").write_bytes(b"kept\n")
+
+    def fail(path, payload):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_json", fail)
+    with pytest.raises(OSError, match="disk full"):
+        main(["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "1",
+              "--samples", "10", "--out", str(out)])
+    assert [p.name for p in out.iterdir()] == ["sentinel.txt"]
+    assert (out / "sentinel.txt").read_bytes() == b"kept\n"
+
+
+def test_manifest_lists_each_output_once(tmp_path):
+    out = tmp_path / "run"
+    assert main(["exact", "--beta", "1", "--n", "10", "--outputs", "Z,Z",
+                 "--out", str(out)]) == 0
+    manifest = json.loads(_read(out / "manifest.json"))
+    assert manifest["outputs"] == ["partition.json"]
+    assert manifest["parameters"]["outputs"] == ["Z", "Z"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "partition.json"]
+
+
+# Ordinary values half the time; otherwise NaN, infinities, signs, zero and
+# magnitudes far past what any solver can handle.
+_REALS = st.sampled_from(["0.5", "1", "2"]) | st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "1e-300", "800", "1e300"])
+_GRIDS = st.one_of(
+    st.sampled_from(["0:1:5", "0:1:x", "0:1", "0:1:0", "nan", "0,inf", ",", "x"]),
+    st.lists(st.floats(-1e300, 1e300) | _REALS.map(float), max_size=3)
+    .map(lambda vs: ",".join(map(repr, vs))),
+)
+_SMALL_NS = st.sampled_from(["-2", "0", "1", "2", "5", "30"])
+_SAMPLES = st.sampled_from(["0", "1", "2", "50"])
+_THREADS = st.sampled_from(["1", "2"])
+
+
+def _opt(flag, values):
+    """``[flag=value]`` or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _flag(flag, values):
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+def _names(choices):
+    return st.lists(st.sampled_from([*choices, "bogus"]), min_size=1, max_size=4) \
+        .map(",".join)
+
+
+_SEED = _flag("--seed", st.integers(0, 2**64 - 1).map(str))
+_COMMANDS = st.one_of(
+    _argv(st.just(["constants"]), _flag("--beta", _REALS),
+          _opt("--d", st.sampled_from(["-1", "0", "1", "2", "3"])),
+          _opt("--format", st.sampled_from(["csv", "json"]))),
+    _argv(st.just(["rate-curves"]), _flag("--beta", _REALS),
+          _flag("--model", st.sampled_from(["discrete", "continuous"])),
+          _opt("--grid", _GRIDS)),
+    _argv(st.just(["exact"]), _flag("--beta", _REALS),
+          _flag("--n", st.sampled_from(["-1", "0", "1", "3", "12", "30", "700", "1034"])),
+          _flag("--outputs", _names(cli._EXACT_OUTPUTS)),
+          _opt("--grid", _GRIDS), _opt("--n-grid", _GRIDS),
+          _opt("--cap-override", st.sampled_from(["-1", "0", "5", "1100"])),
+          _opt("--format", st.sampled_from(["csv", "json"]))),
+    _argv(st.just(["continuous"]), _flag("--beta", _REALS),
+          _flag("--t", st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1", "4",
+                                        "1e300"])),
+          _flag("--outputs", _names(cli._CONTINUOUS_OUTPUTS)),
+          _opt("--grid", _GRIDS), _opt("--r-grid", _GRIDS),
+          st.sampled_from([[], ["--exact-radius"]])),
+    _argv(st.just(["mc", "tilted"]), _flag("--beta", _REALS), _flag("--n", _SMALL_NS),
+          _opt("--observable", st.sampled_from(["endpoint_mean", "endpoint_mean_positive",
+                                                "range_mean", "endpoint_cdf"])),
+          _opt("--c-point", _REALS), _SEED, _flag("--samples", _SAMPLES),
+          _flag("--threads", _THREADS)),
+    _argv(st.just(["mc", "corollary"]), _flag("--beta", _REALS),
+          _flag("--d", st.sampled_from(["1", "2", "3"])), _flag("--n", _SMALL_NS),
+          _SEED, _flag("--samples", _SAMPLES), _flag("--threads", _THREADS)),
+    _argv(st.just(["mc", "flory"]), _flag("--beta", _REALS),
+          _opt("--d", st.sampled_from(["0", "1", "2"])),
+          _flag("--grid", st.one_of(
+              st.lists(_SMALL_NS, min_size=1, max_size=3).map(",".join),
+              st.sampled_from(["x", "nan", "0:1:x"]))),
+          _SEED, _flag("--samples", _SAMPLES), _flag("--threads", _THREADS)),
+    _argv(st.just(["mc", "brownian"]),
+          _flag("--t", st.sampled_from(["nan", "inf", "-1", "0", "1", "2", "1e12"])),
+          _flag("--dt", st.sampled_from(["nan", "0", "-1e-4", "1e-4", "1e-3", "1e-300"])),
+          _SEED, _flag("--samples", _SAMPLES), _flag("--threads", _THREADS)),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_COMMANDS)
+def test_any_invocation_publishes_all_or_nothing(argv):
+    """Whether main returns or raises, --out holds the whole run or nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        try:
+            code = main([*argv, "--out", str(out)])
+        except Exception:  # noqa: BLE001 - known tracebacks still must leave no file
+            code = None
+        event(f"{argv[0]}: exit {code}")
+        found = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if code == 0:
+            manifest = json.loads(_read(out / "manifest.json"))
+            assert found == sorted([*manifest["outputs"], "manifest.json"])
+            assert manifest["outputs"]
+        else:
+            assert code in (None, 1, 2, 3)
+            assert found == []

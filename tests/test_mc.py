@@ -13,7 +13,6 @@ import pytest
 
 from rangepolymer import (
     DomainError,
-    TiltedProposal,
     brownian_range_mc,
     corollary_bound_check,
     flory_probe,
@@ -62,14 +61,11 @@ def _exact_d2_range_mean(beta: float, n: int) -> float:
 
 
 class TestProposal:
-    def test_probabilities(self):
-        p = TiltedProposal(0.6)
-        assert p.p_up == 0.8 and p.p_down == pytest.approx(0.2)
-        assert p.p_up + p.p_down == 1.0
-
     def test_domain(self):
-        with pytest.raises(DomainError):
-            TiltedProposal(1.0)
+        """The proposal's drift must lie in the open interval (-1, 1)."""
+        for drift in (1.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="drift"):
+                polymer_estimate_tilted(1.0, 10, "range_mean", 1, 100, drift=drift)
 
 
 def _walk_block_1d_oracle(seed: int, block: int, count: int, n: int, c: float):
