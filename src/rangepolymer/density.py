@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .continuous import continuous_constants
-from .errors import DomainError, check_positive
+from .errors import DomainError, ResourceCapError, check_positive
 from .gaussian import SQRT2PI
 
 __all__ = [
@@ -48,6 +48,14 @@ __all__ = [
 ]
 
 DEFAULT_FLOOR = 0.05
+
+# Most nodes one composite Gauss-Legendre layout may hold.  The quadratures
+# here use at most a few thousand per layout at the documented sizes.
+PANEL_NODE_CAP = 10**6
+
+# np.exp returns exactly 0.0 for every argument below -745.1332 (the
+# smallest subnormal's log, rounded); an argument at or below this is "dead".
+_EXP_ZERO = -750.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,7 @@ class QuadratureResult:
 
 def _check_floor(t: float, r: float, floor: float) -> None:
     check_positive("t", t)
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r!r}")
+    check_positive("r", r)
     if r < floor * math.sqrt(t):
         raise DomainError(
             f"r={r!r} below the uniform-convergence floor {floor!r}*sqrt(t); "
@@ -92,11 +99,15 @@ def range_density(t: float, r: float, tol: float = 1e-12,
     Terms are summed until they have started to decrease and drop below
     ``tol`` relative to the running sum; the reported truncation bound is
     the first omitted term (valid for alternating series once the terms
-    decrease monotonically).
+    decrease monotonically).  Where the first term is already 0.0 the loop
+    would stop at once with value and bound 0.0; that result is returned
+    before (k u)^2 can overflow.
     """
     _check_floor(t, r, floor)
     sqrt_t = math.sqrt(t)
     u = r / sqrt_t
+    if -0.5 * u * u <= _EXP_ZERO:
+        return SeriesEval(value=0.0, truncation_bound=0.0, terms_used=1)
     scale = 8.0 / sqrt_t
     total = 0.0
     prev = math.inf
@@ -141,11 +152,6 @@ def range_density_grid(t: float, r: np.ndarray, tol: float = 1e-13) -> np.ndarra
     r = np.asarray(r, dtype=float)
     return 8.0 / math.sqrt(t) * np.exp(-np.square(r) / (2.0 * t)) \
         * _range_series_scaled(t, r, tol)
-
-
-# np.exp returns exactly 0.0 for every argument below -745.1332 (the
-# smallest subnormal's log, rounded); an argument at or below this is "dead".
-_EXP_ZERO = -750.0
 
 
 def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
@@ -244,8 +250,17 @@ def joint_density(t: float, x: float, r: float, tol: float = 1e-12,
 
 def joint_density_grid(t: float, x: np.ndarray, r: np.ndarray,
                        tol: float = 1e-13) -> np.ndarray:
-    """Vectorized joint density (shapes broadcast); no domain checks."""
+    """Vectorized joint density (shapes broadcast).
+
+    Checks only that t is finite and positive and that x and r are finite
+    (a NaN would keep the series from ever meeting its stop test); points
+    off the wedge 0 < x < r are evaluated as they are.
+    """
+    check_positive("t", t)
+    x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(r).all()):
+        raise DomainError("x and r must be finite")
     val, _, _ = _joint_series_scaled(t, x, r, tol)
     return val * np.exp(-np.square(r) / (2.0 * t))
 
@@ -256,9 +271,17 @@ def _leggauss(order: int):
 
 
 def _panels(a: float, b: float, max_width: float, order: int):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
+    """Composite Gauss-Legendre nodes and weights on [a, b].
+
+    Raises ResourceCapError when the layout would pass PANEL_NODE_CAP nodes.
+    """
     xs, ws = _leggauss(order)
-    count = max(1, int(math.ceil((b - a) / max(max_width, 1e-300))))
+    panels = (b - a) / max(max_width, 1e-300)
+    if not panels <= PANEL_NODE_CAP // order:  # NaN and +inf fail too
+        raise ResourceCapError(
+            f"{panels * order:.3g} quadrature nodes on [{a:.6g}, {b:.6g}] exceed "
+            f"the cap of {PANEL_NODE_CAP:.0e}")
+    count = max(1, int(math.ceil(panels)))
     edges = np.linspace(a, b, count + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -402,6 +425,37 @@ def range_second_order_cdf(beta: float, t: float, C,
     return tails[0] if scalar else tails
 
 
+# A row term at most 2^-60 of a sum is far below half an ulp of that sum.
+_ABSORBED = 2.0 ** 60
+
+
+def _joint_series_bound(t: float, r: float) -> float:
+    """H(r, t) >= |_joint_series_scaled(t, x, r)| for every 0 < x < r.
+
+    With q = r^2/t, block k of the series has a-+ = 2kr -+ x in
+    ((2k-1) r, (2k+1) r), so each Gaussian factor exp(r^2/2t - a^2/2t) is at
+    most exp(-2k(k-1) q) <= rho^(k-1), rho = exp(-4q); |a-^2/t - 1| <=
+    4k^2 q + 1, |a+^2/t - 1| <= (2k+1)^2 q + 1 and 0 < r - x < r.  The
+    block's share of (r - x)/t^(3/2) s_sym + s_asym is therefore at most
+
+        r/(sqrt(2 pi) t^(3/2)) rho^(k-1) [4k^2((8k^2 + 4k + 1) q + 2)
+                                          + 8k^2(k-1) + 4k(k+1)(2k+1)]
+        <= r (52 q + 32)/(sqrt(2 pi) t^(3/2)) k^4 rho^(k-1),
+
+    comparing coefficients (32k^4 + 16k^3 + 4k^2 <= 52k^4 and 16k^3 + 12k^2
+    + 4k <= 32k^4).  Summing, sum_k k^4 rho^(k-1) = (1 + 11 rho + 11 rho^2
+    + rho^3)/(1 - rho)^5 bounds every partial sum the kernel can stop at.
+    The factor 2 in front is the rounding margin.  The kernel's few dozen
+    roundings and np.exp's ulp-level error per term, the row's s-weights
+    (whose float sum is s_max to ~1e-15) and the roundings of weight * H *
+    s_max and of the row sums use up a negligible part of it.
+    """
+    q = r * r / t
+    rho = math.exp(-4.0 * q)
+    tail = (1.0 + rho * (11.0 + rho * (11.0 + rho))) / (-math.expm1(-4.0 * q)) ** 5
+    return 2.0 * r * (52.0 * q + 32.0) / (SQRT2PI * t * math.sqrt(t)) * tail
+
+
 def endpoint_clt_continuous(beta: float, t: float, C,
                             use_exact_radius: bool = False,
                             order: int = 16,
@@ -416,8 +470,22 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     ``C`` is a finite level (returns a float) or a sequence of them (returns
     a list in input order).  Only the clip depends on C, so every level is
     read off one sweep over the nodes: a sequence costs one sweep.  The
-    s-panels differ per r node, so the sweep walks the r nodes in order and
-    each level's sum is accumulated exactly as a one-level call would.
+    s-panels differ per r node, so the sweep walks the r nodes in ascending
+    order and each level's sum is accumulated exactly as a one-level call
+    would.
+
+    A row r whose term every sum it can touch would absorb is skipped
+    before its panels are built.  Its term, and each level's part of it, is
+    at most B = weight * H * s_max with H = ``_joint_series_bound``
+    (|h_scaled| <= H/2 up to rounding; the s-weights sum to s_max).  Its
+    nodes x = r - s lie in [r - s_max, r), so it touches num_i only if
+    r - s_max <= x_cut_i.  If B * 2^60 <= A for den and every such num_i,
+    the computed term is at most about 2^-61 A: under half an ulp of A when
+    A is normal, and rounded to a signed zero when A is subnormal or 0.0
+    (the sums start at +0.0, so they never hold -0.0).  Every sum, hence
+    every CDF, is then bitwise what the full sweep gives.  A row of weight
+    0.0 has B = 0.0 and is skipped at once.  Past the saddle the tilt weight
+    falls as a Gaussian in r, so the test skips most of the tail rows.
     """
     check_positive("beta", beta)
     levels, scalar = _levels(C)
@@ -434,10 +502,12 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     for r_val, w_r in zip(R, WR):
         weight = w_r * math.exp(
             float(_tilt_exponent(beta, t, np.float64(r_val), g, use_exact_radius)))
-        if weight == 0.0:  # the node would add 0.0 * (finite sum) to den and num
+        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st)
+        scaled = weight * (_joint_series_bound(t, r_val) * s_max) * _ABSORBED
+        if scaled <= den and all(scaled <= n for n, x_cut in zip(num, x_cuts)
+                                 if r_val - s_max <= x_cut):
             continue
         gap_scale = min(t / r_val, st)
-        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st)
         S, WS = _panels(0.0, s_max, 0.5 * gap_scale, order)
         xv = r_val - S
         keep = xv > 0.0

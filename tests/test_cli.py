@@ -314,6 +314,25 @@ def test_brownian_step_cap_exits_3_at_once(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [["--beta", "1e300", "--t", "4"],
+                                  ["--beta", "1", "--t", "1e300"]])
+def test_quadrature_past_the_node_cap_exits_3(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert main(["continuous", *args, "--outputs", "Z", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "exceed the cap" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_density_far_past_its_mass_is_zero(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["continuous", "--beta", "1", "--t", "4", "--outputs", "density",
+                 "--r-grid", "1e300", "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    lines = _read(out / "range_density.csv").strip().splitlines()
+    assert [float(v) for v in lines[1].split(",")] == [1e300, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("args", [
     ["rate-curves", "--beta", "1", "--model", "discrete"],
     ["continuous", "--beta", "1", "--t", "4"],

@@ -13,6 +13,8 @@ from scipy.special import ndtr
 
 from rangepolymer import (
     DomainError,
+    ResourceCapError,
+    SeriesEval,
     endpoint_clt_continuous,
     joint_density,
     partition_function_continuous,
@@ -21,12 +23,15 @@ from rangepolymer import (
 )
 from rangepolymer.continuous import continuous_constants
 from rangepolymer.gaussian import SQRT2PI
+from rangepolymer import density
 from rangepolymer.density import (
     DEFAULT_FLOOR,
+    PANEL_NODE_CAP,
     _EXP_ZERO,
     joint_density_grid,
     range_density_grid,
     small_range_weight_bound,
+    _joint_series_bound,
     _joint_series_scaled,
     _levels,
     _panels,
@@ -85,6 +90,18 @@ class TestRangeDensity:
             range_density(1.0, 0.01)
         with pytest.raises(DomainError):
             range_density(4.0, 0.05)  # floor scales with sqrt(t)
+        with pytest.raises(DomainError):
+            range_density(4.0, math.inf)
+
+    def test_far_tail_is_zero_without_overflow(self):
+        """Once the first term is 0.0 the result is the loop's one-term stop:
+        just below the exp threshold (loop) and past it (early return) agree,
+        and r whose (k r)^2/t overflows no longer raises."""
+        t = 4.0
+        below = range_density(t, 38.7 * math.sqrt(t))  # -0.5 u^2 = -748.8
+        assert below == SeriesEval(value=0.0, truncation_bound=0.0, terms_used=1)
+        for r in (40.0 * math.sqrt(t), 1e154, 1e300):
+            assert range_density(t, r) == below
 
 
 class TestJointDensity:
@@ -121,6 +138,29 @@ class TestJointDensity:
             joint_density(1.0, 1.5, 1.2)
         with pytest.raises(DomainError):
             joint_density(1.0, -0.1, 1.2)
+        with pytest.raises(DomainError):
+            joint_density(1.0, 0.5, math.inf)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, [0.5, math.nan], 1.0),
+        (1.0, [0.5, 0.7], [1.0, math.inf]),
+        (1.0, 0.5, math.nan),
+        (math.nan, 0.5, 1.0),
+        (math.inf, 0.5, 1.0),
+    ])
+    def test_grid_rejects_non_finite_input(self, args):
+        """A NaN used to run the series through all 100000 blocks."""
+        with pytest.raises(DomainError):
+            joint_density_grid(*args)
+
+
+def test_panels_refuse_layouts_past_the_node_cap():
+    order = 16
+    xs, ws = _panels(0.0, PANEL_NODE_CAP // order, 1.0, order)
+    assert len(xs) == len(ws) == PANEL_NODE_CAP
+    for b in (PANEL_NODE_CAP // order + 1.0, 1e300, math.inf, math.nan):
+        with pytest.raises(ResourceCapError, match="exceed the cap"):
+            _panels(0.0, b, 1.0, order)
 
 
 class TestPartitionFunction:
@@ -459,3 +499,70 @@ def test_exp_is_exactly_zero_at_and_below_the_dead_threshold():
     assert not np.exp(sweep).any()
     assert np.exp(np.array([-1e300, -np.inf])).tolist() == [0.0, 0.0]
     assert math.exp(_EXP_ZERO) == 0.0
+
+
+# The endpoint sweep skips a row when every sum it touches would absorb its
+# term.  The audit runs the full sweep beside it, row by row, and checks the
+# skipped rows against what computing them would have done.
+
+_AUDIT_LEVELS = [-9.0, -2.0, 0.0, 1.0, 9.0]
+
+
+@pytest.mark.parametrize("t", [4.0, 10.0, 40.0, 160.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("exact_radius", [False, True])
+def test_skipped_endpoint_rows_are_absorbed(t, beta, exact_radius, monkeypatch):
+    computed = set()
+    kernel = density._joint_series_scaled
+
+    def recording(t_, x, r, *rest):
+        computed.add(float(r))
+        return kernel(t_, x, r, *rest)
+
+    monkeypatch.setattr(density, "_joint_series_scaled", recording)
+    swept = endpoint_clt_continuous(beta, t, _AUDIT_LEVELS, use_exact_radius=exact_radius)
+    monkeypatch.undo()
+
+    r_lo, c = _z_domain(beta, t, DEFAULT_FLOOR)
+    st_ = math.sqrt(t)
+    g = continuous_constants(beta).g_dstar
+    x_cuts = [c * t + level * st_ / math.sqrt(3.0) for level in _AUDIT_LEVELS]
+    R, WR = _panels(r_lo, 4.0 * c * t, 0.25 * st_, 16)
+    num = [0.0] * len(x_cuts)
+    den = 0.0
+    skipped = 0
+    for r_val, w_r in zip(R, WR):
+        weight = w_r * math.exp(
+            float(_tilt_exponent(beta, t, np.float64(r_val), g, exact_radius)))
+        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
+        S, WS = _panels(0.0, s_max, 0.5 * min(t / r_val, st_), 16)
+        xv = r_val - S
+        keep = xv > 0.0
+        if not keep.any():
+            continue
+        xk = xv[keep]
+        h_scaled, _, _ = _joint_series_scaled(t, xk, np.float64(r_val))
+        H = _joint_series_bound(t, r_val)
+        assert H >= np.abs(h_scaled).max(), (r_val, H, np.abs(h_scaled).max())
+        bound = weight * H * s_max
+        contrib = h_scaled * WS[keep]
+        skip = float(r_val) not in computed
+        skipped += skip
+        term = weight * float(contrib.sum())
+        if skip:
+            assert abs(term) <= bound
+            assert (den + term).hex() == den.hex()
+        den += term
+        for i, x_cut in enumerate(x_cuts):
+            below = xk <= x_cut
+            if r_val - s_max > x_cut:
+                assert not below.any()
+            if below.any():
+                part = weight * float(contrib[below].sum())
+                if skip:
+                    assert abs(part) <= bound
+                    assert (num[i] + part).hex() == num[i].hex()
+                num[i] += part
+    assert swept == [n / den for n in num]
+    if t >= 40.0:  # at small t the weight is not yet small enough anywhere
+        assert skipped > len(R) // 3
