@@ -147,11 +147,6 @@ def positive_cubic_root(beta: float, theta: float = 0.0) -> RootResult:
     return RootResult(r, resid, iters, (lo, hi))
 
 
-def _g_dstar(beta: float) -> float:
-    c = _CBRT(beta)
-    return -1.5 * c * c
-
-
 def ldp_rate_continuous(beta: float, theta: float) -> float:
     """Two-branch endpoint-velocity rate J^beta(theta) on [0, inf).
 
@@ -168,7 +163,7 @@ def ldp_rate_continuous_info(beta: float, theta: float) -> tuple[float, str, flo
     check_positive("beta", beta)
     if theta < 0.0:
         raise DomainError(f"theta must be nonnegative, got {theta!r}")
-    g = _g_dstar(beta)
+    g = continuous_constants(beta).g_dstar
     threshold = _CBRT(0.5 * beta)
     if theta >= threshold:
         return beta / theta + 0.5 * theta * theta + g, "boundary", float(theta)

@@ -103,6 +103,7 @@ def range_density(t: float, r: float, tol: float = 1e-12,
     would stop at once with value and bound 0.0; that result is returned
     before (k u)^2 can overflow.
     """
+    check_positive("tol", tol)
     _check_floor(t, r, floor)
     sqrt_t = math.sqrt(t)
     u = r / sqrt_t
@@ -149,6 +150,7 @@ def _range_series_scaled(t: float, r: np.ndarray, tol: float = 1e-13) -> np.ndar
 
 def range_density_grid(t: float, r: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     """Vectorized range density; caller is responsible for the domain floor."""
+    check_positive("tol", tol)
     r = np.asarray(r, dtype=float)
     return 8.0 / math.sqrt(t) * np.exp(-np.square(r) / (2.0 * t)) \
         * _range_series_scaled(t, r, tol)
@@ -161,7 +163,9 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
     For 0 < x < r every Gaussian argument satisfies (2kr -+ x)^2 >= r^2, so
     scaling by exp(r^2/2t) keeps each term bounded; the k = 1 contribution is
     O(1) and the blocks decay geometrically.  Returns (value, remainder
-    bound with a conservative factor 10, terms used).
+    bound with a conservative factor 10, terms used).  A NaN block max (a NaN
+    argument, or an r so large that a^2 overflows) can never meet the stop
+    test, so it raises DomainError.
 
     Nearly all the cost is np.exp on arguments that underflow: a result that
     rounds to 0.0 costs ~10x a normal one.  Dead arguments (<= _EXP_ZERO)
@@ -232,6 +236,8 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
             block_max = float(zm2.max())
         if block_max <= tol * max(1.0, float(np.abs(s_sym, out=tm).max())):
             break
+        if block_max != block_max:
+            raise DomainError(f"joint series is NaN at t={t!r}: x or r out of range")
     value = (r - x) / t32 * s_sym + s_asym
     return value, 10.0 * block_max, k
 
@@ -239,6 +245,7 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
 def joint_density(t: float, x: float, r: float, tol: float = 1e-12,
                   floor: float = DEFAULT_FLOOR) -> SeriesEval:
     """Joint density of (B_t in dx, R_t in dr, B_t > 0) at 0 < x < r."""
+    check_positive("tol", tol)
     if not 0.0 < x < r:
         raise DomainError(f"need 0 < x < r, got x={x!r}, r={r!r}")
     _check_floor(t, r, floor)
@@ -257,6 +264,7 @@ def joint_density_grid(t: float, x: np.ndarray, r: np.ndarray,
     off the wedge 0 < x < r are evaluated as they are.
     """
     check_positive("t", t)
+    check_positive("tol", tol)
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(r).all()):
@@ -302,16 +310,18 @@ def small_range_weight_bound(beta: float, t: float,
     return math.exp(-beta * t * t / rho)
 
 
-def _z_domain(beta: float, t: float, floor: float) -> tuple[float, float]:
+def _z_domain(beta: float, t: float, floor: float) -> tuple[float, float, float, float]:
+    """Saddle window (r_lo, r_hi) = (c** t/2, 4 c** t), c** and g** at beta."""
     check_positive("t", t)
-    c = continuous_constants(beta).c_dstar
+    consts = continuous_constants(beta)
+    c = consts.c_dstar
     r_lo = 0.5 * c * t
     if r_lo < floor * math.sqrt(t):
         raise DomainError(
             f"cutoff {r_lo!r} below the series floor {floor!r}*sqrt(t); "
             "increase t or beta"
         )
-    return r_lo, c
+    return r_lo, 4.0 * c * t, c, consts.g_dstar
 
 
 def _tilt_exponent(beta: float, t: float, r: np.ndarray, g: float,
@@ -322,10 +332,9 @@ def _tilt_exponent(beta: float, t: float, r: np.ndarray, g: float,
 
 
 def _tilted_range_integral(beta: float, t: float, r_lo: float, r_hi: float,
-                           use_exact_radius: bool, width: float, order: int,
-                           tol: float) -> tuple[float, int, float]:
-    """Integral of f_R(r) exp(-beta t^2/rho - g** t) dr, extending r_hi."""
-    g = continuous_constants(beta).g_dstar
+                           g: float, use_exact_radius: bool, width: float,
+                           order: int, tol: float) -> tuple[float, int, float]:
+    """Integral of f_R(r) exp(-beta t^2/rho - g t) dr, extending r_hi."""
     nodes_used = 0
 
     def chunk(a: float, b: float) -> float:
@@ -361,14 +370,13 @@ def partition_function_continuous(beta: float, t: float,
     small-range region is bounded by ``small_range_weight_bound``.
     """
     check_positive("beta", beta)
-    r_lo, c = _z_domain(beta, t, floor)
-    r_hi = 4.0 * c * t
+    check_positive("tol", tol)
+    r_lo, r_hi, _, g = _z_domain(beta, t, floor)
     width = 0.25 * math.sqrt(t)
     coarse, n1, hi1 = _tilted_range_integral(
-        beta, t, r_lo, r_hi, use_exact_radius, width, order, tol)
+        beta, t, r_lo, r_hi, g, use_exact_radius, width, order, tol)
     fine, n2, hi2 = _tilted_range_integral(
-        beta, t, r_lo, r_hi, use_exact_radius, 0.5 * width, order, tol)
-    g = continuous_constants(beta).g_dstar
+        beta, t, r_lo, r_hi, g, use_exact_radius, 0.5 * width, order, tol)
     log_value = math.log(fine) + g * t if fine > 0.0 else -math.inf
     err_scaled = abs(fine - coarse)
     return QuadratureResult(
@@ -405,10 +413,9 @@ def range_second_order_cdf(beta: float, t: float, C,
     """
     check_positive("beta", beta)
     levels, scalar = _levels(C)
-    r_lo, c = _z_domain(beta, t, floor)
-    r_hi = 4.0 * c * t
+    r_lo, r_hi, c, g = _z_domain(beta, t, floor)
     width = 0.125 * math.sqrt(t)
-    den, _, hi = _tilted_range_integral(beta, t, r_lo, r_hi, use_exact_radius,
+    den, _, hi = _tilted_range_integral(beta, t, r_lo, r_hi, g, use_exact_radius,
                                         width, order, 1e-10)
     tails = []
     for level in levels:
@@ -419,7 +426,7 @@ def range_second_order_cdf(beta: float, t: float, C,
             tails.append(0.0)
         else:
             num, _, _ = _tilted_range_integral(
-                beta, t, thr, max(r_hi, thr + math.sqrt(t)),
+                beta, t, thr, max(r_hi, thr + math.sqrt(t)), g,
                 use_exact_radius, width, order, 1e-10)
             tails.append(min(num / den, 1.0))
     return tails[0] if scalar else tails
@@ -489,12 +496,10 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     """
     check_positive("beta", beta)
     levels, scalar = _levels(C)
-    r_lo, c = _z_domain(beta, t, floor)
+    r_lo, r_hi, c, g = _z_domain(beta, t, floor)
     if not levels:
         return []
-    r_hi = 4.0 * c * t
     st = math.sqrt(t)
-    g = continuous_constants(beta).g_dstar
     x_cuts = [c * t + level * st / math.sqrt(3.0) for level in levels]
     R, WR = _panels(r_lo, r_hi, 0.25 * st, order)
     num = [0.0] * len(x_cuts)

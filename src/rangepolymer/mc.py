@@ -32,6 +32,7 @@ __all__ = [
     "BrownianRangeHistograms",
     "WALK_BLOCK",
     "PATH_BLOCK",
+    "TIME_CHUNK",
     "polymer_estimate_tilted",
     "corollary_bound_check",
     "flory_probe",
@@ -40,6 +41,7 @@ __all__ = [
 
 WALK_BLOCK = 4096
 PATH_BLOCK = 512
+TIME_CHUNK = 2048  # Brownian increments drawn per chunk; fixes the stream order
 LOW_ESS_FRACTION = 0.01
 PATH_STEP_CAP = 10**10  # most path steps (samples * t/dt) brownian_range_mc takes
 
@@ -131,43 +133,46 @@ def _walk_block_nd(seed: int, block: int, count: int, n: int, d: int):
     return norms, ranges.astype(np.int64)
 
 
-def _walk_blocks(kernel, seed: int, samples: int, n: int, arg, threads: int):
-    """kernel(seed, block, count, n, arg) over the WALK_BLOCK blocks of
-    ``samples`` walks; each of its two per-sample arrays joined in block order."""
+def _weighted_walks(beta, n, d, seed, samples, drift, threads):
+    """(endpoints, ranges, weights, ESS) of ``samples`` walks under the proposal.
+
+    The proposal is the 1-d walk with up-step probability (1 + drift)/2 for
+    d = 1 and the plain walk for d >= 2 (drift must then be 0.0).  The
+    endpoints are S_n in d = 1 and |S_n| otherwise, joined in block order.
+    The weights are exp(-beta n^2 / R_n) over the drift's likelihood ratio,
+    self-normalized: this is the one place where walk log-weights are formed.
+    """
     if n < 1:
         raise DomainError(f"need walk length n >= 1, got {n!r}")
+    kernel, arg = (_walk_block_1d, drift) if d == 1 else (_walk_block_nd, d)
     nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
 
     def job(b: int):
         return kernel(seed, b, min(WALK_BLOCK, samples - b * WALK_BLOCK), n, arg)
 
     parts = _map_blocks(job, nblocks, threads)
-    return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
-
-
-def _collect_1d(beta, n, seed, samples, drift, threads):
-    """Per-sample (endpoint, range, log-weight) arrays under the proposal."""
-    e, r = _walk_blocks(_walk_block_1d, seed, samples, n, drift, threads)
+    f, r = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
     logw = -beta * float(n) * float(n) / r
     if drift != 0.0:
-        logw = logw - (
-            (n + e) * 0.5 * math.log1p(drift) + (n - e) * 0.5 * math.log1p(-drift)
-        )
-    return e, r, logw
-
-
-def _normalized_weights(logw: np.ndarray):
-    shift = float(logw.max())
-    w = np.exp(logw - shift)
+        logw = logw - ((n + f) * 0.5 * math.log1p(drift)
+                       + (n - f) * 0.5 * math.log1p(-drift))
+    if not np.all(np.isfinite(logw)):
+        raise AssertionError("non-finite log-weight on valid inputs")
+    w = np.exp(logw - float(logw.max()))
     w /= w.sum()
-    ess = 1.0 / float(np.sum(np.square(w)))
-    return w, ess
+    return f, r, w, 1.0 / float(np.sum(np.square(w)))
 
 
-def _ratio_estimate(w, f, indicator, samples, ess) -> McEstimate:
+def _default_drift(beta: float) -> float:
+    """c*(beta), the proposal drift the tilted measure concentrates on; 0 at
+    beta = 0, where the tilt is trivial."""
+    return 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
+
+
+def _ratio_estimate(w, f, samples, ess, indicator=None) -> McEstimate:
     """Self-normalized conditional mean sum(w f 1_A)/sum(w 1_A) with its
-    linearized standard error."""
-    wa = w * indicator
+    linearized standard error; no indicator means A is everything."""
+    wa = w if indicator is None else w * indicator
     denom = float(wa.sum())
     if denom <= 0.0:
         raise DomainError("conditioning event has zero sampled mass")
@@ -202,28 +207,24 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
     if not math.isfinite(c_point):
         raise DomainError(f"c_point must be finite, got {c_point!r}")
     if drift is None:
-        drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
+        drift = _default_drift(beta)
     if not -1.0 < drift < 1.0:
         raise DomainError(f"drift must lie in (-1, 1), got {drift!r}")
-    e, r, logw = _collect_1d(beta, n, seed, samples, drift, threads)
-    if not np.all(np.isfinite(logw)):
-        raise AssertionError("non-finite log-weight on valid inputs")
-    w, ess = _normalized_weights(logw)
-    ones = np.ones_like(w)
+    e, r, w, ess = _weighted_walks(beta, n, 1, seed, samples, drift, threads)
     if observable == "endpoint_mean":
-        return _ratio_estimate(w, e / n, ones, samples, ess)
+        return _ratio_estimate(w, e / n, samples, ess)
     if observable == "endpoint_mean_positive":
-        return _ratio_estimate(w, e / n, (e > 0).astype(float), samples, ess)
+        return _ratio_estimate(w, e / n, samples, ess, (e > 0).astype(float))
     if observable == "range_mean":
-        return _ratio_estimate(w, r / n, ones, samples, ess)
+        return _ratio_estimate(w, r / n, samples, ess)
     if observable == "endpoint_cdf":
         if beta == 0.0:
             z = e / math.sqrt(n)
         else:
             consts = free_energy_g_star(beta)
             z = (e - consts.c_star * n) / (consts.sigma_star * math.sqrt(n))
-        return _ratio_estimate(w, (z <= c_point).astype(float),
-                               (e > 0).astype(float), samples, ess)
+        return _ratio_estimate(w, (z <= c_point).astype(float), samples, ess,
+                               (e > 0).astype(float))
     raise DomainError(f"unknown observable {observable!r}")
 
 
@@ -239,26 +240,23 @@ class CorollaryBoundReport:
 
 
 def corollary_bound_check(beta: float, d: int, n: int, seed: int,
-                          samples: int, threads: int = 1,
-                          slack: float = 0.05) -> CorollaryBoundReport:
+                          samples: int, threads: int = 1) -> CorollaryBoundReport:
     """Estimate E[R_n/n] in d >= 2 and compare with beta/(beta + log 2d).
 
     Proposal is the plain walk (no tilted family is available off the line),
-    weights exp(-beta n^2 / R_n), self-normalized.  The check is soft:
-    estimate - 3 se >= bound - slack.  An ESS collapse marks the report
-    unreliable instead of failing.
+    weights exp(-beta n^2 / R_n), self-normalized.  The check is soft, with
+    a fixed slack of 0.05: estimate - 3 se >= bound - 0.05.  An ESS collapse
+    marks the report unreliable instead of failing.
     """
     if d < 2:
         raise DomainError(f"this check concerns d >= 2, got d={d!r}")
     check_positive("beta", beta, allow_zero=True)
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples!r}")
-    _, r = _walk_blocks(_walk_block_nd, seed, samples, n, d, threads)
-    logw = -beta * float(n) * float(n) / r
-    w, ess = _normalized_weights(logw)
-    est = _ratio_estimate(w, r / n, np.ones_like(w), samples, ess)
+    _, r, w, ess = _weighted_walks(beta, n, d, seed, samples, 0.0, threads)
+    est = _ratio_estimate(w, r / n, samples, ess)
     bound = tilde_c_d(beta, d) if beta > 0.0 else 0.0
-    margin = est.mean - 3.0 * est.std_error - (bound - slack)
+    margin = est.mean - 3.0 * est.std_error - (bound - 0.05)
     return CorollaryBoundReport(
         estimate=est,
         bound=bound,
@@ -292,29 +290,25 @@ def flory_probe(d: int, beta: float, n_grid, seed: int, samples: int,
 
     d = 1 uses the drifted proposal at c*(beta); d >= 2 uses the plain walk.
     Grid points whose effective sample size collapses below 1% are dropped
-    from the fit but still reported.
+    from the fit but still reported.  The fit needs at least two distinct
+    usable n; fewer raise DomainError.
     """
     check_positive("beta", beta, allow_zero=True)
     if d < 1 or samples < 1:
         raise DomainError(f"need d >= 1 and samples >= 1, got {d!r}, {samples!r}")
+    drift = _default_drift(beta) if d == 1 else 0.0
     points: list[FloryPoint] = []
     for k, n in enumerate(n_grid):
         n = int(n)
         sub_seed = seed + 7919 * k  # disjoint streams per grid point
-        if d == 1:
-            drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
-            e, r, logw = _collect_1d(beta, n, sub_seed, samples, drift, threads)
-            f = np.abs(e).astype(float)
-        else:
-            f, rr = _walk_blocks(_walk_block_nd, sub_seed, samples, n, d, threads)
-            logw = -beta * float(n) * float(n) / rr
-        w, ess = _normalized_weights(logw)
-        est = _ratio_estimate(w, f, np.ones_like(w), samples, ess)
+        f, _, w, ess = _weighted_walks(beta, n, d, sub_seed, samples, drift, threads)
+        est = _ratio_estimate(w, np.abs(f).astype(float), samples, ess)
         points.append(FloryPoint(n, est.mean, est.std_error, ess, not est.low_ess))
-    fit = [(math.log(p.n), math.log(p.value)) for p in points if p.used and p.value > 0]
-    if len(fit) < 2:
-        raise DomainError("fewer than two usable grid points for the exponent fit")
-    slope, intercept = np.polyfit([a for a, _ in fit], [b for _, b in fit], 1)
+    fit = [p for p in points if p.used and p.value > 0]
+    if len({p.n for p in fit}) < 2:
+        raise DomainError("fewer than two distinct usable n for the exponent fit")
+    slope, intercept = np.polyfit([math.log(p.n) for p in fit],
+                                  [math.log(p.value) for p in fit], 1)
     return FloryProbeResult(exponent=float(slope), intercept=float(intercept),
                             points=points)
 
@@ -356,11 +350,10 @@ class BrownianRangeHistograms:
                 fh.write(f"endpoint,{lo:.17g},{hi:.17g},{v:.17g},{s:.17g}\n")
 
 
-def _path_block(seed: int, block: int, count: int, nsteps: int, sd: float,
-                time_chunk: int):
+def _path_block(seed: int, block: int, count: int, nsteps: int, sd: float):
     """(endpoints, minima, maxima) over one block of discretized paths from 0.
 
-    Increments come in (count, L) chunks of at most ``time_chunk`` steps, which
+    Increments come in (count, L) chunks of at most TIME_CHUNK steps, which
     fixes the stream order; each chunk is drawn into the front of one buffer.
     """
     rng = _stream(seed, block)
@@ -368,10 +361,10 @@ def _path_block(seed: int, block: int, count: int, nsteps: int, sd: float,
     lo = np.zeros(count)
     hi = np.zeros(count)
     extreme = np.empty(count)
-    buf = np.empty(count * min(time_chunk, nsteps))
+    buf = np.empty(count * min(TIME_CHUNK, nsteps))
     left = nsteps
     while left > 0:
-        L = min(time_chunk, left)
+        L = min(TIME_CHUNK, left)
         inc = buf[: count * L].reshape(count, L)
         rng.standard_normal(out=inc)
         inc *= sd  # bitwise rng.normal(0.0, sd)
@@ -385,16 +378,16 @@ def _path_block(seed: int, block: int, count: int, nsteps: int, sd: float,
 
 
 def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
-                      range_edges=None, endpoint_edges=None,
-                      joint_x_edges=None, joint_r_edges=None,
-                      threads: int = 1,
-                      time_chunk: int = 2048) -> BrownianRangeHistograms:
+                      threads: int = 1) -> BrownianRangeHistograms:
     """Histogram (B_t, R_t) over discretized Brownian paths.
 
-    Requires dt <= t / 1e4 so the discretization bias stays within the
-    documented allowance, and raises ResourceCapError past PATH_STEP_CAP
-    path steps in all.  Per-block Philox streams make the result
-    reproducible for any thread count.
+    The bins are fixed and scale with sqrt(t): the range in 60 equal bins on
+    [0, 6 sqrt(t)], the endpoint in 80 on [-4 sqrt(t), 4 sqrt(t)], and the
+    joint (B_t, R_t) table in 30 x 40 cells on [0, 3 sqrt(t)] x
+    [0, 4 sqrt(t)].  Requires dt <= t / 1e4 so the discretization bias stays
+    within the documented allowance, and raises ResourceCapError past
+    PATH_STEP_CAP path steps in all.  Per-block Philox streams make the
+    result reproducible for any thread count.
     """
     check_positive("t", t)
     check_positive("dt", dt)
@@ -409,24 +402,16 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
         raise ResourceCapError(f"samples * t/dt = {samples * nsteps:.3g} path steps "
                                f"exceeds the cap of {PATH_STEP_CAP:.0e}")
     st = math.sqrt(t)
-    if range_edges is None:
-        range_edges = np.linspace(0.0, 6.0 * st, 61)
-    if endpoint_edges is None:
-        endpoint_edges = np.linspace(-4.0 * st, 4.0 * st, 81)
-    if joint_x_edges is None:
-        joint_x_edges = np.linspace(0.0, 3.0 * st, 31)
-    if joint_r_edges is None:
-        joint_r_edges = np.linspace(0.0, 4.0 * st, 41)
-    range_edges = np.asarray(range_edges, float)
-    endpoint_edges = np.asarray(endpoint_edges, float)
-    joint_x_edges = np.asarray(joint_x_edges, float)
-    joint_r_edges = np.asarray(joint_r_edges, float)
+    range_edges = np.linspace(0.0, 6.0 * st, 61)
+    endpoint_edges = np.linspace(-4.0 * st, 4.0 * st, 81)
+    joint_x_edges = np.linspace(0.0, 3.0 * st, 31)
+    joint_r_edges = np.linspace(0.0, 4.0 * st, 41)
     sd = math.sqrt(dt)
     nblocks = (samples + PATH_BLOCK - 1) // PATH_BLOCK
 
     def job(b: int):
         count = min(PATH_BLOCK, samples - b * PATH_BLOCK)
-        x, lo, hi = _path_block(seed, b, count, nsteps, sd, time_chunk)
+        x, lo, hi = _path_block(seed, b, count, nsteps, sd)
         rng_vals = hi - lo
         h_r = np.histogram(rng_vals, range_edges)[0]
         h_b = np.histogram(x, endpoint_edges)[0]
@@ -434,25 +419,17 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
         return (h_r, h_b, h_j, int(np.count_nonzero(x > 0)), float(rng_vals.sum()))
 
     parts = _map_blocks(job, nblocks, threads)
-    h_range = sum(p[0] for p in parts)
-    h_end = sum(p[1] for p in parts)
-    h_joint = sum(p[2] for p in parts)
     n_pos = sum(p[3] for p in parts)
     total_range = math.fsum(p[4] for p in parts)
 
-    def _density(counts, widths):
-        p = counts / samples
+    def _density(k, widths):
+        p = sum(part[k] for part in parts) / samples
         se = np.sqrt(p * (1.0 - p) / samples)
         return p / widths, se / widths
 
-    rw = np.diff(range_edges)
-    bw = np.diff(endpoint_edges)
-    rd, rse = _density(h_range, rw)
-    bd, bse = _density(h_end, bw)
-    area = np.outer(np.diff(joint_x_edges), np.diff(joint_r_edges))
-    jp = h_joint / samples
-    jd = jp / area
-    jse = np.sqrt(jp * (1.0 - jp) / samples) / area
+    rd, rse = _density(0, np.diff(range_edges))
+    bd, bse = _density(1, np.diff(endpoint_edges))
+    jd, jse = _density(2, np.outer(np.diff(joint_x_edges), np.diff(joint_r_edges)))
     return BrownianRangeHistograms(
         t=t, dt=dt, seed=seed, samples=samples,
         range_edges=range_edges, range_density=rd, range_se=rse,

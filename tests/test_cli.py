@@ -246,6 +246,9 @@ def test_exact_past_double_range_exits_3(tmp_path, capsys):
     ["flory", "--beta", "1", "--samples", "0"],
     ["corollary", "--beta", "1", "--d", "2", "--n", "0", "--samples", "10"],
     ["flory", "--beta", "1", "--grid", "0,5", "--samples", "10"],
+    # one distinct n: the exponent fit used to run on a single abscissa
+    ["flory", "--beta", "1", "--grid", "50,50", "--samples", "200"],
+    ["flory", "--beta", "1", "--d", "2", "--grid", "20,20,20", "--samples", "200"],
 ])
 def test_mc_bad_input_exits_2_without_artifacts(tmp_path, capsys, args):
     out = tmp_path / "run"

@@ -5,6 +5,7 @@ implementation independent of the package's erf-based one.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -163,6 +164,26 @@ def test_panels_refuse_layouts_past_the_node_cap():
             _panels(0.0, b, 1.0, order)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: joint_density(1.0, 0.5, 1e154),
+    lambda: joint_density(1.0, 0.5, 1.0, tol=math.nan),
+    lambda: range_density(1.0, 1.0, tol=math.nan),
+    lambda: range_density(1.0, 1.0, tol=0.0),
+    lambda: range_density_grid(1.0, [1.0], tol=-1.0),
+    lambda: joint_density_grid(1.0, 0.5, 1.0, tol=math.inf),
+    lambda: partition_function_continuous(1.0, 40.0, tol=math.nan),
+    lambda: _joint_series_scaled(1.0, np.array([0.5]), np.array([1e154])),
+], ids=["joint-r1e154", "joint-tol-nan", "range-tol-nan", "range-tol-0",
+        "range-grid-tol-neg", "joint-grid-tol-inf", "Z-tol-nan", "kernel-r1e154"])
+def test_series_inputs_that_used_to_stall_raise_at_once(call):
+    """A NaN block max or a NaN tol kept the series from its stop test, so it
+    ran all 100000 blocks (2.6-10 s) and returned NaN or a 0.0 bound."""
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
 class TestPartitionFunction:
     def test_prefactor_ratio_at_t40(self):
         res = partition_function_continuous(1.0, 40.0)
@@ -269,22 +290,23 @@ class TestEndpointClt:
 
 def _range_tail_one_level(beta, t, C, use_exact_radius, order=16,
                           floor=DEFAULT_FLOOR):
-    r_lo, c = _z_domain(beta, t, floor)
+    r_lo, _, c, _ = _z_domain(beta, t, floor)
     r_hi = 4.0 * c * t
+    g = continuous_constants(beta).g_dstar
     width = 0.125 * math.sqrt(t)
-    den, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, use_exact_radius,
+    den, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, g, use_exact_radius,
                                        width, order, 1e-10)
     thr = c * t + C * math.sqrt(t) / math.sqrt(3.0)
     if thr <= r_lo:
         return 1.0
     num, _, _ = _tilted_range_integral(beta, t, thr, max(r_hi, thr + math.sqrt(t)),
-                                       use_exact_radius, width, order, 1e-10)
+                                       g, use_exact_radius, width, order, 1e-10)
     return min(num / den, 1.0)
 
 
 def _endpoint_cdf_one_level(beta, t, C, use_exact_radius, order=16,
                             floor=DEFAULT_FLOOR):
-    r_lo, c = _z_domain(beta, t, floor)
+    r_lo, _, c, _ = _z_domain(beta, t, floor)
     r_hi = 4.0 * c * t
     st_ = math.sqrt(t)
     g = continuous_constants(beta).g_dstar
@@ -375,7 +397,7 @@ def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False, order=16
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     levels, scalar = _levels(C)
-    r_lo, c = _z_domain(beta, t, floor)
+    r_lo, _, c, _ = _z_domain(beta, t, floor)
     if not levels:
         return []
     r_hi = 4.0 * c * t
@@ -432,7 +454,7 @@ class TestJointSeriesMatchesOracle:
         """The (x, r) sets of the endpoint sweep, from the cutoff to r where
         the tilt weight is 0.0: live, subnormal-band and all-dead blocks."""
         beta = 1.0
-        r_lo, c = _z_domain(beta, t, DEFAULT_FLOOR)
+        r_lo, _, c, _ = _z_domain(beta, t, DEFAULT_FLOOR)
         g = continuous_constants(beta).g_dstar
         # the weight exp(-beta t^2/r - r^2/2t - g t) is 0.0 once r^2/2t > ~745
         r_top = max(4.0 * c * t, 1.25 * math.sqrt(1500.0 * t))
@@ -523,7 +545,7 @@ def test_skipped_endpoint_rows_are_absorbed(t, beta, exact_radius, monkeypatch):
     swept = endpoint_clt_continuous(beta, t, _AUDIT_LEVELS, use_exact_radius=exact_radius)
     monkeypatch.undo()
 
-    r_lo, c = _z_domain(beta, t, DEFAULT_FLOOR)
+    r_lo, _, c, _ = _z_domain(beta, t, DEFAULT_FLOOR)
     st_ = math.sqrt(t)
     g = continuous_constants(beta).g_dstar
     x_cuts = [c * t + level * st_ / math.sqrt(3.0) for level in _AUDIT_LEVELS]

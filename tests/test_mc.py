@@ -6,13 +6,16 @@ equality.  The d = 2 tilt is cross-checked against an exhaustive
 direction-sequence enumeration at n = 12.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from rangepolymer import (
+    CorollaryBoundReport,
     DomainError,
+    McEstimate,
     brownian_range_mc,
     corollary_bound_check,
     flory_probe,
@@ -20,14 +23,19 @@ from rangepolymer import (
     polymer_estimate_tilted,
     polymer_law,
 )
+from rangepolymer.discrete import free_energy_g_star, tilde_c_d
 from rangepolymer.mc import (
+    PATH_BLOCK,
+    TIME_CHUNK,
     WALK_BLOCK,
-    _collect_1d,
-    _normalized_weights,
+    FloryPoint,
+    FloryProbeResult,
+    _map_blocks,
     _path_block,
     _stream,
     _walk_block_1d,
     _walk_block_nd,
+    _weighted_walks,
 )
 
 
@@ -120,8 +128,9 @@ class TestKernelsMatchOracle:
 
     def test_path_block_bitwise(self):
         # 10000 steps in chunks of 2048 leave a last chunk of 1808 steps
+        assert TIME_CHUNK == 2048
         sd = math.sqrt(1e-4)
-        got = _path_block(42, 2, 64, 10000, sd, 2048)
+        got = _path_block(42, 2, 64, 10000, sd)
         want = _path_block_oracle(42, 2, 64, 10000, sd, 2048)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -155,7 +164,8 @@ class TestSampleWalk:
         n, samples = 300, 20000
         law = joint_law_exact(n)
         exact = math.fsum(r * p for _, r, p in law.entries()) / n
-        e, r, _ = _collect_1d(0.0, n, seed=17, samples=samples, drift=0.0, threads=1)
+        e, r, _, _ = _weighted_walks(0.0, n, 1, seed=17, samples=samples, drift=0.0,
+                                     threads=1)
         mean = float(np.mean(r / n))
         se = float(np.std(r / n, ddof=1)) / math.sqrt(samples)
         assert abs(mean - exact) <= 3.0 * se
@@ -165,8 +175,8 @@ class TestSampleWalk:
         n, samples = 1000, 100000
         law = joint_law_exact(n, cap=1200)
         exact = math.fsum(r * p for _, r, p in law.entries()) / n
-        _, r, _ = _collect_1d(0.0, n, seed=101, samples=samples, drift=0.0,
-                              threads=2)
+        _, r, _, _ = _weighted_walks(0.0, n, 1, seed=101, samples=samples, drift=0.0,
+                                     threads=2)
         mean = float(np.mean(r / n))
         se = float(np.std(r / n, ddof=1)) / math.sqrt(samples)
         assert abs(mean - exact) <= 3.0 * se
@@ -253,10 +263,9 @@ class TestTiltedEstimator:
         assert naive.low_ess
 
     def test_weights_normalized_and_finite(self):
-        e, r, logw = _collect_1d(1.0, 80, seed=41, samples=5000, drift=0.8,
-                                 threads=1)
-        assert np.all(np.isfinite(logw))
-        w, ess = _normalized_weights(logw)
+        e, r, w, ess = _weighted_walks(1.0, 80, 1, seed=41, samples=5000, drift=0.8,
+                                       threads=1)
+        assert np.all(np.isfinite(w))
         assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
         assert 1.0 <= ess <= 5000.0
 
@@ -355,3 +364,185 @@ class TestBrownian:
     def test_rejects_coarse_dt(self):
         with pytest.raises(DomainError):
             brownian_range_mc(1.0, 1e-3, seed=1, samples=100)
+
+
+# The sampling pipeline before the estimators shared one weighted-walk
+# sampler, verbatim.  Every estimate must stay bitwise what it gave.
+
+def _walk_blocks_oracle(kernel, seed, samples, n, arg, threads):
+    if n < 1:
+        raise DomainError(f"need walk length n >= 1, got {n!r}")
+    nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
+
+    def job(b: int):
+        return kernel(seed, b, min(WALK_BLOCK, samples - b * WALK_BLOCK), n, arg)
+
+    parts = _map_blocks(job, nblocks, threads)
+    return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
+
+
+def _collect_1d(beta, n, seed, samples, drift, threads):
+    e, r = _walk_blocks_oracle(_walk_block_1d, seed, samples, n, drift, threads)
+    logw = -beta * float(n) * float(n) / r
+    if drift != 0.0:
+        logw = logw - (
+            (n + e) * 0.5 * math.log1p(drift) + (n - e) * 0.5 * math.log1p(-drift)
+        )
+    return e, r, logw
+
+
+def _normalized_weights(logw):
+    shift = float(logw.max())
+    w = np.exp(logw - shift)
+    w /= w.sum()
+    ess = 1.0 / float(np.sum(np.square(w)))
+    return w, ess
+
+
+def _ratio_estimate_oracle(w, f, indicator, samples, ess):
+    wa = w * indicator
+    denom = float(wa.sum())
+    if denom <= 0.0:
+        raise DomainError("conditioning event has zero sampled mass")
+    mu = float(np.dot(wa, f)) / denom
+    se = math.sqrt(float(np.sum(np.square(wa * (f - mu))))) / denom
+    return McEstimate(mean=mu, std_error=se, samples=samples,
+                      effective_sample_size=ess, low_ess=ess < 0.01 * samples)
+
+
+def _tilted_oracle(beta, n, observable, seed, samples, drift=None, threads=1,
+                   c_point=0.0):
+    if drift is None:
+        drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
+    e, r, logw = _collect_1d(beta, n, seed, samples, drift, threads)
+    w, ess = _normalized_weights(logw)
+    ones = np.ones_like(w)
+    if observable == "endpoint_mean":
+        return _ratio_estimate_oracle(w, e / n, ones, samples, ess)
+    if observable == "endpoint_mean_positive":
+        return _ratio_estimate_oracle(w, e / n, (e > 0).astype(float), samples, ess)
+    if observable == "range_mean":
+        return _ratio_estimate_oracle(w, r / n, ones, samples, ess)
+    consts = free_energy_g_star(beta)
+    z = (e - consts.c_star * n) / (consts.sigma_star * math.sqrt(n))
+    return _ratio_estimate_oracle(w, (z <= c_point).astype(float),
+                                  (e > 0).astype(float), samples, ess)
+
+
+def _corollary_oracle(beta, d, n, seed, samples, threads=1, slack=0.05):
+    _, r = _walk_blocks_oracle(_walk_block_nd, seed, samples, n, d, threads)
+    logw = -beta * float(n) * float(n) / r
+    w, ess = _normalized_weights(logw)
+    est = _ratio_estimate_oracle(w, r / n, np.ones_like(w), samples, ess)
+    bound = tilde_c_d(beta, d) if beta > 0.0 else 0.0
+    margin = est.mean - 3.0 * est.std_error - (bound - slack)
+    return CorollaryBoundReport(estimate=est, bound=bound, margin=margin,
+                                satisfied=margin >= 0.0, unreliable=est.low_ess)
+
+
+def _flory_oracle(d, beta, n_grid, seed, samples, threads=1):
+    points = []
+    for k, n in enumerate(n_grid):
+        sub_seed = seed + 7919 * k
+        if d == 1:
+            drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
+            e, r, logw = _collect_1d(beta, n, sub_seed, samples, drift, threads)
+            f = np.abs(e).astype(float)
+        else:
+            f, rr = _walk_blocks_oracle(_walk_block_nd, sub_seed, samples, n, d, threads)
+            logw = -beta * float(n) * float(n) / rr
+        w, ess = _normalized_weights(logw)
+        est = _ratio_estimate_oracle(w, f, np.ones_like(w), samples, ess)
+        points.append(FloryPoint(n, est.mean, est.std_error, ess, not est.low_ess))
+    fit = [(math.log(p.n), math.log(p.value)) for p in points if p.used and p.value > 0]
+    slope, intercept = np.polyfit([a for a, _ in fit], [b for _, b in fit], 1)
+    return FloryProbeResult(exponent=float(slope), intercept=float(intercept),
+                            points=points)
+
+
+def _brownian_joint_oracle(t, dt, seed, samples, threads=1):
+    """The joint table of brownian_range_mc with its own density arithmetic."""
+    st_ = math.sqrt(t)
+    joint_x_edges = np.linspace(0.0, 3.0 * st_, 31)
+    joint_r_edges = np.linspace(0.0, 4.0 * st_, 41)
+    nsteps = int(round(t / dt))
+    nblocks = (samples + PATH_BLOCK - 1) // PATH_BLOCK
+
+    def job(b):
+        count = min(PATH_BLOCK, samples - b * PATH_BLOCK)
+        x, lo, hi = _path_block_oracle(seed, b, count, nsteps, math.sqrt(dt), 2048)
+        return np.histogram2d(x, hi - lo, bins=(joint_x_edges, joint_r_edges))[0]
+
+    h_joint = sum(_map_blocks(job, nblocks, threads))
+    area = np.outer(np.diff(joint_x_edges), np.diff(joint_r_edges))
+    jp = h_joint / samples
+    jd = jp / area
+    jse = np.sqrt(jp * (1.0 - jp) / samples) / area
+    return joint_x_edges, joint_r_edges, jd, jse
+
+
+def _bits(value):
+    """A value with every float replaced by its exact bit pattern."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, _bits(dataclasses.astuple(value)))
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return value.hex()
+    return (type(value).__name__, value)
+
+
+# three full blocks and a short one, so thread counts and block joins show
+_SAMPLES = 3 * WALK_BLOCK + 517
+
+
+class TestEstimatorsMatchPipelineOracle:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("drift", [None, 0.3])
+    @pytest.mark.parametrize("observable", ["endpoint_mean", "endpoint_mean_positive",
+                                            "range_mean", "endpoint_cdf"])
+    def test_tilted_bitwise(self, observable, drift, threads):
+        kwargs = dict(drift=drift, threads=threads, c_point=0.25)
+        got = polymer_estimate_tilted(1.0, 120, observable, 5, _SAMPLES, **kwargs)
+        want = _tilted_oracle(1.0, 120, observable, 5, _SAMPLES, **kwargs)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_corollary_bitwise(self, d):
+        got = corollary_bound_check(1.0, d, 60, 13, _SAMPLES, threads=2)
+        want = _corollary_oracle(1.0, d, 60, 13, _SAMPLES, threads=2)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("d, grid", [(1, [40, 80, 160]), (2, [12, 20, 32])])
+    def test_flory_bitwise(self, d, grid):
+        got = flory_probe(d, 1.0, grid, 3, _SAMPLES)
+        want = _flory_oracle(d, 1.0, grid, 3, _SAMPLES)
+        assert _bits(got) == _bits(want)
+
+    def test_brownian_joint_table_bitwise(self):
+        # 1100 paths fill two full blocks and a short one
+        h = brownian_range_mc(1.0, 1e-4, seed=6, samples=1100, threads=2)
+        got = (h.joint_x_edges, h.joint_r_edges, h.joint_density, h.joint_se)
+        assert _bits(got) == _bits(_brownian_joint_oracle(1.0, 1e-4, 6, 1100))
+
+
+def test_non_finite_log_weight_trips_the_check_in_every_dimension(monkeypatch):
+    from rangepolymer import mc
+
+    def zero_ranges(kernel):
+        def broken(*args):
+            f, r = kernel(*args)
+            return f, np.zeros_like(r)
+        return broken
+
+    monkeypatch.setattr(mc, "_walk_block_1d", zero_ranges(_walk_block_1d))
+    monkeypatch.setattr(mc, "_walk_block_nd", zero_ranges(_walk_block_nd))
+    with np.errstate(divide="ignore"):
+        with pytest.raises(AssertionError, match="non-finite log-weight"):
+            polymer_estimate_tilted(1.0, 20, "range_mean", 1, 100)
+        with pytest.raises(AssertionError, match="non-finite log-weight"):
+            corollary_bound_check(1.0, 2, 20, 1, 100)
+        with pytest.raises(AssertionError, match="non-finite log-weight"):
+            flory_probe(2, 1.0, [10, 20], 1, 100)
