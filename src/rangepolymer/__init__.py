@@ -31,7 +31,6 @@ from .density import (
 )
 from .discrete import (
     PolymerConstants,
-    RateEval,
     free_energy_g_star,
     ldp_rate_discrete,
     rate_I,
@@ -78,7 +77,6 @@ __all__ = [
     "PolymerLaw",
     "QuadratureResult",
     "RangePolymerError",
-    "RateEval",
     "ResourceCapError",
     "RootResult",
     "SeriesEval",

@@ -5,8 +5,8 @@ series density
 
     f(r) = (8/sqrt(t)) sum_{k>=1} (-1)^(k-1) k^2 phi(k r / sqrt(t)),
 
-which converges uniformly only away from r = 0; callers must stay above a
-configurable floor r >= a sqrt(t).  The joint density of (B_t, R_t) on
+which converges uniformly only away from r = 0; callers must stay above the
+floor r >= DEFAULT_FLOOR sqrt(t).  The joint density of (B_t, R_t) on
 {0 < x < r, B_t > 0} is the two-sum expression obtained from the mixed
 derivative of the two-barrier corridor probability; both series terminate
 quickly because every term carries a Gaussian factor phi((2kr +- x)/sqrt(t)).
@@ -49,6 +49,9 @@ __all__ = [
 
 DEFAULT_FLOOR = 0.05
 
+# Gauss-Legendre nodes per panel of every production quadrature.
+_ORDER = 16
+
 # Most nodes one composite Gauss-Legendre layout may hold.  The quadratures
 # here use at most a few thousand per layout at the documented sizes.
 PANEL_NODE_CAP = 10**6
@@ -82,29 +85,27 @@ class QuadratureResult:
     log_value: float
 
 
-def _check_floor(t: float, r: float, floor: float) -> None:
+def _check_floor(t: float, r: float) -> None:
     check_positive("t", t)
     check_positive("r", r)
-    if r < floor * math.sqrt(t):
+    if r < DEFAULT_FLOOR * math.sqrt(t):
         raise DomainError(
-            f"r={r!r} below the uniform-convergence floor {floor!r}*sqrt(t); "
+            f"r={r!r} below the uniform-convergence floor {DEFAULT_FLOOR!r}*sqrt(t); "
             "restrict the integration domain instead of evaluating here"
         )
 
 
-def range_density(t: float, r: float, tol: float = 1e-12,
-                  floor: float = DEFAULT_FLOOR) -> SeriesEval:
+def range_density(t: float, r: float) -> SeriesEval:
     """Density of the Brownian range at r, with an alternating-tail bound.
 
     Terms are summed until they have started to decrease and drop below
-    ``tol`` relative to the running sum; the reported truncation bound is
+    1e-12 relative to the running sum; the reported truncation bound is
     the first omitted term (valid for alternating series once the terms
     decrease monotonically).  Where the first term is already 0.0 the loop
     would stop at once with value and bound 0.0; that result is returned
     before (k u)^2 can overflow.
     """
-    check_positive("tol", tol)
-    _check_floor(t, r, floor)
+    _check_floor(t, r)
     sqrt_t = math.sqrt(t)
     u = r / sqrt_t
     if -0.5 * u * u <= _EXP_ZERO:
@@ -117,7 +118,7 @@ def range_density(t: float, r: float, tol: float = 1e-12,
         k += 1
         term = k * k * math.exp(-0.5 * (k * u) ** 2) / SQRT2PI
         total += term if k % 2 else -term
-        if term < prev and term <= tol * max(1.0, abs(total)):
+        if term < prev and term <= 1e-12 * max(1.0, abs(total)):
             break
         if k >= 100000:
             break
@@ -126,7 +127,7 @@ def range_density(t: float, r: float, tol: float = 1e-12,
     return SeriesEval(value=scale * total, truncation_bound=scale * nxt, terms_used=k)
 
 
-def _range_series_scaled(t: float, r: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def _range_series_scaled(t: float, r: np.ndarray) -> np.ndarray:
     """f_R(r) * exp(r^2 / 2t) * sqrt(t) / 8: every term is bounded by k^2.
 
     Term k is k^2 exp(-(k^2 - 1) r^2 / 2t) / sqrt(2 pi); the k = 1 Gaussian
@@ -142,18 +143,17 @@ def _range_series_scaled(t: float, r: np.ndarray, tol: float = 1e-13) -> np.ndar
         k += 1
         term = np.where(active, k * k * np.exp(-(k * k - 1.0) * q) / SQRT2PI, 0.0)
         total += term if k % 2 else -term
-        done = (term < prev) & (term <= tol * np.maximum(1.0, np.abs(total)))
+        done = (term < prev) & (term <= 1e-13 * np.maximum(1.0, np.abs(total)))
         active &= ~done
         prev = term
     return total
 
 
-def range_density_grid(t: float, r: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def range_density_grid(t: float, r: np.ndarray) -> np.ndarray:
     """Vectorized range density; caller is responsible for the domain floor."""
-    check_positive("tol", tol)
     r = np.asarray(r, dtype=float)
     return 8.0 / math.sqrt(t) * np.exp(-np.square(r) / (2.0 * t)) \
-        * _range_series_scaled(t, r, tol)
+        * _range_series_scaled(t, r)
 
 
 def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
@@ -163,9 +163,12 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
     For 0 < x < r every Gaussian argument satisfies (2kr -+ x)^2 >= r^2, so
     scaling by exp(r^2/2t) keeps each term bounded; the k = 1 contribution is
     O(1) and the blocks decay geometrically.  Returns (value, remainder
-    bound with a conservative factor 10, terms used).  A NaN block max (a NaN
-    argument, or an r so large that a^2 overflows) can never meet the stop
-    test, so it raises DomainError.
+    bound with a conservative factor 10, terms used).  Block 1's largest
+    |a| is at most a1 = 2 max|r| + max|x|; where 4 (a1^2/t + 1) is not
+    finite (a NaN argument, or an r so large that a^2 overflows), its terms
+    would be inf * 0 = NaN, so that input raises DomainError before the
+    loop, with no numpy warning.  A NaN block max further on can never meet
+    the stop test, so it raises DomainError too.
 
     Nearly all the cost is np.exp on arguments that underflow: a result that
     rounds to 0.0 costs ~10x a normal one.  Dead arguments (<= _EXP_ZERO)
@@ -184,6 +187,9 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
     two_t = 2.0 * t
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
+    a1 = 2.0 * float(np.abs(r).max()) + float(np.abs(x).max())
+    if not 4.0 * (a1 * a1 / t + 1.0) < math.inf:
+        raise DomainError(f"joint series overflows at t={t!r}: x or r out of range")
     base = np.square(r) / two_t
     shape = np.broadcast(x, r).shape
     s_sym = np.zeros(shape)
@@ -242,21 +248,18 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
     return value, 10.0 * block_max, k
 
 
-def joint_density(t: float, x: float, r: float, tol: float = 1e-12,
-                  floor: float = DEFAULT_FLOOR) -> SeriesEval:
+def joint_density(t: float, x: float, r: float) -> SeriesEval:
     """Joint density of (B_t in dx, R_t in dr, B_t > 0) at 0 < x < r."""
-    check_positive("tol", tol)
     if not 0.0 < x < r:
         raise DomainError(f"need 0 < x < r, got x={x!r}, r={r!r}")
-    _check_floor(t, r, floor)
-    val, bound, terms = _joint_series_scaled(t, np.array([x]), np.array([r]), tol)
+    _check_floor(t, r)
+    val, bound, terms = _joint_series_scaled(t, np.array([x]), np.array([r]), 1e-12)
     damp = math.exp(-r * r / (2.0 * t))
     return SeriesEval(value=float(val[0]) * damp, truncation_bound=bound * damp,
                       terms_used=terms)
 
 
-def joint_density_grid(t: float, x: np.ndarray, r: np.ndarray,
-                       tol: float = 1e-13) -> np.ndarray:
+def joint_density_grid(t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Vectorized joint density (shapes broadcast).
 
     Checks only that t is finite and positive and that x and r are finite
@@ -264,12 +267,11 @@ def joint_density_grid(t: float, x: np.ndarray, r: np.ndarray,
     off the wedge 0 < x < r are evaluated as they are.
     """
     check_positive("t", t)
-    check_positive("tol", tol)
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(r).all()):
         raise DomainError("x and r must be finite")
-    val, _, _ = _joint_series_scaled(t, x, r, tol)
+    val, _, _ = _joint_series_scaled(t, x, r)
     return val * np.exp(-np.square(r) / (2.0 * t))
 
 
@@ -310,15 +312,15 @@ def small_range_weight_bound(beta: float, t: float,
     return math.exp(-beta * t * t / rho)
 
 
-def _z_domain(beta: float, t: float, floor: float) -> tuple[float, float, float, float]:
+def _z_domain(beta: float, t: float) -> tuple[float, float, float, float]:
     """Saddle window (r_lo, r_hi) = (c** t/2, 4 c** t), c** and g** at beta."""
     check_positive("t", t)
     consts = continuous_constants(beta)
     c = consts.c_dstar
     r_lo = 0.5 * c * t
-    if r_lo < floor * math.sqrt(t):
+    if r_lo < DEFAULT_FLOOR * math.sqrt(t):
         raise DomainError(
-            f"cutoff {r_lo!r} below the series floor {floor!r}*sqrt(t); "
+            f"cutoff {r_lo!r} below the series floor {DEFAULT_FLOOR!r}*sqrt(t); "
             "increase t or beta"
         )
     return r_lo, 4.0 * c * t, c, consts.g_dstar
@@ -358,25 +360,21 @@ def _tilted_range_integral(beta: float, t: float, r_lo: float, r_hi: float,
 
 
 def partition_function_continuous(beta: float, t: float,
-                                  use_exact_radius: bool = False,
-                                  tol: float = 1e-9,
-                                  order: int = 16,
-                                  floor: float = DEFAULT_FLOOR) -> QuadratureResult:
+                                  use_exact_radius: bool = False) -> QuadratureResult:
     """Quadrature of the tilted range density: Z_t = E exp(-beta t^2 / rho).
 
     Integrates from the cutoff beta^(1/3) t / 2 and extends the upper limit
-    until the tail contributes below ``tol`` relative to the total.  The
+    until the tail contributes below 1e-9 relative to the total.  The
     error estimate is the change under halving the panel width.  The omitted
     small-range region is bounded by ``small_range_weight_bound``.
     """
     check_positive("beta", beta)
-    check_positive("tol", tol)
-    r_lo, r_hi, _, g = _z_domain(beta, t, floor)
+    r_lo, r_hi, _, g = _z_domain(beta, t)
     width = 0.25 * math.sqrt(t)
     coarse, n1, hi1 = _tilted_range_integral(
-        beta, t, r_lo, r_hi, g, use_exact_radius, width, order, tol)
+        beta, t, r_lo, r_hi, g, use_exact_radius, width, _ORDER, 1e-9)
     fine, n2, hi2 = _tilted_range_integral(
-        beta, t, r_lo, r_hi, g, use_exact_radius, 0.5 * width, order, tol)
+        beta, t, r_lo, r_hi, g, use_exact_radius, 0.5 * width, _ORDER, 1e-9)
     log_value = math.log(fine) + g * t if fine > 0.0 else -math.inf
     err_scaled = abs(fine - coarse)
     return QuadratureResult(
@@ -388,35 +386,33 @@ def partition_function_continuous(beta: float, t: float,
     )
 
 
-def _levels(C) -> tuple[list[float], bool]:
-    """CLT levels as a list of floats, and whether ``C`` was a scalar."""
+def _levels(C) -> list[float]:
+    """CLT levels as a list of floats; ``C`` is a 1-D sequence of finite values."""
     arr = np.asarray(C, dtype=float)
-    if arr.ndim > 1:
-        raise DomainError(f"C must be a scalar or a 1-D sequence, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise DomainError(f"C must be a 1-D sequence of levels, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"CLT levels must be finite, got {C!r}")
-    return arr.reshape(-1).tolist(), arr.ndim == 0
+    return arr.tolist()
 
 
 def range_second_order_cdf(beta: float, t: float, C,
-                           use_exact_radius: bool = False,
-                           order: int = 16,
-                           floor: float = DEFAULT_FLOOR) -> float | list[float]:
+                           use_exact_radius: bool = False) -> list[float]:
     """Tail probability of the normalized range under the tilted measure.
 
     Returns P(C < (R_t - beta^(1/3) t) / (sqrt(t)/sqrt(3))), which tends to
     1 - Phi(C); exactly 1.0 when the threshold falls below the integration
     cutoff and 0.0 when it lies at or beyond the denominator's upper limit.
-    ``C`` is a finite level (returns a float) or a sequence of them (returns
-    a list in input order); the C-independent denominator is integrated once
-    per call, so a sequence costs one numerator integral per level only.
+    ``C`` is a sequence of finite levels; the tails come back as a list in
+    input order.  The C-independent denominator is integrated once per call,
+    so each level costs one numerator integral only.
     """
     check_positive("beta", beta)
-    levels, scalar = _levels(C)
-    r_lo, r_hi, c, g = _z_domain(beta, t, floor)
+    levels = _levels(C)
+    r_lo, r_hi, c, g = _z_domain(beta, t)
     width = 0.125 * math.sqrt(t)
     den, _, hi = _tilted_range_integral(beta, t, r_lo, r_hi, g, use_exact_radius,
-                                        width, order, 1e-10)
+                                        width, _ORDER, 1e-10)
     tails = []
     for level in levels:
         thr = c * t + level * math.sqrt(t) / math.sqrt(3.0)
@@ -427,9 +423,9 @@ def range_second_order_cdf(beta: float, t: float, C,
         else:
             num, _, _ = _tilted_range_integral(
                 beta, t, thr, max(r_hi, thr + math.sqrt(t)), g,
-                use_exact_radius, width, order, 1e-10)
+                use_exact_radius, width, _ORDER, 1e-10)
             tails.append(min(num / den, 1.0))
-    return tails[0] if scalar else tails
+    return tails
 
 
 # A row term at most 2^-60 of a sum is far below half an ulp of that sum.
@@ -464,9 +460,7 @@ def _joint_series_bound(t: float, r: float) -> float:
 
 
 def endpoint_clt_continuous(beta: float, t: float, C,
-                            use_exact_radius: bool = False,
-                            order: int = 16,
-                            floor: float = DEFAULT_FLOOR) -> float | list[float]:
+                            use_exact_radius: bool = False) -> list[float]:
     """Conditional CDF P((B_t - c** t)/(sigma** sqrt(t)) <= C | B_t > 0).
 
     Two-dimensional weighted quadrature of the joint density against the
@@ -474,12 +468,11 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     s = r - x, where the joint mass concentrates on the scale t/r.  The
     numerator clips x at the CLT threshold; the denominator is unclipped.
 
-    ``C`` is a finite level (returns a float) or a sequence of them (returns
-    a list in input order).  Only the clip depends on C, so every level is
-    read off one sweep over the nodes: a sequence costs one sweep.  The
-    s-panels differ per r node, so the sweep walks the r nodes in ascending
-    order and each level's sum is accumulated exactly as a one-level call
-    would.
+    ``C`` is a sequence of finite levels; the CDFs come back as a list in
+    input order.  Only the clip depends on C, so every level is read off one
+    sweep over the nodes.  The s-panels differ per r node, so the sweep walks
+    the r nodes in ascending order and each level's sum is accumulated
+    exactly as a one-level call would.
 
     A row r whose term every sum it can touch would absorb is skipped
     before its panels are built.  Its term, and each level's part of it, is
@@ -495,13 +488,13 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     falls as a Gaussian in r, so the test skips most of the tail rows.
     """
     check_positive("beta", beta)
-    levels, scalar = _levels(C)
-    r_lo, r_hi, c, g = _z_domain(beta, t, floor)
+    levels = _levels(C)
+    r_lo, r_hi, c, g = _z_domain(beta, t)
     if not levels:
         return []
     st = math.sqrt(t)
     x_cuts = [c * t + level * st / math.sqrt(3.0) for level in levels]
-    R, WR = _panels(r_lo, r_hi, 0.25 * st, order)
+    R, WR = _panels(r_lo, r_hi, 0.25 * st, _ORDER)
     num = [0.0] * len(x_cuts)
     den = 0.0
     for r_val, w_r in zip(R, WR):
@@ -513,7 +506,7 @@ def endpoint_clt_continuous(beta: float, t: float, C,
                                  if r_val - s_max <= x_cut):
             continue
         gap_scale = min(t / r_val, st)
-        S, WS = _panels(0.0, s_max, 0.5 * gap_scale, order)
+        S, WS = _panels(0.0, s_max, 0.5 * gap_scale, _ORDER)
         xv = r_val - S
         keep = xv > 0.0
         if not keep.any():
@@ -527,6 +520,5 @@ def endpoint_clt_continuous(beta: float, t: float, C,
             if below.any():
                 num[i] += weight * float(contrib[below].sum())
     if den <= 0.0:
-        raise DomainError("empty quadrature window; increase t or lower the floor")
-    cdfs = [float(n / den) for n in num]
-    return cdfs[0] if scalar else cdfs
+        raise DomainError("empty quadrature window; increase t")
+    return [float(n / den) for n in num]

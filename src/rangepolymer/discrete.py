@@ -27,7 +27,6 @@ from .errors import DomainError, SolverError, check_positive
 from .roots import RootResult, bisect_newton
 
 __all__ = [
-    "RateEval",
     "PolymerConstants",
     "rate_I",
     "rate_I_prime",
@@ -38,14 +37,6 @@ __all__ = [
     "ldp_rate_discrete_info",
     "tilde_c_d",
 ]
-
-
-@dataclass(frozen=True)
-class RateEval:
-    """Value of the range rate function at one argument."""
-
-    argument: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -82,7 +73,7 @@ def _L_from_gap(u: float) -> float:
     return math.log(2.0 - u) - math.log(u)
 
 
-def rate_I(x: float) -> RateEval:
+def rate_I(x: float) -> float:
     """Rate function of the range of the simple walk, I(x) on [0, 1].
 
     I(0) = 0, I(1) = log 2, convex and strictly increasing in between;
@@ -90,7 +81,7 @@ def rate_I(x: float) -> RateEval:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"rate_I is defined on [0, 1], got {x!r}")
-    return RateEval(argument=float(x), value=_I(float(x)))
+    return _I(float(x))
 
 
 def rate_I_prime(x: float) -> float:
@@ -144,7 +135,7 @@ def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[flo
         raise SolverError(
             f"gap solve could not bracket the root: f({math.exp(w_lo)!r})={flo!r}"
         )
-    res = bisect_newton(f, w_lo, w_hi, fprime=fp, tol=1e-13)
+    res = bisect_newton(f, w_lo, w_hi, fp)
     u = math.exp(res.value)
     bracket = (math.exp(res.bracket[0]), math.exp(res.bracket[1]))
     return u, RootResult(u, res.residual, res.iterations, bracket)
@@ -158,17 +149,17 @@ def _speed_gap(beta: float) -> tuple[float, RootResult]:
     return _solve_gap(beta, scale, scale_p, u_hi)
 
 
-def speed_c_star(beta: float, tol: float = 1e-12) -> RootResult:
+def speed_c_star(beta: float) -> RootResult:
     """Endpoint speed c*(beta): unique root in (0, 1) of beta = c^2 I'(c).
 
     The reported residual is the speed equation evaluated at the returned
-    value; the bracket is in c coordinates.
+    value, and must be at most 1e-12; the bracket is in c coordinates.
     """
     check_positive("beta", beta)
     u, res = _speed_gap(beta)
-    if abs(res.residual) > tol:
+    if abs(res.residual) > 1e-12:
         raise SolverError(
-            f"speed solve residual {res.residual!r} above {tol!r} on bracket {res.bracket!r}"
+            f"speed solve residual {res.residual!r} above 1e-12 on bracket {res.bracket!r}"
         )
     c = 1.0 - u
     return RootResult(c, res.residual, res.iterations, (1.0 - res.bracket[1], 1.0 - res.bracket[0]))

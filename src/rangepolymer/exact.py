@@ -323,12 +323,14 @@ class PolymerLaw:
         return math.exp(self.log_partition)
 
     def endpoint_conditional_positive(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms and probabilities of S_n given S_n > 0 (S_n = 0 excluded)."""
+        """Atoms and probabilities of S_n given S_n > 0 (S_n = 0 excluded).
+
+        The table is stored x ascending, so the masked endpoints are already
+        sorted and each atom's entries are contiguous.
+        """
         mask = self.tilted.xs > 0
         xs = self.tilted.xs[mask]
         ps = self.tilted.ps[mask]
-        order = np.argsort(xs, kind="stable")
-        xs, ps = xs[order], ps[order]
         uq, start = np.unique(xs, return_index=True)
         sums = np.add.reduceat(ps, start)
         return uq, sums / sums.sum()
@@ -371,30 +373,25 @@ def free_energy_sequence(
     return [(int(n), polymer_law(beta, int(n), cap=cap).log_partition / n) for n in n_list]
 
 
-def _ks_distance(atoms: np.ndarray, probs: np.ndarray, center: float, scale: float,
-                 convention: str) -> float:
+def _ks_distance(atoms: np.ndarray, probs: np.ndarray, center: float,
+                 scale: float) -> float:
+    """Sup distance of the right-continuous lattice CDF from the normal CDF."""
     z = (atoms - center) / scale
     targets = np.array([norm_cdf(v) for v in z])
     cum = np.cumsum(probs)
     prev = np.concatenate(([0.0], cum[:-1]))
-    if convention == "sup":
-        return float(np.max(np.maximum(np.abs(cum - targets), np.abs(targets - prev))))
-    if convention == "midpoint":
-        return float(np.max(np.abs(0.5 * (cum + prev) - targets)))
-    raise DomainError(f"unknown KS convention {convention!r}")
+    return float(np.max(np.maximum(np.abs(cum - targets), np.abs(targets - prev))))
 
 
-def clt_check(beta: float, n: int, convention: str = "sup",
-              cap: int = EXACT_LAW_CAP) -> float:
+def clt_check(beta: float, n: int, cap: int = EXACT_LAW_CAP) -> float:
     """KS distance of the normalized conditional endpoint law from the normal.
 
     For beta > 0 the endpoint given S_n > 0 is centered at c*(beta) n and
     scaled by sigma*(beta) sqrt(n).  beta = 0 is the plain-walk sanity case:
-    unconditioned, centered at 0 with unit diffusive scale.  ``convention``
-    is "sup" (right-continuous CDF supremum) or "midpoint" (compare at
-    half-jumps, the lattice continuity correction).
+    unconditioned, centered at 0 with unit diffusive scale.  The distance is
+    the supremum over both one-sided limits of the right-continuous CDF.
 
-    Under "sup" the distance of a lattice law from any continuous CDF is at
+    The distance of a lattice law from any continuous CDF is at
     least half its largest atom, whatever the centring and scale.  At finite
     n the distance also carries an O(n^{-1/2}) centring term: for beta > 0
     the conditional mean sits an O(1) number of sites from c*(beta) n.
@@ -404,13 +401,13 @@ def clt_check(beta: float, n: int, convention: str = "sup",
         marg = base.endpoint_marginal()
         atoms = np.array(sorted(marg), dtype=float)
         probs = np.array([marg[int(a)] for a in atoms])
-        return _ks_distance(atoms, probs, 0.0, math.sqrt(n), convention)
+        return _ks_distance(atoms, probs, 0.0, math.sqrt(n))
     consts = free_energy_g_star(beta)
     law = polymer_law(beta, n, cap=cap)
     atoms, probs = law.endpoint_conditional_positive()
     return _ks_distance(
         atoms.astype(float), probs, consts.c_star * n,
-        consts.sigma_star * math.sqrt(n), convention,
+        consts.sigma_star * math.sqrt(n),
     )
 
 

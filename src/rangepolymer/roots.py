@@ -35,16 +35,15 @@ def bisect_newton(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    fprime: Callable[[float], float] | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    fprime: Callable[[float], float],
 ) -> RootResult:
     """Root of a strictly monotone ``f`` with a sign change on ``[lo, hi]``.
 
-    Bisects until the residual (or the interval) is small, then applies
-    Newton steps clipped to the current bracket when ``fprime`` is given.
-    Stops when ``|f(x)| <= tol`` or the bracket is at floating-point
-    resolution; the achieved residual is reported either way.
+    Starts at the midpoint.  Each step shrinks the bracket to the side that
+    keeps the sign change, then takes the Newton step, or bisects where that
+    step is undefined or would leave the bracket.  Stops when
+    ``|f(x)| <= 1e-13``, after 200 steps, or when the bracket is at
+    floating-point resolution; the achieved residual is reported either way.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -60,22 +59,17 @@ def bisect_newton(
     x = 0.5 * (a + b)
     fx = f(x)
     iters = 0
-    while iters < max_iter:
+    while iters < 200:
         iters += 1
         if (fx > 0.0) == increasing:
             b = x
         else:
             a = x
-        if abs(fx) <= tol:
+        if abs(fx) <= 1e-13:
             break
-        nxt = None
-        if fprime is not None:
-            d = fprime(x)
-            if d != 0.0:
-                cand = x - fx / d
-                if a < cand < b:
-                    nxt = cand
-        if nxt is None:
+        d = fprime(x)
+        nxt = x - fx / d if d != 0.0 else 0.5 * (a + b)
+        if not a < nxt < b:
             nxt = 0.5 * (a + b)
         if nxt == x or not (a < nxt < b):
             # bracket exhausted at float resolution

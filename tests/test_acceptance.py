@@ -235,7 +235,7 @@ def test_criterion_06_continuous_partition():
 
 def test_criterion_07a_range_second_order():
     started = time.monotonic()
-    v = range_second_order_cdf(1.0, 40.0, 0.0)
+    [v] = range_second_order_cdf(1.0, 40.0, [0.0])
     ok = 0.47 <= v <= 0.53
     _report("7a", ok, f"range tail at C=0: {v:.4f} (in [0.47, 0.53])")
     assert ok

@@ -6,6 +6,7 @@ implementation independent of the package's erf-based one.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from rangepolymer.continuous import continuous_constants
 from rangepolymer.gaussian import SQRT2PI
 from rangepolymer import density
 from rangepolymer.density import (
-    DEFAULT_FLOOR,
     PANEL_NODE_CAP,
     _EXP_ZERO,
     joint_density_grid,
@@ -47,6 +47,19 @@ PREFACTOR = 8.0 / math.sqrt(3.0)
 def _integrate(fn, a, b, width, order=20):
     xs, ws = _panels(a, b, width, order)
     return float(np.dot(ws, fn(xs)))
+
+
+def _dense_range_density(u):
+    """Feller series at t = 1, summed until a decreasing term is 1e-30 of
+    the sum: the scalar evaluator's loop with a tolerance far below its own."""
+    total, prev, k = 0.0, math.inf, 0
+    while True:
+        k += 1
+        term = k * k * math.exp(-0.5 * (k * u) ** 2) / SQRT2PI
+        total += term if k % 2 else -term
+        if term < prev and term <= 1e-30 * max(1.0, abs(total)):
+            return 8.0 * total
+        prev = term
 
 
 class TestRangeDensity:
@@ -71,19 +84,18 @@ class TestRangeDensity:
         # well-conditioned region only; below ~0.5 sqrt(t) the series is all
         # cancellation and the two summation orders differ at noise level
         rs = np.linspace(0.8 * math.sqrt(1.7), 6.0, 23)
-        grid = range_density_grid(1.7, rs, tol=1e-13)
+        grid = range_density_grid(1.7, rs)
         for r, v in zip(rs, grid):
-            assert range_density(1.7, float(r), tol=1e-13).value == \
-                pytest.approx(v, abs=1e-12)
+            assert range_density(1.7, float(r)).value == pytest.approx(v, abs=1e-12)
 
     def test_alternating_tail_bound(self):
         # for r/sqrt(t) >= 1 the truncation error is below the first omitted
         # term (up to float rounding of the reference sum itself)
         for u in (1.0, 1.5, 2.5):
             se = range_density(1.0, u)
-            dense = range_density(1.0, u, tol=1e-30)
-            slack = 4e-16 * max(1.0, abs(dense.value))
-            assert abs(se.value - dense.value) <= se.truncation_bound + slack
+            dense = _dense_range_density(u)
+            slack = 4e-16 * max(1.0, abs(dense))
+            assert abs(se.value - dense) <= se.truncation_bound + slack
             assert se.terms_used >= 1
 
     def test_floor_rejected(self):
@@ -166,22 +178,39 @@ def test_panels_refuse_layouts_past_the_node_cap():
 
 @pytest.mark.parametrize("call", [
     lambda: joint_density(1.0, 0.5, 1e154),
-    lambda: joint_density(1.0, 0.5, 1.0, tol=math.nan),
-    lambda: range_density(1.0, 1.0, tol=math.nan),
-    lambda: range_density(1.0, 1.0, tol=0.0),
-    lambda: range_density_grid(1.0, [1.0], tol=-1.0),
-    lambda: joint_density_grid(1.0, 0.5, 1.0, tol=math.inf),
-    lambda: partition_function_continuous(1.0, 40.0, tol=math.nan),
     lambda: _joint_series_scaled(1.0, np.array([0.5]), np.array([1e154])),
-], ids=["joint-r1e154", "joint-tol-nan", "range-tol-nan", "range-tol-0",
-        "range-grid-tol-neg", "joint-grid-tol-inf", "Z-tol-nan", "kernel-r1e154"])
+], ids=["joint-r1e154", "kernel-r1e154"])
 def test_series_inputs_that_used_to_stall_raise_at_once(call):
-    """A NaN block max or a NaN tol kept the series from its stop test, so it
-    ran all 100000 blocks (2.6-10 s) and returned NaN or a 0.0 bound."""
+    """A NaN block max kept the series from its stop test, so it ran all
+    100000 blocks (2.6-10 s) and returned NaN or a 0.0 bound."""
     start = time.perf_counter()
     with pytest.raises(DomainError):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 0.5, 1e154),  # (2r)^2 overflows: used to warn five times, then raise
+    (1.0, 5e153, 5.5e153),  # only (2r + x)^2 overflows: used to return NaN
+    (1e-300, 0.5, 1e5),  # a^2/t overflows, r^2/t too
+])
+def test_joint_overflow_raises_without_a_warning(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            joint_density(*args)
+
+
+def _z_at(beta, t, order, tol):
+    """Z_t and its panel-halving error estimate at any order and tail tol;
+    partition_function_continuous is this at order 16 and tol 1e-9."""
+    r_lo, r_hi, _, g = _z_domain(beta, t)
+    width = 0.25 * math.sqrt(t)
+    coarse, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, g, False, width,
+                                          order, tol)
+    fine, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, g, False, 0.5 * width,
+                                        order, tol)
+    return fine * math.exp(g * t), abs(fine - coarse) * math.exp(g * t)
 
 
 class TestPartitionFunction:
@@ -204,9 +233,11 @@ class TestPartitionFunction:
         assert bound <= 1e-6 * res.value
 
     def test_error_estimate_honest_under_refinement(self):
-        base = partition_function_continuous(1.0, 30.0, order=8, tol=1e-9)
-        fine = partition_function_continuous(1.0, 30.0, order=16, tol=1e-12)
-        assert abs(base.value - fine.value) <= 10.0 * base.abs_error_estimate + 1e-30
+        res = partition_function_continuous(1.0, 30.0)
+        assert _z_at(1.0, 30.0, 16, 1e-9) == (res.value, res.abs_error_estimate)
+        base, base_err = _z_at(1.0, 30.0, 8, 1e-9)
+        fine, _ = _z_at(1.0, 30.0, 16, 1e-12)
+        assert abs(base - fine) <= 10.0 * base_err + 1e-30
 
     def test_exact_radius_free_energy_gap_shrinks(self):
         # Z with rho = r + 2 exceeds the surrogate by about exp(2 beta^{1/3});
@@ -233,14 +264,14 @@ class TestPartitionFunction:
 
 class TestRangeSecondOrder:
     def test_median(self):
-        v = range_second_order_cdf(1.0, 40.0, 0.0)
+        [v] = range_second_order_cdf(1.0, 40.0, [0.0])
         assert abs(v - 0.5) <= 0.03
 
     def test_deep_left_tail_is_full_mass(self):
-        assert range_second_order_cdf(1.0, 40.0, -8.0) == pytest.approx(1.0, abs=1e-3)
+        assert range_second_order_cdf(1.0, 40.0, [-8.0]) == [pytest.approx(1.0, abs=1e-3)]
 
     def test_one_sigma_against_independent_normal(self):
-        v = range_second_order_cdf(1.0, 40.0, 1.0)
+        [v] = range_second_order_cdf(1.0, 40.0, [1.0])
         assert abs(v - (1.0 - float(ndtr(1.0)))) <= 0.03
 
     def test_monotone_nonincreasing_in_C(self):
@@ -250,12 +281,12 @@ class TestRangeSecondOrder:
 
     def test_threshold_beyond_the_upper_limit_is_zero(self):
         # 1e308 sqrt(t/3) overflows to inf: no mass lies beyond it
-        assert range_second_order_cdf(1.0, 40.0, 1e308) == 0.0
+        assert range_second_order_cdf(1.0, 40.0, [1e308]) == [0.0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
     def test_non_finite_level_rejected(self, bad):
-        with pytest.raises(DomainError):
-            range_second_order_cdf(1.0, 40.0, bad)
+        with pytest.raises(DomainError, match="finite"):
+            range_second_order_cdf(1.0, 40.0, np.atleast_1d(bad))
 
 
 class TestEndpointClt:
@@ -274,23 +305,28 @@ class TestEndpointClt:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
     def test_non_finite_level_rejected(self, bad):
-        with pytest.raises(DomainError):
-            endpoint_clt_continuous(1.0, 40.0, bad)
+        with pytest.raises(DomainError, match="finite"):
+            endpoint_clt_continuous(1.0, 40.0, np.atleast_1d(bad))
 
     def test_median_drifts_toward_half(self):
         # the endpoint sits O(1) inside the range, an O(1/sqrt(t)) CLT shift;
         # the median value must shrink toward 1/2 as t grows
-        v40 = endpoint_clt_continuous(1.0, 40.0, 0.0)
-        v160 = endpoint_clt_continuous(1.0, 160.0, 0.0)
+        [v40] = endpoint_clt_continuous(1.0, 40.0, [0.0])
+        [v160] = endpoint_clt_continuous(1.0, 160.0, [0.0])
         assert abs(v160 - 0.5) < abs(v40 - 0.5)
+
+
+@pytest.mark.parametrize("fn", [range_second_order_cdf, endpoint_clt_continuous])
+def test_scalar_level_rejected(fn):
+    with pytest.raises(DomainError, match="1-D sequence"):
+        fn(1.0, 40.0, 0.0)
 
 
 # Per-level references: the one-level-per-call loops that the level-sequence
 # sweeps replaced.  The sweeps must reproduce them bit for bit.
 
-def _range_tail_one_level(beta, t, C, use_exact_radius, order=16,
-                          floor=DEFAULT_FLOOR):
-    r_lo, _, c, _ = _z_domain(beta, t, floor)
+def _range_tail_one_level(beta, t, C, use_exact_radius, order=16):
+    r_lo, _, c, _ = _z_domain(beta, t)
     r_hi = 4.0 * c * t
     g = continuous_constants(beta).g_dstar
     width = 0.125 * math.sqrt(t)
@@ -304,9 +340,8 @@ def _range_tail_one_level(beta, t, C, use_exact_radius, order=16,
     return min(num / den, 1.0)
 
 
-def _endpoint_cdf_one_level(beta, t, C, use_exact_radius, order=16,
-                            floor=DEFAULT_FLOOR):
-    r_lo, _, c, _ = _z_domain(beta, t, floor)
+def _endpoint_cdf_one_level(beta, t, C, use_exact_radius, order=16):
+    r_lo, _, c, _ = _z_domain(beta, t)
     r_hi = 4.0 * c * t
     st_ = math.sqrt(t)
     g = continuous_constants(beta).g_dstar
@@ -346,8 +381,6 @@ class TestLevelSweepMatchesPerLevelOracle:
         oracle = [_endpoint_cdf_one_level(beta, 10.0, c, exact_radius)
                   for c in _ORACLE_LEVELS]
         assert swept == oracle
-        scalar = endpoint_clt_continuous(beta, 10.0, 1.0, use_exact_radius=exact_radius)
-        assert type(scalar) is float and scalar == oracle[2]
 
     def test_range_tail_bitwise(self, beta, exact_radius):
         swept = range_second_order_cdf(beta, 10.0, _ORACLE_LEVELS,
@@ -356,8 +389,6 @@ class TestLevelSweepMatchesPerLevelOracle:
                   for c in _ORACLE_LEVELS]
         assert swept == oracle
         assert oracle[3] == 1.0  # the below-cutoff branch is exercised
-        scalar = range_second_order_cdf(beta, 10.0, 1.0, use_exact_radius=exact_radius)
-        assert type(scalar) is float and scalar == oracle[2]
 
 
 # The plain joint-series kernel and endpoint-CLT sweep that the masked-exp
@@ -392,12 +423,11 @@ def _oracle_joint_series_scaled(t, x, r, tol=1e-13):
     return value, 10.0 * block_max, k
 
 
-def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False, order=16,
-                                    floor=DEFAULT_FLOOR):
+def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False, order=16):
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
-    levels, scalar = _levels(C)
-    r_lo, _, c, _ = _z_domain(beta, t, floor)
+    levels = _levels(C)
+    r_lo, _, c, _ = _z_domain(beta, t)
     if not levels:
         return []
     r_hi = 4.0 * c * t
@@ -426,9 +456,8 @@ def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False, order=16
             if below.any():
                 num[i] += weight * float(contrib[below].sum())
     if den <= 0.0:
-        raise DomainError("empty quadrature window; increase t or lower the floor")
-    cdfs = [float(n / den) for n in num]
-    return cdfs[0] if scalar else cdfs
+        raise DomainError("empty quadrature window; increase t")
+    return [float(n / den) for n in num]
 
 
 def _assert_same_series(args):
@@ -454,7 +483,7 @@ class TestJointSeriesMatchesOracle:
         """The (x, r) sets of the endpoint sweep, from the cutoff to r where
         the tilt weight is 0.0: live, subnormal-band and all-dead blocks."""
         beta = 1.0
-        r_lo, _, c, _ = _z_domain(beta, t, DEFAULT_FLOOR)
+        r_lo, _, c, _ = _z_domain(beta, t)
         g = continuous_constants(beta).g_dstar
         # the weight exp(-beta t^2/r - r^2/2t - g t) is 0.0 once r^2/2t > ~745
         r_top = max(4.0 * c * t, 1.25 * math.sqrt(1500.0 * t))
@@ -545,7 +574,7 @@ def test_skipped_endpoint_rows_are_absorbed(t, beta, exact_radius, monkeypatch):
     swept = endpoint_clt_continuous(beta, t, _AUDIT_LEVELS, use_exact_radius=exact_radius)
     monkeypatch.undo()
 
-    r_lo, _, c, _ = _z_domain(beta, t, DEFAULT_FLOOR)
+    r_lo, _, c, _ = _z_domain(beta, t)
     st_ = math.sqrt(t)
     g = continuous_constants(beta).g_dstar
     x_cuts = [c * t + level * st_ / math.sqrt(3.0) for level in _AUDIT_LEVELS]

@@ -65,11 +65,11 @@ def _grid_minimum(fn, lo, hi, coarse=20001, refine=12):
 
 class TestRateI:
     def test_endpoints(self):
-        assert rate_I(0.0).value == 0.0
-        assert rate_I(1.0).value == pytest.approx(math.log(2.0), rel=1e-15)
+        assert rate_I(0.0) == 0.0
+        assert rate_I(1.0) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_half_against_high_precision_oracle(self):
-        assert rate_I(0.5).value == pytest.approx(I_HALF, abs=1e-15)
+        assert rate_I(0.5) == pytest.approx(I_HALF, abs=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -89,7 +89,7 @@ class TestRateI:
     def test_log_identity(self, c):
         # I(c) = log(1-c^2)/2 + (c/2) log((1+c)/(1-c))
         rhs = 0.5 * math.log1p(-c * c) + 0.5 * c * (math.log1p(c) - math.log1p(-c))
-        assert rate_I(c).value == pytest.approx(rhs, abs=1e-12)
+        assert rate_I(c) == pytest.approx(rhs, abs=1e-12)
 
     def test_convexity_second_differences(self):
         h = 1e-3

@@ -338,6 +338,24 @@ class TestPolymerLaw:
         assert abs(ratios[400] - 1.0) <= 0.15
         assert abs(ratios[400] - 1.0) < abs(ratios[100] - 1.0)
 
+    @pytest.mark.parametrize("n", [10, 201, 600])
+    def test_storage_order_makes_conditional_endpoints_sorted(self, n):
+        """endpoint_conditional_positive relies on the x-ascending storage
+        order instead of sorting; it must match a stable sort's result."""
+        pl = polymer_law(1.0, n)
+        xs, rs = pl.tilted.xs, pl.tilted.rs
+        assert np.all(np.diff(xs) >= 0)
+        same_x = xs[1:] == xs[:-1]
+        assert np.all(rs[1:][same_x] > rs[:-1][same_x])
+        mask = xs > 0
+        order = np.argsort(xs[mask], kind="stable")
+        sx, sp = xs[mask][order], pl.tilted.ps[mask][order]
+        uq, start = np.unique(sx, return_index=True)
+        sums = np.add.reduceat(sp, start)
+        atoms, probs = pl.endpoint_conditional_positive()
+        assert atoms.tobytes() == uq.tobytes()
+        assert probs.tobytes() == (sums / sums.sum()).tobytes()
+
 
 class TestFreeEnergy:
     def test_converges_to_g_star(self):
@@ -357,13 +375,6 @@ class TestCltCheck:
     def test_decreasing_in_n(self):
         for beta in (0.5, 1.0):
             assert clt_check(beta, 400) < clt_check(beta, 100)
-
-    def test_midpoint_below_sup(self):
-        assert clt_check(1.0, 200, convention="midpoint") < clt_check(1.0, 200)
-
-    def test_unknown_convention(self):
-        with pytest.raises(DomainError):
-            clt_check(1.0, 50, convention="weird")
 
 
 class TestLdpEmpirical:
