@@ -14,7 +14,7 @@ from .continuous import (
     ContinuousConstants,
     continuous_constants,
     laplace_exponent_coeffs,
-    ldp_rate_continuous,
+    ldp_rate_continuous_info,
     positive_cubic_root,
     rate_J,
     rate_J_prime,
@@ -32,7 +32,7 @@ from .density import (
 from .discrete import (
     PolymerConstants,
     free_energy_g_star,
-    ldp_rate_discrete,
+    ldp_rate_discrete_info,
     rate_I,
     rate_I_prime,
     sigma_star,
@@ -45,7 +45,6 @@ from .exact import (
     PolymerLaw,
     clt_check,
     enumerate_joint_law,
-    free_energy_sequence,
     joint_law_dp,
     joint_law_exact,
     ldp_empirical,
@@ -89,14 +88,13 @@ __all__ = [
     "enumerate_joint_law",
     "flory_probe",
     "free_energy_g_star",
-    "free_energy_sequence",
     "joint_density",
     "joint_law_dp",
     "joint_law_exact",
     "laplace_exponent_coeffs",
     "ldp_empirical",
-    "ldp_rate_continuous",
-    "ldp_rate_discrete",
+    "ldp_rate_continuous_info",
+    "ldp_rate_discrete_info",
     "partition_function_continuous",
     "polymer_estimate_tilted",
     "polymer_law",

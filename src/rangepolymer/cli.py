@@ -37,7 +37,6 @@ from .errors import DomainError, ResourceCapError, check_positive
 from .exact import (
     EXACT_LAW_CAP,
     clt_check,
-    free_energy_sequence,
     ldp_empirical,
     polymer_law,
 )
@@ -113,10 +112,7 @@ def _cmd_constants(args, out: Path) -> tuple[str, dict]:
 def _cmd_rate_curves(args, out: Path) -> tuple[str, dict]:
     thetas = _parse_grid(args.grid)
     info = ldp_rate_discrete_info if args.model == "discrete" else ldp_rate_continuous_info
-    rows = []
-    for theta in thetas:
-        rate, branch, root = info(args.beta, theta)
-        rows.append([theta, rate, branch, root])
+    rows = [[theta, *row] for theta, row in zip(thetas, info(args.beta, thetas))]
     _write_csv(out / f"rate_curve_{args.model}.csv",
                ["theta", "rate", "branch", "aux_root"], rows)
     return "rate-curves", {"beta": args.beta, "model": args.model, "grid": thetas}
@@ -133,7 +129,9 @@ def _cmd_exact(args, out: Path) -> tuple[str, dict]:
     ns = [int(v) for v in _parse_grid(args.n_grid)] if args.n_grid else \
         sorted({max(2, args.n // 4), max(2, args.n // 2), args.n})
     thetas = _parse_grid(args.grid) if args.grid else [0.3, 0.5, 0.7, 0.95]
-    cap = args.cap_override or EXACT_LAW_CAP
+    cap = EXACT_LAW_CAP if args.cap_override is None else args.cap_override
+    if cap < 1:
+        raise DomainError(f"--cap-override must be at least 1, got {cap}")
     law = polymer_law(args.beta, args.n, cap=cap)
     consts = free_energy_g_star(args.beta) if args.beta > 0 else None
     for kind in outputs:
@@ -147,22 +145,21 @@ def _cmd_exact(args, out: Path) -> tuple[str, dict]:
                 "partition_value": law.partition_value,
             })
         elif kind == "free-energy":
-            seq = free_energy_sequence(args.beta, ns, cap=cap)
             ref = consts.g_star if consts else 0.0
+            fes = [(m, polymer_law(args.beta, m, cap=cap).log_partition / m) for m in ns]
             _write_csv(out / "free_energy.csv", ["n", "free_energy", "g_star", "error"],
-                       [[n, fe, ref, fe - ref] for n, fe in seq])
+                       [[m, fe, ref, fe - ref] for m, fe in fes])
         elif kind == "clt":
             _write_json(out / "clt.json", {
                 "beta": args.beta, "n": args.n,
-                "ks_distance": clt_check(args.beta, args.n, cap=cap),
+                "ks_distance": clt_check(law),
                 "convention": "sup",
             })
         else:  # ldp
-            rows = []
-            for theta, rate in ldp_empirical(args.beta, args.n, thetas, cap=cap):
-                analytic = ldp_rate_discrete_info(args.beta, theta)[0] \
-                    if args.beta > 0 else math.nan
-                rows.append([theta, rate, analytic, rate - analytic])
+            empirical = ldp_empirical(law, thetas)
+            analytic = [row[0] for row in ldp_rate_discrete_info(args.beta, thetas)] \
+                if args.beta > 0 else [math.nan] * len(thetas)
+            rows = [[theta, rate, a, rate - a] for (theta, rate), a in zip(empirical, analytic)]
             _write_csv(out / "ldp.csv",
                        ["theta", "empirical_rate", "analytic_rate", "difference"], rows)
     return "exact", {
@@ -180,6 +177,7 @@ def _cmd_continuous(args, out: Path) -> tuple[str, dict]:
     for kind in outputs:
         if kind not in _CONTINUOUS_OUTPUTS:
             raise DomainError(f"unknown continuous output {kind!r}")
+    check_positive("beta", args.beta)
     check_positive("t", args.t)
     cgrid = _parse_grid(args.grid) if args.grid else [-2.0, -1.0, 0.0, 1.0, 2.0]
     st_ = math.sqrt(args.t)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SolverError, check_positive
+from .errors import DomainError, SolverError, check_grid, check_positive
 from .roots import RootResult
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "unit_ball_volume",
     "continuous_constants",
     "positive_cubic_root",
-    "ldp_rate_continuous",
     "ldp_rate_continuous_info",
     "laplace_exponent_coeffs",
 ]
@@ -147,29 +146,34 @@ def positive_cubic_root(beta: float, theta: float = 0.0) -> RootResult:
     return RootResult(r, resid, iters, (lo, hi))
 
 
-def ldp_rate_continuous(beta: float, theta: float) -> float:
-    """Two-branch endpoint-velocity rate J^beta(theta) on [0, inf).
+def ldp_rate_continuous_info(beta: float, thetas) -> list[tuple[float, str, float]]:
+    """Two-branch endpoint-velocity rate J^beta(theta) over a grid of theta >= 0.
 
-    beta/theta + J(theta) + g**(beta) for theta >= (beta/2)^(1/3); below the
-    threshold the positive cubic root r of beta = 2 r^2 (2r - theta) replaces
-    theta, giving beta/r + J(2r - theta) + g**(beta).  Zero exactly at the
-    speed beta^(1/3).
+    Returns one (rate, branch id, auxiliary root) per theta, in input order.
+    beta/theta + J(theta) + g**(beta) for theta >= (beta/2)^(1/3) on the
+    "boundary" branch; below the threshold the positive cubic root r of
+    beta = 2 r^2 (2r - theta) replaces theta on the "interior" branch,
+    giving beta/r + J(2r - theta) + g**(beta).  Zero exactly at the speed
+    beta^(1/3).  A scalar theta raises DomainError.
     """
-    return ldp_rate_continuous_info(beta, theta)[0]
-
-
-def ldp_rate_continuous_info(beta: float, theta: float) -> tuple[float, str, float]:
-    """Rate plus branch id ("boundary" or "interior") and auxiliary root."""
     check_positive("beta", beta)
-    if theta < 0.0:
-        raise DomainError(f"theta must be nonnegative, got {theta!r}")
+    thetas = check_grid("theta", thetas)
+    for theta in thetas:
+        if theta < 0.0:
+            raise DomainError(f"theta must be nonnegative, got {theta!r}")
+    if not thetas:
+        return []
     g = continuous_constants(beta).g_dstar
     threshold = _CBRT(0.5 * beta)
-    if theta >= threshold:
-        return beta / theta + 0.5 * theta * theta + g, "boundary", float(theta)
-    r = positive_cubic_root(beta, theta).value
-    x = 2.0 * r - theta
-    return beta / r + 0.5 * x * x + g, "interior", r
+    out = []
+    for theta in thetas:
+        if theta >= threshold:
+            out.append((beta / theta + 0.5 * theta * theta + g, "boundary", theta))
+            continue
+        r = positive_cubic_root(beta, theta).value
+        x = 2.0 * r - theta
+        out.append((beta / r + 0.5 * x * x + g, "interior", r))
+    return out
 
 
 def laplace_exponent_coeffs(beta: float, order: int) -> list[float]:

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .continuous import continuous_constants
-from .errors import DomainError, ResourceCapError, check_positive
+from .errors import DomainError, ResourceCapError, check_grid, check_positive
 from .gaussian import SQRT2PI
 
 __all__ = [
@@ -386,16 +386,6 @@ def partition_function_continuous(beta: float, t: float,
     )
 
 
-def _levels(C) -> list[float]:
-    """CLT levels as a list of floats; ``C`` is a 1-D sequence of finite values."""
-    arr = np.asarray(C, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError(f"C must be a 1-D sequence of levels, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"CLT levels must be finite, got {C!r}")
-    return arr.tolist()
-
-
 def range_second_order_cdf(beta: float, t: float, C,
                            use_exact_radius: bool = False) -> list[float]:
     """Tail probability of the normalized range under the tilted measure.
@@ -408,7 +398,7 @@ def range_second_order_cdf(beta: float, t: float, C,
     so each level costs one numerator integral only.
     """
     check_positive("beta", beta)
-    levels = _levels(C)
+    levels = check_grid("C", C)
     r_lo, r_hi, c, g = _z_domain(beta, t)
     width = 0.125 * math.sqrt(t)
     den, _, hi = _tilted_range_integral(beta, t, r_lo, r_hi, g, use_exact_radius,
@@ -488,7 +478,7 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     falls as a Gaussian in r, so the test skips most of the tail rows.
     """
     check_positive("beta", beta)
-    levels = _levels(C)
+    levels = check_grid("C", C)
     r_lo, r_hi, c, g = _z_domain(beta, t)
     if not levels:
         return []

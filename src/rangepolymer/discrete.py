@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SolverError, check_positive
+from .errors import DomainError, SolverError, check_grid, check_positive
 from .roots import RootResult, bisect_newton
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "speed_c_star",
     "free_energy_g_star",
     "sigma_star",
-    "ldp_rate_discrete",
     "ldp_rate_discrete_info",
     "tilde_c_d",
 ]
@@ -107,7 +106,8 @@ def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[flo
     auxiliary LDP root).  The left side is strictly decreasing in u, so the
     root is bracketed by (u_lo, u_hi) once the endpoint signs differ.
     Works on w = log u to keep relative precision for exponentially small
-    gaps.
+    gaps.  At w_lo = w_hi - 16 (1 + beta), L(u) >= 16 (1 + beta), so f(w_lo)
+    > 0 for both scales unless the clamp at w = -700 binds.
     """
 
     def f(w: float) -> float:
@@ -124,13 +124,6 @@ def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[flo
     w_hi = math.log(u_hi)
     w_lo = max(-700.0, w_hi - 16.0 * (1.0 + target_beta))
     flo = f(w_lo)
-    widen = 0
-    while flo <= 0.0 and w_lo > -700.0:
-        w_lo = max(-700.0, w_lo - 100.0)
-        flo = f(w_lo)
-        widen += 1
-        if widen > 10:
-            break
     if flo <= 0.0:
         raise SolverError(
             f"gap solve could not bracket the root: f({math.exp(w_lo)!r})={flo!r}"
@@ -199,37 +192,38 @@ def sigma_star(beta: float) -> float:
     return free_energy_g_star(beta).sigma_star
 
 
-def _ldp_branch(beta: float, theta: float) -> tuple[float, str, float]:
-    g = free_energy_g_star(beta).g_star
-    u_half, _ = _speed_gap(0.5 * beta)
-    threshold = 1.0 - u_half  # c*(beta/2)
-    if theta >= threshold:
-        return beta / theta + _I(theta) + g, "boundary", theta
-    # interior branch: beta = 2 r^2 I'(2r - theta) with x = 2r - theta in (0, 1);
-    # at u = 1 - x -> 1 the target tends to -beta < 0, so the full gap range brackets
-    scale = lambda u: 0.5 * (1.0 + theta - u) ** 2  # 2 r^2 at x = 1 - u
-    scale_p = lambda u: -(1.0 + theta - u)
-    u, res = _solve_gap(beta, scale, scale_p, 1.0 - 1e-16)
-    x = 1.0 - u
-    r = 0.5 * (theta + x)
-    return beta / r + _I_from_gap(u) + g, "interior", r
+def ldp_rate_discrete_info(beta: float, thetas) -> list[tuple[float, str, float]]:
+    """Two-branch endpoint-velocity rate I^beta(theta) over a grid of theta in [0, 1].
 
-
-def ldp_rate_discrete(beta: float, theta: float) -> float:
-    """Two-branch endpoint-velocity rate function I^beta(theta) on [0, 1].
-
+    Returns one (rate, branch id, auxiliary root) per theta, in input order.
     For theta at or above c*(beta/2) the rate is beta/theta + I(theta) +
-    g*(beta); below, the auxiliary root r of beta = 2 r^2 I'(2r - theta)
-    replaces theta.  Nonnegative, with its unique zero at c*(beta).
+    g*(beta) on the "boundary" branch, with theta as its own root; below,
+    the auxiliary root r of beta = 2 r^2 I'(2r - theta) replaces theta on
+    the "interior" branch.  Nonnegative, with its unique zero at c*(beta).
     theta = 0 is handled by the interior branch directly (a limit, with
-    beta/r finite since r > 0).
+    beta/r finite since r > 0).  g*(beta) and the threshold are solved once
+    per call, so a curve costs 2 solves plus one per interior theta; a
+    scalar theta raises DomainError.
     """
-    return ldp_rate_discrete_info(beta, theta)[0]
-
-
-def ldp_rate_discrete_info(beta: float, theta: float) -> tuple[float, str, float]:
-    """Rate plus branch id ("boundary" or "interior") and auxiliary root."""
     check_positive("beta", beta)
-    if not 0.0 <= theta <= 1.0:
-        raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
-    return _ldp_branch(beta, float(theta))
+    thetas = check_grid("theta", thetas)
+    for theta in thetas:
+        if not 0.0 <= theta <= 1.0:
+            raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
+    if not thetas:
+        return []
+    g = free_energy_g_star(beta).g_star
+    threshold = 1.0 - _speed_gap(0.5 * beta)[0]  # c*(beta/2)
+    out = []
+    for theta in thetas:
+        if theta >= threshold:
+            out.append((beta / theta + _I(theta) + g, "boundary", theta))
+            continue
+        # interior branch: beta = 2 r^2 I'(2r - theta) with x = 2r - theta in (0, 1);
+        # at u = 1 - x -> 1 the target tends to -beta < 0, so the full gap range brackets
+        scale = lambda u: 0.5 * (1.0 + theta - u) ** 2  # 2 r^2 at x = 1 - u
+        scale_p = lambda u: -(1.0 + theta - u)
+        u, _ = _solve_gap(beta, scale, scale_p, 1.0 - 1e-16)
+        r = 0.5 * (theta + (1.0 - u))
+        out.append((beta / r + _I_from_gap(u) + g, "interior", r))
+    return out

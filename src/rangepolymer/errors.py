@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the parameter check."""
+"""Exception types shared across the package, and the parameter checks."""
 
 import math
+
+import numpy as np
 
 
 class RangePolymerError(Exception):
@@ -28,3 +30,17 @@ def check_positive(name: str, value: float, allow_zero: bool = False) -> None:
     if not ((value >= 0.0 if allow_zero else value > 0.0) and value < math.inf):
         sign = "nonnegative" if allow_zero else "positive"
         raise DomainError(f"{name} must be finite and {sign}, got {value!r}")
+
+
+def check_grid(name: str, values) -> list[float]:
+    """``values`` as a list of floats; DomainError unless 1-D and all finite.
+
+    The grid-valued functions (CLT levels, LDP rate curves) call this before
+    they solve anything, so a scalar or a NaN stops at the API boundary.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError(f"{name} must be a 1-D sequence, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite, got {values!r}")
+    return arr.tolist()

@@ -48,7 +48,6 @@ __all__ = [
     "joint_law_exact",
     "reflection_min_max_endpoint",
     "polymer_law",
-    "free_energy_sequence",
     "clt_check",
     "ldp_empirical",
     "ENUMERATION_CAP",
@@ -366,13 +365,6 @@ def polymer_law(beta: float, n: int, cap: int = EXACT_LAW_CAP) -> PolymerLaw:
     return PolymerLaw(beta=beta, n=n, tilted=tilted, log_partition=log_z)
 
 
-def free_energy_sequence(
-    beta: float, n_list, cap: int = EXACT_LAW_CAP
-) -> list[tuple[int, float]]:
-    """Per-n free-energy estimates (n, log(Z_n)/n), converging to g*(beta)."""
-    return [(int(n), polymer_law(beta, int(n), cap=cap).log_partition / n) for n in n_list]
-
-
 def _ks_distance(atoms: np.ndarray, probs: np.ndarray, center: float,
                  scale: float) -> float:
     """Sup distance of the right-continuous lattice CDF from the normal CDF."""
@@ -383,7 +375,7 @@ def _ks_distance(atoms: np.ndarray, probs: np.ndarray, center: float,
     return float(np.max(np.maximum(np.abs(cum - targets), np.abs(targets - prev))))
 
 
-def clt_check(beta: float, n: int, cap: int = EXACT_LAW_CAP) -> float:
+def clt_check(law: PolymerLaw) -> float:
     """KS distance of the normalized conditional endpoint law from the normal.
 
     For beta > 0 the endpoint given S_n > 0 is centered at c*(beta) n and
@@ -396,14 +388,13 @@ def clt_check(beta: float, n: int, cap: int = EXACT_LAW_CAP) -> float:
     n the distance also carries an O(n^{-1/2}) centring term: for beta > 0
     the conditional mean sits an O(1) number of sites from c*(beta) n.
     """
-    if beta == 0.0:
-        base = joint_law_exact(n, cap=cap)
-        marg = base.endpoint_marginal()
+    n = law.n
+    if law.beta == 0.0:
+        marg = law.tilted.endpoint_marginal()
         atoms = np.array(sorted(marg), dtype=float)
         probs = np.array([marg[int(a)] for a in atoms])
         return _ks_distance(atoms, probs, 0.0, math.sqrt(n))
-    consts = free_energy_g_star(beta)
-    law = polymer_law(beta, n, cap=cap)
+    consts = free_energy_g_star(law.beta)
     atoms, probs = law.endpoint_conditional_positive()
     return _ks_distance(
         atoms.astype(float), probs, consts.c_star * n,
@@ -419,14 +410,13 @@ def _window_site(theta: float, n: int) -> int:
     return max(int(x0), lowest)
 
 
-def ldp_empirical(beta: float, n: int, theta_grid,
-                  cap: int = EXACT_LAW_CAP) -> list[tuple[float, float]]:
+def ldp_empirical(law: PolymerLaw, theta_grid) -> list[tuple[float, float]]:
     """Empirical decay rates -(1/n) log P(S_n in window(theta) | S_n > 0).
 
     Windows are single parity-consistent lattice sites (width 2/n on the
     velocity scale).  Empty windows report an infinite rate.
     """
-    law = polymer_law(beta, n, cap=cap)
+    n = law.n
     atoms, probs = law.endpoint_conditional_positive()
     table = {int(a): float(p) for a, p in zip(atoms, probs)}
     out: list[tuple[float, float]] = []

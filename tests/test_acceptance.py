@@ -38,11 +38,10 @@ from rangepolymer import (
     enumerate_joint_law,
     endpoint_clt_continuous,
     free_energy_g_star,
-    free_energy_sequence,
     joint_law_exact,
     ldp_empirical,
-    ldp_rate_discrete,
-    ldp_rate_continuous,
+    ldp_rate_continuous_info,
+    ldp_rate_discrete_info,
     polymer_estimate_tilted,
     polymer_law,
     range_density,
@@ -55,6 +54,14 @@ from rangepolymer import (
 from rangepolymer.density import joint_density_grid, range_density_grid, _panels
 
 PREFACTOR = 8.0 / math.sqrt(3.0)
+
+
+def _rate_discrete(beta, theta):
+    return ldp_rate_discrete_info(beta, [theta])[0][0]
+
+
+def _rate_continuous(beta, theta):
+    return ldp_rate_continuous_info(beta, [theta])[0][0]
 
 
 def _report(cid: str, ok: bool, detail: str) -> None:
@@ -129,7 +136,7 @@ def test_criterion_02_free_energy():
     started = time.monotonic()
     consts = free_energy_g_star(1.0)
     cross = abs(consts.g_star - consts.g_star_infimum)
-    seq = dict(free_energy_sequence(1.0, [100, 400]))
+    seq = {n: polymer_law(1.0, n).log_partition / n for n in (100, 400)}
     err400 = abs(seq[400] - consts.g_star)
     err100 = abs(seq[100] - consts.g_star)
     ok = err400 <= 0.03 and err400 < err100 and cross <= 1e-10
@@ -155,7 +162,7 @@ def test_criterion_04b_clt_distance_shrinks_with_n():
     details = []
     ok = True
     for beta in (0.5, 1.0):
-        k100, k400 = clt_check(beta, 100), clt_check(beta, 400)
+        k100, k400 = (clt_check(polymer_law(beta, n)) for n in (100, 400))
         ok = ok and k400 < k100
         details.append(f"beta={beta}: KS {k100:.3f} -> {k400:.3f}")
     _report("4b", ok, "; ".join(details))
@@ -186,8 +193,8 @@ def test_criterion_04a_clt_ks_bound():
         limits.append(limit)
         controls.append(control)
         details.append(
-            f"beta={beta}: KS n=400 {clt_check(beta, 400):.4f}, "
-            f"n=100 {clt_check(beta, 100):.4f}, limit {limit:.4f} (tol 0.05), "
+            f"beta={beta}: KS n=400 {clt_check(polymer_law(beta, 400)):.4f}, "
+            f"n=100 {clt_check(polymer_law(beta, 100)):.4f}, limit {limit:.4f} (tol 0.05), "
             f"c*+0.005 limit {control:.4f}")
     ok = all(v <= 0.05 for v in limits)
     can_fail = all(v > 0.05 for v in controls)
@@ -204,8 +211,8 @@ def test_criterion_05_ldp():
     worst_emp = 0.0
     worst_oracle = 0.0
     for theta in (0.3, 0.5, 0.7, 0.95):
-        (_, emp), = ldp_empirical(beta, n, [theta])
-        rate = ldp_rate_discrete(beta, theta)
+        (_, emp), = ldp_empirical(polymer_law(beta, n), [theta])
+        rate = _rate_discrete(beta, theta)
         worst_emp = max(worst_emp, abs(emp - rate))
         oracle = _grid_minimum(
             lambda r: beta / r + _I(min(1.0, 2 * r - theta)),
@@ -394,16 +401,16 @@ def test_criterion_11_branch_continuity_and_zeros():
     worst_zero = 0.0
     for beta in (0.1, 1.0, 10.0):
         thr_d = speed_c_star(beta / 2.0).value
-        gap_d = abs(ldp_rate_discrete(beta, thr_d * (1 - 1e-13))
-                    - ldp_rate_discrete(beta, thr_d))
+        gap_d = abs(_rate_discrete(beta, thr_d * (1 - 1e-13))
+                    - _rate_discrete(beta, thr_d))
         thr_c = (beta / 2.0) ** (1 / 3)
-        gap_c = abs(ldp_rate_continuous(beta, thr_c * (1 - 1e-13))
-                    - ldp_rate_continuous(beta, thr_c))
+        gap_c = abs(_rate_continuous(beta, thr_c * (1 - 1e-13))
+                    - _rate_continuous(beta, thr_c))
         worst_cont = max(worst_cont, gap_d, gap_c)
         worst_zero = max(
             worst_zero,
-            abs(ldp_rate_discrete(beta, speed_c_star(beta).value)),
-            abs(ldp_rate_continuous(beta, beta ** (1 / 3))),
+            abs(_rate_discrete(beta, speed_c_star(beta).value)),
+            abs(_rate_continuous(beta, beta ** (1 / 3))),
         )
     ok = worst_cont <= 1e-10 and worst_zero <= 1e-10
     _report("11", ok, f"max branch gap {worst_cont:.2e}, "

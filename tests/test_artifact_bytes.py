@@ -1,0 +1,96 @@
+"""Every artifact of the README and benchmark CLI commands keeps its bytes.
+
+Each command runs in-process and every file it writes, ``manifest.json``
+included, must hash to the recorded sha256 prefix (first 16 hex digits).
+A change that moves artifact bytes on purpose updates this table and says
+so in CHANGES.md.  ``mc tilted`` is left out: its weighted sums go through
+a BLAS reduction whose order, and so whose last bits, differ from machine
+to machine.
+"""
+
+import hashlib
+
+import pytest
+
+from rangepolymer.cli import main
+
+_BETA = ["--beta", "1"]
+_CONTINUOUS_40 = ["continuous", *_BETA, "--t", "40",
+                  "--outputs", "density,Z,range-clt,endpoint-clt"]
+_CONTINUOUS_40_FILES = {
+    "endpoint_clt.csv": "e58c18320c231ff7",
+    "manifest.json": "f538919a1a256074",
+    "partition_continuous.json": "508a64d0e6fd3755",
+    "range_clt.csv": "48957d1b1346fe4a",
+    "range_density.csv": "6fdc409e94c4908c",
+}
+
+# command id -> (argv, {file name: sha256 prefix})
+ARTIFACTS = {
+    "constants": (["constants", *_BETA], {
+        "constants.csv": "bd9d9b760c3f3412",
+        "manifest.json": "c877b2d51931b130",
+    }),
+    "readme-rate-curves": (
+        ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:101"], {
+            "manifest.json": "2b5ad647fd354aa8",
+            "rate_curve_discrete.csv": "c6b9bc8314e0da55",
+        }),
+    "readme-exact": (
+        ["exact", *_BETA, "--n", "400", "--outputs", "law,Z,free-energy,clt,ldp",
+         "--grid", "0.3,0.5,0.7,0.95", "--n-grid", "100,200,400"], {
+            "clt.json": "ceb94e8f3c16d216",
+            "free_energy.csv": "9267bee9dbf0c921",
+            "law.csv": "3a45bea1f429ff87",
+            "ldp.csv": "a6513e33db2fd1d8",
+            "manifest.json": "6064d793b1f428c8",
+            "partition.json": "e8b0d811e6bec50e",
+        }),
+    "continuous-t40": (_CONTINUOUS_40, _CONTINUOUS_40_FILES),
+    "bench-rate-curves-discrete": (
+        ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:2001"], {
+            "manifest.json": "564b8a1e52525904",
+            "rate_curve_discrete.csv": "f276159263b0e441",
+        }),
+    "bench-rate-curves-continuous": (
+        ["rate-curves", *_BETA, "--model", "continuous", "--grid", "0:1:2001"], {
+            "manifest.json": "312d5642a93f876e",
+            "rate_curve_continuous.csv": "9a13a4e237d8f55d",
+        }),
+    "bench-exact": (
+        ["exact", *_BETA, "--n", "600", "--outputs", "law,Z,free-energy,clt,ldp",
+         "--n-grid", "150,300,450,600"], {
+            "clt.json": "d6aaa9510c616ce0",
+            "free_energy.csv": "285c587bda2f5a52",
+            "law.csv": "6472a7abcf7c5830",
+            "ldp.csv": "b0fa3eac8d8ea421",
+            "manifest.json": "1ebb55680dcb62f4",
+            "partition.json": "6995c9daae53e3b6",
+        }),
+    "bench-exact-big": (
+        ["exact", *_BETA, "--n", "1000", "--cap-override", "1000",
+         "--outputs", "Z,clt,ldp"], {
+            "clt.json": "7f3b63175fc8809e",
+            "ldp.csv": "8dfd231fd79eb165",
+            "manifest.json": "36d6f31ff5cf7bbd",
+            "partition.json": "28fe125b0eff62a1",
+        }),
+    "bench-continuous-t160": (
+        ["continuous", *_BETA, "--t", "160", "--outputs", "Z,range-clt,endpoint-clt",
+         "--grid=-1,0,1"], {
+            "endpoint_clt.csv": "3d80cb9ed965cad9",
+            "manifest.json": "a95db103f7633e1e",
+            "partition_continuous.json": "97630f7ec3255a84",
+            "range_clt.csv": "bcacf25f275b463b",
+        }),
+}
+
+
+@pytest.mark.parametrize("command", ARTIFACTS)
+def test_artifacts_keep_their_bytes(tmp_path, command):
+    argv, expected = ARTIFACTS[command]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+           for p in out.iterdir()}
+    assert got == expected

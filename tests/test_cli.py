@@ -214,6 +214,9 @@ def test_cap_override_allows_larger_n(tmp_path):
     (["--outputs", "law,bogus"], 2),
     (["--outputs", "law,ldp", "--grid", "0.5,1.5"], 2),
     (["--outputs", "law,free-energy", "--n-grid", "700"], 3),
+    # a cap below 1 is a usage error, not an unset cap or a resource cap
+    (["--outputs", "law,Z", "--cap-override=0"], 2),
+    (["--n", "610", "--outputs", "law,Z", "--cap-override=-1"], 2),
 ])
 def test_exact_failure_writes_no_artifact(tmp_path, capsys, extra, code):
     out = tmp_path / "run"
@@ -288,6 +291,10 @@ def test_continuous_failure_writes_no_artifact(tmp_path, capsys, extra):
     ["mc", "corollary", "--beta", "inf", "--d", "2", "--n", "10", "--seed", "1",
      "--samples", "10"],
     ["mc", "brownian", "--t", "1e300", "--dt", "1e-10", "--seed", "1", "--samples", "10"],
+    # an empty grid evaluates no theta, and the density output reads no beta
+    ["rate-curves", "--beta", "nan", "--model", "discrete", "--grid", ","],
+    ["rate-curves", "--beta", "nan", "--model", "continuous", "--grid", ","],
+    ["continuous", "--beta", "nan", "--t", "4", "--outputs", "density"],
 ])
 def test_non_finite_parameter_exits_2_without_artifacts(tmp_path, capsys, args):
     out = tmp_path / "run"

@@ -7,15 +7,37 @@ from hypothesis import given, strategies as st
 
 from rangepolymer import (
     DomainError,
+    continuous,
     continuous_constants,
     laplace_exponent_coeffs,
-    ldp_rate_continuous,
+    ldp_rate_continuous_info,
     positive_cubic_root,
     rate_J,
     rate_J_prime,
     unit_ball_volume,
 )
-from rangepolymer.continuous import ldp_rate_continuous_info
+from rangepolymer.continuous import _CBRT
+from rangepolymer.errors import check_positive
+
+
+def _rate(beta, theta):
+    """Rate at one theta, read off a one-point curve."""
+    return ldp_rate_continuous_info(beta, [theta])[0][0]
+
+
+# The per-theta evaluator that the grid-valued rate function replaced; the
+# curve must reproduce it bit for bit.
+def _oracle_ldp_rate_continuous_info(beta, theta):
+    check_positive("beta", beta)
+    if theta < 0.0:
+        raise DomainError(f"theta must be nonnegative, got {theta!r}")
+    g = continuous_constants(beta).g_dstar
+    threshold = _CBRT(0.5 * beta)
+    if theta >= threshold:
+        return beta / theta + 0.5 * theta * theta + g, "boundary", float(theta)
+    r = positive_cubic_root(beta, theta).value
+    x = 2.0 * r - theta
+    return beta / r + 0.5 * x * x + g, "interior", r
 
 
 def test_rate_J_values():
@@ -81,17 +103,17 @@ class TestCubicRoot:
 class TestLdpRateContinuous:
     def test_zero_at_speed(self):
         for beta in (0.1, 1.0, 10.0):
-            assert abs(ldp_rate_continuous(beta, beta ** (1 / 3))) <= 1e-10
+            assert abs(_rate(beta, beta ** (1 / 3))) <= 1e-10
 
     def test_branch_continuity(self):
         for beta in (0.1, 1.0, 10.0):
             thr = (beta / 2.0) ** (1 / 3)
-            below = ldp_rate_continuous(beta, thr * (1.0 - 1e-13))
-            at = ldp_rate_continuous(beta, thr)
+            below = _rate(beta, thr * (1.0 - 1e-13))
+            at = _rate(beta, thr)
             assert abs(below - at) <= 1e-10
 
     def test_theta_zero_beta_four(self):
-        rate, branch, root = ldp_rate_continuous_info(4.0, 0.0)
+        rate, branch, root = ldp_rate_continuous_info(4.0, [0.0])[0]
         assert branch == "interior"
         assert root == pytest.approx(1.0, rel=1e-14)
         g = continuous_constants(4.0).g_dstar
@@ -100,7 +122,7 @@ class TestLdpRateContinuous:
     def test_nonnegative_with_minimum_near_speed(self):
         beta = 1.0
         thetas = [i * 3.0 / 300.0 for i in range(1, 301)]
-        rates = [ldp_rate_continuous(beta, th) for th in thetas]
+        rates = [_rate(beta, th) for th in thetas]
         assert all(r >= -1e-12 for r in rates)
         argmin = thetas[min(range(len(rates)), key=rates.__getitem__)]
         assert abs(argmin - 1.0) <= 3.0 / 300.0 + 1e-12
@@ -115,6 +137,37 @@ class TestLdpRateContinuous:
                 for i in range(200001)
             )
             assert best == pytest.approx(1.5 * beta ** (2 / 3), abs=1e-8)
+
+
+class TestRateCurve:
+    @pytest.mark.parametrize("beta", [1e-6, 0.1, 1.0, 3.0, 30.0])
+    def test_matches_per_theta_oracle_bitwise(self, beta):
+        threshold = _CBRT(0.5 * beta)
+        thetas = [i / 2000 for i in range(2001)]
+        thetas += [threshold, threshold * (1.0 - 1e-13)]
+        curve = ldp_rate_continuous_info(beta, thetas)
+        assert [row[1] for row in curve[-2:]] == ["boundary", "interior"]
+        for theta, row in zip(thetas, curve):
+            rate, branch, root = _oracle_ldp_rate_continuous_info(beta, theta)
+            assert row[1] == branch
+            assert (row[0], row[2]) == (rate, root)
+            assert math.copysign(1.0, row[0]) == math.copysign(1.0, rate)
+
+    def test_checks_every_theta_before_solving(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved before the theta check")
+
+        monkeypatch.setattr(continuous, "positive_cubic_root", refuse)
+        with pytest.raises(DomainError, match="nonnegative"):
+            ldp_rate_continuous_info(1.0, [0.5, -0.5])
+        with pytest.raises(DomainError, match="finite"):
+            ldp_rate_continuous_info(1.0, [0.5, math.inf])
+        assert ldp_rate_continuous_info(1.0, []) == []
+
+    @pytest.mark.parametrize("theta", [0.5, math.nan])
+    def test_scalar_theta_rejected(self, theta):
+        with pytest.raises(DomainError, match="1-D sequence"):
+            ldp_rate_continuous_info(1.0, theta)
 
 
 class TestLaplaceCoeffs:

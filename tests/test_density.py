@@ -24,6 +24,7 @@ from rangepolymer import (
     range_second_order_cdf,
 )
 from rangepolymer.continuous import continuous_constants
+from rangepolymer.errors import check_grid
 from rangepolymer.gaussian import SQRT2PI
 from rangepolymer import density
 from rangepolymer.density import (
@@ -34,7 +35,6 @@ from rangepolymer.density import (
     small_range_weight_bound,
     _joint_series_bound,
     _joint_series_scaled,
-    _levels,
     _panels,
     _tilt_exponent,
     _tilted_range_integral,
@@ -426,7 +426,7 @@ def _oracle_joint_series_scaled(t, x, r, tol=1e-13):
 def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False, order=16):
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta!r}")
-    levels = _levels(C)
+    levels = check_grid("C", C)
     r_lo, _, c, _ = _z_domain(beta, t)
     if not levels:
         return []

@@ -14,15 +14,22 @@ from hypothesis import given, strategies as st
 
 from rangepolymer import (
     DomainError,
+    discrete,
     free_energy_g_star,
-    ldp_rate_discrete,
+    ldp_rate_discrete_info,
     rate_I,
     rate_I_prime,
     sigma_star,
     speed_c_star,
     tilde_c_d,
 )
-from rangepolymer.discrete import ldp_rate_discrete_info
+from rangepolymer.roots import bisect_newton
+
+
+def _rate(beta, theta):
+    """Rate at one theta, read off a one-point curve."""
+    return ldp_rate_discrete_info(beta, [theta])[0][0]
+
 
 # 50-digit oracle values
 I_HALF = 0.13081203594113695913
@@ -187,17 +194,17 @@ class TestLdpRate:
     def test_zero_at_speed(self):
         for beta in (0.1, 1.0, 10.0):
             c = speed_c_star(beta).value
-            assert abs(ldp_rate_discrete(beta, c)) <= 1e-10
+            assert abs(_rate(beta, c)) <= 1e-10
 
     def test_branch_continuity_at_threshold(self):
         for beta in (0.1, 1.0, 10.0):
             thr = speed_c_star(beta / 2.0).value
-            below = ldp_rate_discrete(beta, thr * (1.0 - 1e-13))
-            at = ldp_rate_discrete(beta, thr)
+            below = _rate(beta, thr * (1.0 - 1e-13))
+            at = _rate(beta, thr)
             assert abs(below - at) <= 1e-10
 
     def test_interior_branch_against_oracle(self):
-        rate, branch, root = ldp_rate_discrete_info(1.0, 0.3)
+        rate, branch, root = ldp_rate_discrete_info(1.0, [0.3])[0]
         assert branch == "interior"
         assert root == pytest.approx(RTILDE_1_03, abs=1e-12)
         assert rate == pytest.approx(RATE_1_03, abs=1e-10)
@@ -209,28 +216,91 @@ class TestLdpRate:
             lo = max(theta, 1e-9)
             hi = (1.0 + theta) / 2.0 - 1e-12
             oracle = _grid_minimum(lambda r: beta / r + _I(2 * r - theta), lo, hi) + g
-            assert ldp_rate_discrete(beta, theta) == pytest.approx(oracle, abs=1e-6)
+            assert _rate(beta, theta) == pytest.approx(oracle, abs=1e-6)
 
     def test_nonnegative_with_minimum_near_speed(self):
         beta = 1.0
         c = speed_c_star(beta).value
         thetas = [i / 200.0 for i in range(201)]
-        rates = [ldp_rate_discrete(beta, th) for th in thetas]
+        rates = [_rate(beta, th) for th in thetas]
         assert all(r >= -1e-12 for r in rates)
         argmin = thetas[min(range(len(rates)), key=rates.__getitem__)]
         assert abs(argmin - c) <= 1.0 / 200.0 + 1e-12
 
     def test_theta_zero_and_one_are_finite(self):
-        assert math.isfinite(ldp_rate_discrete(1.0, 0.0))
-        rate_at_one = ldp_rate_discrete(1.0, 1.0)
+        assert math.isfinite(_rate(1.0, 0.0))
+        rate_at_one = _rate(1.0, 1.0)
         expected = 1.0 + math.log(2.0) + free_energy_g_star(1.0).g_star
         assert rate_at_one == pytest.approx(expected, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ldp_rate_discrete(1.0, 1.5)
+            _rate(1.0, 1.5)
         with pytest.raises(DomainError):
-            ldp_rate_discrete(0.0, 0.5)
+            _rate(0.0, 0.5)
+
+
+# The per-theta evaluator that the grid-valued rate function replaced: it
+# solved g*(beta) and the threshold c*(beta/2) again at every theta.  The
+# curve must reproduce it bit for bit.
+def _oracle_ldp_branch(beta, theta):
+    g = free_energy_g_star(beta).g_star
+    u_half, _ = discrete._speed_gap(0.5 * beta)
+    threshold = 1.0 - u_half  # c*(beta/2)
+    if theta >= threshold:
+        return beta / theta + discrete._I(theta) + g, "boundary", theta
+    # interior branch: beta = 2 r^2 I'(2r - theta) with x = 2r - theta in (0, 1);
+    # at u = 1 - x -> 1 the target tends to -beta < 0, so the full gap range brackets
+    scale = lambda u: 0.5 * (1.0 + theta - u) ** 2  # 2 r^2 at x = 1 - u
+    scale_p = lambda u: -(1.0 + theta - u)
+    u, res = discrete._solve_gap(beta, scale, scale_p, 1.0 - 1e-16)
+    x = 1.0 - u
+    r = 0.5 * (theta + x)
+    return beta / r + discrete._I_from_gap(u) + g, "interior", r
+
+
+class TestRateCurve:
+    @pytest.mark.parametrize("beta", [1e-6, 0.1, 1.0, 3.0, 30.0])
+    def test_matches_per_theta_oracle_bitwise(self, beta):
+        threshold = 1.0 - discrete._speed_gap(0.5 * beta)[0]
+        thetas = [i / 2000 for i in range(2001)]
+        thetas += [threshold, threshold * (1.0 - 1e-13)]
+        curve = ldp_rate_discrete_info(beta, thetas)
+        assert [row[1] for row in curve[-2:]] == ["boundary", "interior"]
+        for theta, row in zip(thetas, curve):
+            rate, branch, root = _oracle_ldp_branch(beta, theta)
+            assert row[1] == branch
+            assert (row[0], row[2]) == (rate, root)
+            assert math.copysign(1.0, row[0]) == math.copysign(1.0, rate)
+
+    def test_one_solve_per_interior_theta_plus_two(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bisect_newton(*args)
+
+        monkeypatch.setattr(discrete, "bisect_newton", counted)
+        curve = ldp_rate_discrete_info(1.0, [i / 2000 for i in range(2001)])
+        interior = sum(row[1] == "interior" for row in curve)
+        assert 0 < interior < len(curve)
+        assert len(calls) == 2 + interior
+
+    def test_checks_every_theta_before_solving(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved before the theta check")
+
+        monkeypatch.setattr(discrete, "bisect_newton", refuse)
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            ldp_rate_discrete_info(1.0, [0.5, 1.5])
+        with pytest.raises(DomainError, match="finite"):
+            ldp_rate_discrete_info(1.0, [0.5, math.nan])
+        assert ldp_rate_discrete_info(1.0, []) == []
+
+    @pytest.mark.parametrize("theta", [0.5, math.nan])
+    def test_scalar_theta_rejected(self, theta):
+        with pytest.raises(DomainError, match="1-D sequence"):
+            ldp_rate_discrete_info(1.0, theta)
 
 
 class TestTildeCd:

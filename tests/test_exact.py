@@ -19,18 +19,22 @@ from rangepolymer import (
     clt_check,
     enumerate_joint_law,
     free_energy_g_star,
-    free_energy_sequence,
     joint_law_dp,
     joint_law_exact,
     ldp_empirical,
-    ldp_rate_discrete,
+    ldp_rate_discrete_info,
     polymer_law,
     reflection_min_max_endpoint,
     sigma_star,
     speed_c_star,
     tilde_c_d,
 )
-from rangepolymer.exact import _convolve_final_step, _law_from_counts
+from rangepolymer.exact import (
+    _convolve_final_step,
+    _ks_distance,
+    _law_from_counts,
+    _window_site,
+)
 
 C_STAR_1 = 0.86833203774014073374
 G_STAR_1 = -1.6020534482122631031
@@ -359,37 +363,37 @@ class TestPolymerLaw:
 
 class TestFreeEnergy:
     def test_converges_to_g_star(self):
-        seq = dict(free_energy_sequence(1.0, [100, 400]))
+        seq = {n: polymer_law(1.0, n).log_partition / n for n in (100, 400)}
         assert abs(seq[400] - G_STAR_1) <= 0.03
         assert abs(seq[400] - G_STAR_1) < abs(seq[100] - G_STAR_1)
 
     def test_tiny_beta_near_zero(self):
-        (_, fe), = free_energy_sequence(1e-6, [100])
+        fe = polymer_law(1e-6, 100).log_partition / 100
         assert abs(fe) <= 1e-3
 
 
 class TestCltCheck:
     def test_plain_walk_sanity(self):
-        assert clt_check(0.0, 400) <= 0.05
+        assert clt_check(polymer_law(0.0, 400)) <= 0.05
 
     def test_decreasing_in_n(self):
         for beta in (0.5, 1.0):
-            assert clt_check(beta, 400) < clt_check(beta, 100)
+            assert clt_check(polymer_law(beta, 400)) < clt_check(polymer_law(beta, 100))
 
 
 class TestLdpEmpirical:
     def test_rate_vanishes_at_speed(self):
         c = speed_c_star(1.0).value
-        (_, rate), = ldp_empirical(1.0, 400, [c])
+        (_, rate), = ldp_empirical(polymer_law(1.0, 400), [c])
         assert rate <= 0.02
 
     def test_matches_rate_function(self):
         for theta in (0.5, 0.95):
-            (_, emp), = ldp_empirical(1.0, 400, [theta])
-            assert abs(emp - ldp_rate_discrete(1.0, theta)) <= 0.05
+            (_, emp), = ldp_empirical(polymer_law(1.0, 400), [theta])
+            assert abs(emp - ldp_rate_discrete_info(1.0, [theta])[0][0]) <= 0.05
 
     def test_first_branch_formula_at_095(self):
-        (_, emp), = ldp_empirical(1.0, 400, [0.95])
+        (_, emp), = ldp_empirical(polymer_law(1.0, 400), [0.95])
         direct = 1.0 / 0.95 + (
             0.5 * 1.95 * math.log(1.95) + 0.5 * 0.05 * math.log(0.05)
         ) + free_energy_g_star(1.0).g_star
@@ -397,7 +401,7 @@ class TestLdpEmpirical:
 
     def test_windows_are_parity_sites(self):
         # every theta in [0, 1] maps to a reachable parity site, so rates stay finite
-        rates = ldp_empirical(1.0, 50, [0.0, 0.37, 0.5, 1.0])
+        rates = ldp_empirical(polymer_law(1.0, 50), [0.0, 0.37, 0.5, 1.0])
         assert all(math.isfinite(r) for _, r in rates)
         # theta = 1 pins the straight path: P = tilted weight of (n, n)
         law = polymer_law(1.0, 50)
@@ -407,7 +411,48 @@ class TestLdpEmpirical:
 
     def test_theta_domain(self):
         with pytest.raises(DomainError):
-            ldp_empirical(1.0, 20, [1.2])
+            ldp_empirical(polymer_law(1.0, 20), [1.2])
+
+
+# The (beta, n) forms that the law-taking checks replaced: each built and
+# tilted its own law.  The law-taking forms must reproduce them bit for bit.
+def _oracle_clt_check(beta, n):
+    if beta == 0.0:
+        base = joint_law_exact(n)
+        marg = base.endpoint_marginal()
+        atoms = np.array(sorted(marg), dtype=float)
+        probs = np.array([marg[int(a)] for a in atoms])
+        return _ks_distance(atoms, probs, 0.0, math.sqrt(n))
+    consts = free_energy_g_star(beta)
+    law = polymer_law(beta, n)
+    atoms, probs = law.endpoint_conditional_positive()
+    return _ks_distance(
+        atoms.astype(float), probs, consts.c_star * n,
+        consts.sigma_star * math.sqrt(n),
+    )
+
+
+def _oracle_ldp_empirical(beta, n, theta_grid):
+    law = polymer_law(beta, n)
+    atoms, probs = law.endpoint_conditional_positive()
+    table = {int(a): float(p) for a, p in zip(atoms, probs)}
+    out = []
+    for theta in theta_grid:
+        if not 0.0 <= theta <= 1.0:
+            raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
+        x0 = _window_site(float(theta), n)
+        p = table.get(x0, 0.0)
+        rate = math.inf if p == 0.0 else -math.log(p) / n
+        out.append((float(theta), rate))
+    return out
+
+
+@pytest.mark.parametrize("beta, n", [(0.0, 200), (1.0, 600), (0.5, 301)])
+def test_law_taking_checks_match_the_beta_n_forms(beta, n):
+    law = polymer_law(beta, n)
+    thetas = [i / 40 for i in range(41)] + [0.3, 0.5, 0.7, 0.95]
+    assert clt_check(law) == _oracle_clt_check(beta, n)
+    assert ldp_empirical(law, thetas) == _oracle_ldp_empirical(beta, n, thetas)
 
 
 class TestExports:
