@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 from .continuous import (
     ContinuousConstants,
     continuous_constants,
-    laplace_exponent_coeffs,
     ldp_rate_continuous_info,
     positive_cubic_root,
     rate_J,
-    rate_J_prime,
     unit_ball_volume,
 )
 from .density import (
@@ -91,7 +89,6 @@ __all__ = [
     "joint_density",
     "joint_law_dp",
     "joint_law_exact",
-    "laplace_exponent_coeffs",
     "ldp_empirical",
     "ldp_rate_continuous_info",
     "ldp_rate_discrete_info",
@@ -104,7 +101,6 @@ __all__ = [
     "rate_I",
     "rate_I_prime",
     "rate_J",
-    "rate_J_prime",
     "reflection_min_max_endpoint",
     "sigma_star",
     "speed_c_star",

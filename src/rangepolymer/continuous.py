@@ -25,12 +25,10 @@ from .roots import RootResult
 __all__ = [
     "ContinuousConstants",
     "rate_J",
-    "rate_J_prime",
     "unit_ball_volume",
     "continuous_constants",
     "positive_cubic_root",
     "ldp_rate_continuous_info",
-    "laplace_exponent_coeffs",
 ]
 
 _CBRT = getattr(math, "cbrt", lambda v: v ** (1.0 / 3.0))
@@ -59,13 +57,6 @@ def rate_J(x: float) -> float:
     if x < 0.0:
         raise DomainError(f"rate_J is defined on [0, inf), got {x!r}")
     return 0.5 * x * x
-
-
-def rate_J_prime(x: float) -> float:
-    """J'(x) = x."""
-    if x < 0.0:
-        raise DomainError(f"rate_J_prime is defined on [0, inf), got {x!r}")
-    return float(x)
 
 
 def unit_ball_volume(k: int) -> float:
@@ -174,20 +165,3 @@ def ldp_rate_continuous_info(beta: float, thetas) -> list[tuple[float, str, floa
         x = 2.0 * r - theta
         out.append((beta / r + 0.5 * x * x + g, "interior", r))
     return out
-
-
-def laplace_exponent_coeffs(beta: float, order: int) -> list[float]:
-    """Taylor coefficients of c |-> -(beta/c + c^2/2) about c = beta^(1/3).
-
-    Returns [a_0, ..., a_order]: a_0 = -(3/2) beta^(2/3), a_1 = 0,
-    a_2 = -3/2, and a_k = (-1)^(k+1) beta^((2-k)/3) for k >= 3 (the geometric
-    tail of -beta/c; the quadratic term ends the contribution of -c^2/2).
-    """
-    check_positive("beta", beta)
-    if order < 2:
-        raise DomainError(f"order must be at least 2, got {order!r}")
-    c = _CBRT(beta)
-    coeffs = [-1.5 * c * c, 0.0, -1.5]
-    for k in range(3, order + 1):
-        coeffs.append((-1.0) ** (k + 1) * beta ** ((2.0 - k) / 3.0))
-    return coeffs

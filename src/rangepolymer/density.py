@@ -5,11 +5,15 @@ series density
 
     f(r) = (8/sqrt(t)) sum_{k>=1} (-1)^(k-1) k^2 phi(k r / sqrt(t)),
 
-which converges uniformly only away from r = 0; callers must stay above the
-floor r >= DEFAULT_FLOOR sqrt(t).  The joint density of (B_t, R_t) on
-{0 < x < r, B_t > 0} is the two-sum expression obtained from the mixed
-derivative of the two-barrier corridor probability; both series terminate
-quickly because every term carries a Gaussian factor phi((2kr +- x)/sqrt(t)).
+summed below u = r/sqrt(t) = sqrt(pi) through its Jacobi dual
+
+    f(r) = (8/sqrt(t)) sum_{j odd} (j^2 pi^2/u^5 - 1/u^3) exp(-j^2 pi^2 / 2u^2);
+
+callers must stay above the floor r >= DEFAULT_FLOOR sqrt(t).  The joint
+density of (B_t, R_t) on {0 < x < r, B_t > 0} is the two-sum expression
+obtained from the mixed derivative of the two-barrier corridor probability;
+both series terminate quickly because every term carries a Gaussian factor
+phi((2kr +- x)/sqrt(t)).
 
 The tilt exp(-beta t^2 / rho) is integrated against these densities with
 composite Gauss-Legendre panels (width ~ sqrt(t)/4 near the saddle
@@ -96,68 +100,73 @@ def _check_floor(t: float, r: float) -> None:
 
 
 def range_density(t: float, r: float) -> SeriesEval:
-    """Density of the Brownian range at r, with an alternating-tail bound.
+    """Density of the Brownian range at r, with a truncation bound.
 
-    Terms are summed until they have started to decrease and drop below
-    1e-12 relative to the running sum; the reported truncation bound is
-    the first omitted term (valid for alternating series once the terms
-    decrease monotonically).  Where the first term is already 0.0 the loop
-    would stop at once with value and bound 0.0; that result is returned
-    before (k u)^2 can overflow.
+    A one-point call of ``_range_series_scaled``, so it is bitwise
+    ``range_density_grid`` at r; the bound is the kernel's, scaled alike.
+    Where the Gaussian factor exp(-u^2/2) is already 0.0 the density and its
+    bound are returned as 0.0 at once, before r^2 can overflow.
     """
     _check_floor(t, r)
     sqrt_t = math.sqrt(t)
     u = r / sqrt_t
-    if -0.5 * u * u <= _EXP_ZERO:
+    if math.exp(-0.5 * u * u) == 0.0:
         return SeriesEval(value=0.0, truncation_bound=0.0, terms_used=1)
-    scale = 8.0 / sqrt_t
-    total = 0.0
-    prev = math.inf
-    k = 0
-    while True:
-        k += 1
-        term = k * k * math.exp(-0.5 * (k * u) ** 2) / SQRT2PI
-        total += term if k % 2 else -term
-        if term < prev and term <= 1e-12 * max(1.0, abs(total)):
-            break
-        if k >= 100000:
-            break
-        prev = term
-    nxt = (k + 1) ** 2 * math.exp(-0.5 * ((k + 1) * u) ** 2) / SQRT2PI
-    return SeriesEval(value=scale * total, truncation_bound=scale * nxt, terms_used=k)
+    rs = np.array([r])
+    series, bound, terms = _range_series_scaled(t, rs)
+    damp = float((8.0 / sqrt_t * np.exp(-np.square(rs) / (2.0 * t)))[0])
+    return SeriesEval(value=damp * float(series[0]), truncation_bound=damp * bound,
+                      terms_used=terms)
 
 
-def _range_series_scaled(t: float, r: np.ndarray) -> np.ndarray:
-    """f_R(r) * exp(r^2 / 2t) * sqrt(t) / 8: every term is bounded by k^2.
+def _range_series_scaled(t: float, r: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """f_R(r) * exp(r^2 / 2t) * sqrt(t) / 8, a truncation bound, terms used.
 
-    Term k is k^2 exp(-(k^2 - 1) r^2 / 2t) / sqrt(2 pi); the k = 1 Gaussian
-    has been pulled out so the caller can fold it into a larger exponent.
+    With q = r^2/2t and u = r/sqrt(t), term k of Feller's alternating series
+    is k^2 exp(-(k^2 - 1) q) / sqrt(2 pi): the k = 1 Gaussian has been
+    pulled out so the caller can fold it into a larger exponent.  Below
+    u = sqrt(pi) that series cancels to noise, so there the Jacobi dual is
+    summed instead: term j = 1, 3, 5, ... is (j^2 pi^2/u^2 - 1) u^-3
+    exp(q - j^2 pi^2/4q), every one positive.  On its own side of sqrt(pi)
+    every exponent is <= 0 and each term is at most 0.036 (primal) or
+    4.5e-5 (dual) of the one before, so the remainder of either series is
+    at most the last term added; the bound returned is the largest of those
+    over r.  A point stops once its term is at most 1e-13 of
+    max(1, |partial sum|).
     """
     r = np.asarray(r, dtype=float)
     q = np.square(r) / (2.0 * t)
+    dual = q < 0.5 * math.pi
+    primal = ~dual
+    qp, qd = q[primal], q[dual]
+    a = math.pi ** 2 / (4.0 * qd)
+    u3 = (2.0 * qd) ** 1.5
+    sign = np.where(dual, 1.0, -1.0)
     total = np.zeros_like(q)
-    prev = np.full_like(q, np.inf)
+    term = np.zeros_like(q)
+    last = np.zeros_like(q)
     active = np.ones(q.shape, dtype=bool)
     k = 0
     while active.any() and k < 100000:
         k += 1
-        term = np.where(active, k * k * np.exp(-(k * k - 1.0) * q) / SQRT2PI, 0.0)
-        total += term if k % 2 else -term
-        done = (term < prev) & (term <= 1e-13 * np.maximum(1.0, np.abs(total)))
-        active &= ~done
-        prev = term
-    return total
+        j2 = (2 * k - 1) ** 2
+        term[primal] = k * k * np.exp(-(k * k - 1.0) * qp) / SQRT2PI
+        term[dual] = (2.0 * j2 * a - 1.0) * np.exp(qd - j2 * a) / u3
+        term[~active] = 0.0
+        total += term if k % 2 else sign * term
+        last[active] = term[active]
+        active &= ~(term <= 1e-13 * np.maximum(1.0, np.abs(total)))
+    return total, float(last.max(initial=0.0)), k
 
 
 def range_density_grid(t: float, r: np.ndarray) -> np.ndarray:
     """Vectorized range density; caller is responsible for the domain floor."""
     r = np.asarray(r, dtype=float)
     return 8.0 / math.sqrt(t) * np.exp(-np.square(r) / (2.0 * t)) \
-        * _range_series_scaled(t, r)
+        * _range_series_scaled(t, r)[0]
 
 
-def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
-                         tol: float = 1e-13):
+def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray):
     """Joint density times exp(r^2 / 2t), term exponents all nonpositive.
 
     For 0 < x < r every Gaussian argument satisfies (2kr -+ x)^2 >= r^2, so
@@ -240,7 +249,7 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray,
             zm2 *= c
             zm2 *= em
             block_max = float(zm2.max())
-        if block_max <= tol * max(1.0, float(np.abs(s_sym, out=tm).max())):
+        if block_max <= 1e-13 * max(1.0, float(np.abs(s_sym, out=tm).max())):
             break
         if block_max != block_max:
             raise DomainError(f"joint series is NaN at t={t!r}: x or r out of range")
@@ -253,7 +262,7 @@ def joint_density(t: float, x: float, r: float) -> SeriesEval:
     if not 0.0 < x < r:
         raise DomainError(f"need 0 < x < r, got x={x!r}, r={r!r}")
     _check_floor(t, r)
-    val, bound, terms = _joint_series_scaled(t, np.array([x]), np.array([r]), 1e-12)
+    val, bound, terms = _joint_series_scaled(t, np.array([x]), np.array([r]))
     damp = math.exp(-r * r / (2.0 * t))
     return SeriesEval(value=float(val[0]) * damp, truncation_bound=bound * damp,
                       terms_used=terms)
@@ -343,7 +352,7 @@ def _tilted_range_integral(beta: float, t: float, r_lo: float, r_hi: float,
         nonlocal nodes_used
         X, W = _panels(a, b, width, order)
         nodes_used += len(X)
-        series = _range_series_scaled(t, X)
+        series, _, _ = _range_series_scaled(t, X)
         ex = np.exp(_tilt_exponent(beta, t, X, g, use_exact_radius))
         return 8.0 / math.sqrt(t) * float(np.dot(W, series * ex))
 

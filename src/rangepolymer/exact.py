@@ -149,7 +149,6 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
     # reads 2^m off the support |X| <= s, where G itself is 0.
     g = np.full(m + 1, 1 << m, dtype=object)
     dg = np.zeros(m + 1, dtype=object)
-    seen = np.zeros((n, n + 1), dtype=bool)
     ps = np.zeros((n, n + 1))
     for s in range(m + 1):
         W = s + 2
@@ -167,7 +166,6 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
         g[a:b], dg[a:b] = g_s, d
         row = np.append(c, 0)  # one final +-1 step: x = X - 1 and X + 1
         row[1:] += c
-        seen[s, a:b + 1] = row != 0
         try:
             ps[s, a:b + 1] = np.ldexp(row.astype(float), -n)
         except OverflowError as exc:
@@ -176,7 +174,8 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
                 "(2^1024), so its probability cannot be formed as count * "
                 "2^-n; raising the cap does not help"
             ) from exc
-    hx, ri = np.nonzero(seen.T)  # x ascending, then r ascending
+    # a count c >= 1 gives c 2^-n >= 2^-1033 > 0, so ps != 0 is the support
+    hx, ri = np.nonzero(ps.T)  # x ascending, then r ascending
     return JointEndpointRangeLaw(n=n, xs=2 * hx - n, rs=ri + 1, ps=ps[ri, hx])
 
 

@@ -22,7 +22,9 @@ be met:
 * criterion 7b: the continuous endpoint sits a Gamma-shaped O(1) gap inside
   the range, which shifts the median by O(t^{-1/2}):
   sqrt(t) (F_t(0) - 1/2) tends to about 1.22, and F_40(0) = 0.6598.  The
-  clause asserts 2 F_160(0) - F_40(0) in [0.45, 0.55].
+  clause asserts 2 F_160(0) - F_40(0) in [0.45, 0.55], and, to check the
+  assumed order, the limit of a fit in (t^{-1/2}, t^{-1}) through
+  t = 40, 160, 640 in the same window.
 
 Each of the two also asserts that the extrapolated statistic leaves its
 tolerance when the speed is moved slightly, so that it can still fail.
@@ -273,18 +275,23 @@ def test_criterion_07b_endpoint_clt_window():
     # units of sigma** sqrt(t) = sqrt(t / 3); rel_shift 0 and 0.01 (control)
     # share one sweep per t
     f = {t: endpoint_clt_continuous(beta, t, [0.0, 0.01 * c * math.sqrt(3.0 * t)])
-         for t in (40.0, 160.0)}
-    f40, f160 = f[40.0][0], f[160.0][0]
+         for t in (40.0, 160.0, 640.0)}
+    f40, f160, f640 = f[40.0][0], f[160.0][0], f[640.0][0]
     limit = 2.0 * f160 - f40
     control = 2.0 * f[160.0][1] - f[40.0][1]
+    # for F_t = L + a t^{-1/2} + b t^{-1}, 2 F_160 - F_40 = L - b/80 and
+    # 2 F_640 - F_160 = L - b/320, so L is 4/3 of the second minus 1/3 of the first
+    limit3 = (4.0 * (2.0 * f640 - f160) - limit) / 3.0
     ok = 0.45 <= limit <= 0.55
+    ok3 = 0.45 <= limit3 <= 0.55
     can_fail = not 0.45 <= control <= 0.55
-    _report("7b", ok and can_fail,
+    _report("7b", ok and ok3 and can_fail,
             f"endpoint CLT at C=0: t=40 {f40:.4f}, t=160 {f160:.4f}, "
-            f"limit {limit:.4f} (window [0.45, 0.55]), "
-            f"c**+1% limit {control:.4f}")
+            f"t=640 {f640:.4f}, limit {limit:.4f}, three-point limit "
+            f"{limit3:.4f} (window [0.45, 0.55]), c**+1% limit {control:.4f}")
     _budget("7b", started, 300.0)
     assert ok, f"extrapolated endpoint CLT median {limit:.4f} outside the window"
+    assert ok3, f"three-point endpoint CLT median {limit3:.4f} outside the window"
     assert can_fail, f"a +1% speed error stays in the window: {control:.4f}"
 
 

@@ -5,7 +5,9 @@ included, must hash to the recorded sha256 prefix (first 16 hex digits).
 A change that moves artifact bytes on purpose updates this table and says
 so in CHANGES.md.  ``mc tilted`` is left out: its weighted sums go through
 a BLAS reduction whose order, and so whose last bits, differ from machine
-to machine.
+to machine.  ``mc brownian`` makes no BLAS call, and its samples do not
+depend on the thread count: only the manifest, which echoes ``--threads``,
+differs between the one- and two-thread runs.
 """
 
 import hashlib
@@ -22,7 +24,13 @@ _CONTINUOUS_40_FILES = {
     "manifest.json": "f538919a1a256074",
     "partition_continuous.json": "508a64d0e6fd3755",
     "range_clt.csv": "48957d1b1346fe4a",
-    "range_density.csv": "6fdc409e94c4908c",
+    "range_density.csv": "3d42e6ab0447fa58",
+}
+_BROWNIAN = ["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "42",
+             "--samples", "8192"]
+_BROWNIAN_FILES = {
+    "brownian.json": "daee1e1465c736ad",
+    "histograms.csv": "e1c60b2e5735249b",
 }
 
 # command id -> (argv, {file name: sha256 prefix})
@@ -83,6 +91,10 @@ ARTIFACTS = {
             "partition_continuous.json": "97630f7ec3255a84",
             "range_clt.csv": "bcacf25f275b463b",
         }),
+    "bench-mc-brownian-1-thread": ([*_BROWNIAN, "--threads", "1"], {
+        **_BROWNIAN_FILES, "manifest.json": "e22f2d90d320b0b3"}),
+    "bench-mc-brownian-2-threads": ([*_BROWNIAN, "--threads", "2"], {
+        **_BROWNIAN_FILES, "manifest.json": "cdce2c8eb6d38519"}),
 }
 
 

@@ -1,4 +1,4 @@
-"""Tests for the continuous-model constants, cubic root and Taylor expansion."""
+"""Tests for the continuous-model constants, cubic root and rate curve."""
 
 import math
 
@@ -9,11 +9,9 @@ from rangepolymer import (
     DomainError,
     continuous,
     continuous_constants,
-    laplace_exponent_coeffs,
     ldp_rate_continuous_info,
     positive_cubic_root,
     rate_J,
-    rate_J_prime,
     unit_ball_volume,
 )
 from rangepolymer.continuous import _CBRT
@@ -44,7 +42,6 @@ def test_rate_J_values():
     assert rate_J(0.0) == 0.0
     assert rate_J(1.0) == 0.5
     assert rate_J(3.0) == 4.5
-    assert rate_J_prime(2.5) == 2.5
     with pytest.raises(DomainError):
         rate_J(-0.5)
 
@@ -168,39 +165,3 @@ class TestRateCurve:
     def test_scalar_theta_rejected(self, theta):
         with pytest.raises(DomainError, match="1-D sequence"):
             ldp_rate_continuous_info(1.0, theta)
-
-
-class TestLaplaceCoeffs:
-    def test_beta_one_low_order(self):
-        assert laplace_exponent_coeffs(1.0, 2) == pytest.approx([-1.5, 0.0, -1.5])
-
-    def test_beta_one_cubic_coefficient(self):
-        assert laplace_exponent_coeffs(1.0, 3)[3] == pytest.approx(1.0, rel=1e-14)
-
-    @given(st.floats(min_value=0.01, max_value=50.0))
-    def test_linear_coefficient_vanishes(self, beta):
-        assert laplace_exponent_coeffs(beta, 3)[1] == 0.0
-
-    def test_against_central_finite_differences(self):
-        # stencils evaluated in 50-digit arithmetic so h can be small enough
-        # for the truncation error to clear the 1e-6 relative target
-        import mpmath as mp
-
-        with mp.workdps(50):
-            for beta_f in (0.5, 1.0, 4.0):
-                beta = mp.mpf(beta_f)
-                c0 = mp.cbrt(beta)
-                f = lambda c: -(beta / c + c * c / 2)
-                h = c0 * mp.mpf("1e-6")
-                s = [f(c0 + k * h) for k in (-3, -2, -1, 0, 1, 2, 3)]
-                d2 = (s[2] - 2 * s[3] + s[4]) / h**2
-                d3 = (-s[1] + 2 * s[2] - 2 * s[4] + s[5]) / (2 * h**3)
-                d4 = (s[1] - 4 * s[2] + 6 * s[3] - 4 * s[4] + s[5]) / h**4
-                coeffs = laplace_exponent_coeffs(beta_f, 4)
-                assert coeffs[2] == pytest.approx(float(d2 / 2), rel=1e-6)
-                assert coeffs[3] == pytest.approx(float(d3 / 6), rel=1e-6)
-                assert coeffs[4] == pytest.approx(float(d4 / 24), rel=1e-6)
-
-    def test_order_validation(self):
-        with pytest.raises(DomainError):
-            laplace_exponent_coeffs(1.0, 1)

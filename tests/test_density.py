@@ -23,6 +23,7 @@ from rangepolymer import (
     range_density,
     range_second_order_cdf,
 )
+from rangepolymer.cli import main
 from rangepolymer.continuous import continuous_constants
 from rangepolymer.errors import check_grid
 from rangepolymer.gaussian import SQRT2PI
@@ -62,6 +63,36 @@ def _dense_range_density(u):
         prev = term
 
 
+def _default_r_grid(t):
+    """The ``continuous`` command's default density r-grid."""
+    st_ = math.sqrt(t)
+    return [0.05 * st_ + (6.0 - 0.05) * st_ * i / 120 for i in range(121)]
+
+
+def _mp_range_density(t, r, dps=400):
+    """Feller's primal series at r, summed in mpmath at ``dps`` digits until
+    a term is below 10^-(dps + 20).  Its cancellation costs about
+    log10(1/density) digits, ~850 at the floor u = 0.05, where the density
+    itself is ~1e-849: at 400 digits the sum there is noise far below 1e-300,
+    and every density above 1e-288 keeps more than 100 correct digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        u = mp.mpf(r) / mp.sqrt(t)
+        total, k, floor = mp.mpf(0), 0, mp.mpf(10) ** (-dps - 20)
+        while True:
+            k += 1
+            term = k * k * mp.exp(-(k * u) ** 2 / 2)
+            total += term if k % 2 else -term
+            if term < floor:
+                return float(8 * total / (mp.sqrt(2 * mp.pi) * mp.sqrt(t)))
+
+
+def _assert_matches_reference(t, r, value):
+    want = _mp_range_density(t, r)
+    assert abs(value - want) <= max(1e-12 * abs(want), 1e-300), (t, r, value, want)
+
+
 class TestRangeDensity:
     def test_normalizes_to_one(self):
         total = _integrate(lambda r: range_density_grid(1.0, r), 0.05, 20.0, 0.25)
@@ -81,16 +112,36 @@ class TestRangeDensity:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_scalar_matches_grid(self):
-        # well-conditioned region only; below ~0.5 sqrt(t) the series is all
-        # cancellation and the two summation orders differ at noise level
-        rs = np.linspace(0.8 * math.sqrt(1.7), 6.0, 23)
-        grid = range_density_grid(1.7, rs)
-        for r, v in zip(rs, grid):
-            assert range_density(1.7, float(r)).value == pytest.approx(v, abs=1e-12)
+        """Bitwise over the CLI's whole default r-grid, dual rows included."""
+        for t in (1.7, 40.0):
+            rs = _default_r_grid(t)
+            grid = range_density_grid(t, np.array(rs))
+            for r, v in zip(rs, grid):
+                assert range_density(t, r).value.hex() == float(v).hex()
+
+    @pytest.mark.parametrize("u", [0.05, 0.1, 0.149, 0.3, 0.5, 1.0,
+                                   math.sqrt(math.pi) - 1e-9, math.sqrt(math.pi) + 1e-9,
+                                   2.0, 3.0, 6.0])
+    def test_matches_high_precision_primal_series(self, u):
+        """Below u = 0.6 the float primal series was all cancellation noise."""
+        _assert_matches_reference(1.0, u, range_density(1.0, u).value)
+
+    def test_default_cli_curve_is_nonnegative_and_accurate(self, tmp_path):
+        """The t = 40 curve held 5 negative rows and 12 rows off by more
+        than 1e-12 relative, all below u = 0.6."""
+        out = tmp_path / "run"
+        assert main(["continuous", "--beta", "1", "--t", "40", "--outputs", "density",
+                     "--out", str(out)]) == 0
+        lines = (out / "range_density.csv").read_text().strip().splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert [r for r, _, _ in rows] == _default_r_grid(40.0)
+        for r, value, bound in rows:
+            assert value >= 0.0 and bound >= 0.0
+            _assert_matches_reference(40.0, r, value)
 
     def test_alternating_tail_bound(self):
-        # for r/sqrt(t) >= 1 the truncation error is below the first omitted
-        # term (up to float rounding of the reference sum itself)
+        # the truncation error is below the reported bound (up to float
+        # rounding of the reference sum itself); u = 1 and 1.5 take the dual
         for u in (1.0, 1.5, 2.5):
             se = range_density(1.0, u)
             dense = _dense_range_density(u)
@@ -508,8 +559,7 @@ class TestJointSeriesMatchesOracle:
         x = np.linspace(0.01 * st_, 3.0 * st_, 37)[:, None]
         r = np.linspace(0.05 * st_, 8.0 * st_, 41)[None, :]
         for args in [(t, x, r), (t, x[:, 0], np.float64(2.0 * st_)),
-                     (t, np.array([0.5 * st_]), np.array([st_])), (t, 0.3 * st_, st_),
-                     (t, x[:3, 0], np.float64(st_), 1e-6)]:
+                     (t, np.array([0.5 * st_]), np.array([st_])), (t, 0.3 * st_, st_)]:
             _assert_same_series(args)
         want = _oracle_joint_series_scaled(t, x, r)[0] * np.exp(-np.square(r) / (2.0 * t))
         assert joint_density_grid(t, x, r).tobytes() == want.tobytes()
@@ -566,9 +616,9 @@ def test_skipped_endpoint_rows_are_absorbed(t, beta, exact_radius, monkeypatch):
     computed = set()
     kernel = density._joint_series_scaled
 
-    def recording(t_, x, r, *rest):
+    def recording(t_, x, r):
         computed.add(float(r))
-        return kernel(t_, x, r, *rest)
+        return kernel(t_, x, r)
 
     monkeypatch.setattr(density, "_joint_series_scaled", recording)
     swept = endpoint_clt_continuous(beta, t, _AUDIT_LEVELS, use_exact_radius=exact_radius)
