@@ -4,8 +4,8 @@ The walk (or Brownian path) is reweighted by exp(-beta * n^2 / R_n) where
 R_n is the number of visited sites; the package computes the resulting
 speeds, free energies, spreads, large-deviation rate functions, exact
 finite-n joint laws, Feller-series quadratures and seeded Monte Carlo
-estimates, with every quantity cross-checkable against an independent
-route.
+estimates.  The test suite checks every quantity against an independent
+route; the routes that only the tests need live in ``tests/oracles.py``.
 """
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ from .discrete import (
     ldp_rate_discrete_info,
     rate_I,
     rate_I_prime,
-    sigma_star,
     speed_c_star,
     tilde_c_d,
 )
@@ -42,12 +41,9 @@ from .exact import (
     JointEndpointRangeLaw,
     PolymerLaw,
     clt_check,
-    enumerate_joint_law,
-    joint_law_dp,
     joint_law_exact,
     ldp_empirical,
     polymer_law,
-    reflection_min_max_endpoint,
 )
 from .mc import (
     BrownianRangeHistograms,
@@ -83,11 +79,9 @@ __all__ = [
     "continuous_constants",
     "corollary_bound_check",
     "endpoint_clt_continuous",
-    "enumerate_joint_law",
     "flory_probe",
     "free_energy_g_star",
     "joint_density",
-    "joint_law_dp",
     "joint_law_exact",
     "ldp_empirical",
     "ldp_rate_continuous_info",
@@ -101,8 +95,6 @@ __all__ = [
     "rate_I",
     "rate_I_prime",
     "rate_J",
-    "reflection_min_max_endpoint",
-    "sigma_star",
     "speed_c_star",
     "tilde_c_d",
     "unit_ball_volume",

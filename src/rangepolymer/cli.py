@@ -11,7 +11,8 @@ Each handler writes its artifacts into a ``.staging-*`` directory inside
 the staging directory is removed, so a failed run adds no file to ``--out``.
 
 Exit codes: 0 success (possibly with warnings on stderr), 1 usage,
-2 domain/precondition violation, 3 resource cap exceeded.
+2 domain/precondition violation or a failed root solve, 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .density import (
     range_second_order_cdf,
 )
 from .discrete import free_energy_g_star, ldp_rate_discrete_info
-from .errors import DomainError, ResourceCapError, check_positive
+from .errors import DomainError, ResourceCapError, SolverError, check_positive
 from .exact import (
     EXACT_LAW_CAP,
     clt_check,
@@ -268,7 +269,7 @@ def _cmd_mc(args, out: Path) -> tuple[str, dict]:
         })
         params.update(beta=args.beta, d=args.d, grid=grid)
         warn_low_ess = any(not p.used for p in res.points)
-    elif args.mc_command == "brownian":
+    else:  # brownian; argparse requires one of the four subcommands
         hist = brownian_range_mc(args.t, args.dt, args.seed, args.samples,
                                  threads=args.threads)
         hist.to_csv(out / "histograms.csv")
@@ -278,8 +279,6 @@ def _cmd_mc(args, out: Path) -> tuple[str, dict]:
             "mean_range": hist.mean_range,
         })
         params.update(t=args.t, dt=args.dt)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown mc subcommand {args.mc_command!r}")
     if warn_low_ess:
         sys.stderr.write("warning: effective sample size below 1%; "
                          "estimates are reported but weakly supported\n")
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
         except ResourceCapError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 3
-        except DomainError as exc:
+        except (DomainError, SolverError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
         names = sorted(p.name for p in stage.iterdir())

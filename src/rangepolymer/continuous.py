@@ -107,9 +107,10 @@ def positive_cubic_root(beta: float, theta: float = 0.0) -> RootResult:
     def p(r: float) -> float:
         return ((4.0 * r - 2.0 * theta) * r) * r - beta
 
-    r = max(theta, _CBRT(0.25 * beta))
-    if r <= 0.0:
-        r = _CBRT(0.25 * beta)
+    floor = _CBRT(0.25 * beta)
+    if floor == 0.0:
+        raise DomainError(f"beta={beta!r} is too small: (beta/4)^(1/3) underflows to 0")
+    r = max(theta, floor)
     iters = 0
     for _ in range(100):
         iters += 1
@@ -156,6 +157,8 @@ def ldp_rate_continuous_info(beta: float, thetas) -> list[tuple[float, str, floa
         return []
     g = continuous_constants(beta).g_dstar
     threshold = _CBRT(0.5 * beta)
+    if threshold == 0.0:
+        raise DomainError(f"beta={beta!r} is too small: (beta/2)^(1/3) underflows to 0")
     out = []
     for theta in thetas:
         if theta >= threshold:

@@ -32,7 +32,6 @@ __all__ = [
     "rate_I_prime",
     "speed_c_star",
     "free_energy_g_star",
-    "sigma_star",
     "ldp_rate_discrete_info",
     "tilde_c_d",
 ]
@@ -40,14 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolymerConstants:
-    """Speed, free energy (both forms), spread and threshold at one beta."""
+    """Speed, free energy and spread at one beta."""
 
     beta: float
     c_star: float
     g_star: float
-    g_star_infimum: float
     sigma_star: float
-    c_tilde: float
 
 
 def _I(x: float) -> float:
@@ -107,7 +104,9 @@ def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[flo
     root is bracketed by (u_lo, u_hi) once the endpoint signs differ.
     Works on w = log u to keep relative precision for exponentially small
     gaps.  At w_lo = w_hi - 16 (1 + beta), L(u) >= 16 (1 + beta), so f(w_lo)
-    > 0 for both scales unless the clamp at w = -700 binds.
+    > 0 for both scales unless the clamp at w = -700 binds (beta above about
+    350 for the speed, 175 for the interior root at theta = 0); there
+    ``bisect_newton`` finds no sign change and raises SolverError.
     """
 
     def f(w: float) -> float:
@@ -123,11 +122,6 @@ def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[flo
 
     w_hi = math.log(u_hi)
     w_lo = max(-700.0, w_hi - 16.0 * (1.0 + target_beta))
-    flo = f(w_lo)
-    if flo <= 0.0:
-        raise SolverError(
-            f"gap solve could not bracket the root: f({math.exp(w_lo)!r})={flo!r}"
-        )
     res = bisect_newton(f, w_lo, w_hi, fp)
     u = math.exp(res.value)
     bracket = (math.exp(res.bracket[0]), math.exp(res.bracket[1]))
@@ -137,6 +131,11 @@ def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[flo
 def _speed_gap(beta: float) -> tuple[float, RootResult]:
     """Gap u* = 1 - c*(beta) of the speed equation beta = c^2 I'(c)."""
     u_hi = 1.0 - tilde_c_d(beta, 1)  # c_tilde < c* < 1, so u* < u_hi
+    if u_hi == 0.0:
+        raise DomainError(
+            f"beta={beta!r} is too large: the threshold beta/(beta + log 2) "
+            "rounds to 1, so the speed gap 1 - c* cannot be bracketed"
+        )
     scale = lambda u: (1.0 - u) ** 2
     scale_p = lambda u: -2.0 * (1.0 - u)
     return _solve_gap(beta, scale, scale_p, u_hi)
@@ -163,33 +162,24 @@ def _constants_from_gap(beta: float, u: float) -> PolymerConstants:
     L = _L_from_gap(u)
     log_one_minus_c2 = math.log(u) + math.log(2.0 - u)  # log(1 - c^2)
     g_closed = -c * L - 0.5 * log_one_minus_c2
-    g_inf = -(beta / c + _I_from_gap(u))
     inv_sigma2 = 2.0 * beta / c**3 + 1.0 / (u * (2.0 - u))
     return PolymerConstants(
         beta=beta,
         c_star=c,
         g_star=g_closed,
-        g_star_infimum=g_inf,
         sigma_star=1.0 / math.sqrt(inv_sigma2),
-        c_tilde=tilde_c_d(beta, 1),
     )
 
 
 def free_energy_g_star(beta: float) -> PolymerConstants:
     """All one-beta constants of the discrete model.
 
-    ``g_star`` is the closed form -c* log((1+c*)/(1-c*)) - log(1-c*^2)/2,
-    ``g_star_infimum`` the variational form -(beta/c* + I(c*)); the two agree
-    up to (residual of the speed solve)/c*.
+    ``g_star`` is the closed form -c* log((1+c*)/(1-c*)) - log(1-c*^2)/2 of
+    the variational free energy -(beta/c* + I(c*)).
     """
     check_positive("beta", beta)
     u, _ = _speed_gap(beta)
     return _constants_from_gap(beta, u)
-
-
-def sigma_star(beta: float) -> float:
-    """CLT spread of the endpoint: 1/sigma*^2 = 2 beta/c*^3 + 1/(1-c*^2)."""
-    return free_energy_g_star(beta).sigma_star
 
 
 def ldp_rate_discrete_info(beta: float, thetas) -> list[tuple[float, str, float]]:

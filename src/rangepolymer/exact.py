@@ -5,15 +5,9 @@ the endpoint is S_n, matching the energy n^2 / R_n evaluated jointly with
 the endpoint.  The joint law is therefore built at time m = n - 1 and
 convolved with one final +-1 step that does not update the range.
 
-Three independent routes produce the same table:
-
-  * ``enumerate_joint_law``  - brute force over all 2^(n-1) prefixes (n <= 24)
-  * ``joint_law_exact``      - reflection-series aggregation streamed row by
-                               row, exact integer counts, up to n = 1033
-  * ``joint_law_dp``         - (position, min, max) dynamic program, small n
-
-The aggregation collapses the sum of two-barrier reflection counts over all
-windows [-a, b] with a + b = s into
+``joint_law_exact`` builds the table by reflection-series aggregation: it
+collapses the sum of two-barrier reflection counts over all windows [-a, b]
+with a + b = s into
 
     G_s(X) = (s - |X| + 1) B_s(X) + T_s(|X|) - 2^m,
 
@@ -43,18 +37,13 @@ from .gaussian import norm_cdf
 __all__ = [
     "JointEndpointRangeLaw",
     "PolymerLaw",
-    "enumerate_joint_law",
-    "joint_law_dp",
     "joint_law_exact",
-    "reflection_min_max_endpoint",
     "polymer_law",
     "clt_check",
     "ldp_empirical",
-    "ENUMERATION_CAP",
     "EXACT_LAW_CAP",
 ]
 
-ENUMERATION_CAP = 24
 EXACT_LAW_CAP = 600
 
 
@@ -71,13 +60,6 @@ class JointEndpointRangeLaw:
     rs: np.ndarray
     ps: np.ndarray
 
-    def prob(self, x: int, r: int) -> float:
-        """Probability of (endpoint, range) = (x, r); 0.0 off support."""
-        x, r = int(x), int(r)
-        lo, hi = np.searchsorted(self.xs, [x, x + 1])
-        i = lo + int(np.searchsorted(self.rs[lo:hi], r))
-        return float(self.ps[i]) if i < hi and self.rs[i] == r else 0.0
-
     def entries(self):
         """Iterate (x, r, p) in the deterministic storage order."""
         return zip(self.xs.tolist(), self.rs.tolist(), self.ps.tolist())
@@ -92,9 +74,6 @@ class JointEndpointRangeLaw:
 
     def range_marginal(self) -> dict[int, float]:
         return self._marginal(self.rs)
-
-    def total_mass(self) -> float:
-        return float(math.fsum(self.ps.tolist()))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -112,24 +91,6 @@ class JointEndpointRangeLaw:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
-
-
-def _law_from_counts(n: int, counts: dict[tuple[int, int], int]) -> JointEndpointRangeLaw:
-    """Sorted law table from exact path counts out of 2^n."""
-    keys = sorted(counts)  # (x, r) ascending
-    xs = np.array([k[0] for k in keys], dtype=np.int64)
-    rs = np.array([k[1] for k in keys], dtype=np.int64)
-    ps = np.array([math.ldexp(float(counts[k]), -n) for k in keys], dtype=float)
-    return JointEndpointRangeLaw(n=n, xs=xs, rs=rs, ps=ps)
-
-
-def _convolve_final_step(prefix: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    law: dict[tuple[int, int], int] = {}
-    for (r, X), c in prefix.items():
-        for x in (X - 1, X + 1):
-            key = (x, r)
-            law[key] = law.get(key, 0) + c
-    return law
 
 
 @lru_cache(maxsize=12)
@@ -197,112 +158,6 @@ def joint_law_exact(n: int, cap: int = EXACT_LAW_CAP) -> JointEndpointRangeLaw:
     return _exact_law_cached(n)
 
 
-def enumerate_joint_law(n: int) -> JointEndpointRangeLaw:
-    """Brute-force oracle: walk all 2^(n-1) prefixes, then one final step.
-
-    Refuses n > 24; exact integer counts throughout.
-    """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n > ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"enumeration over 2^{n - 1} paths refused (n > {ENUMERATION_CAP})"
-        )
-    m = n - 1
-    if m == 0:
-        return _law_from_counts(1, {(1, 1): 1, (-1, 1): 1})
-    prefix: dict[tuple[int, int], int] = {}
-    chunk = 1 << min(m, 18)
-    offsets = np.arange(m, dtype=np.uint32)
-    for start in range(0, 1 << m, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.uint64)
-        steps = ((idx[:, None] >> offsets) & 1).astype(np.int32) * 2 - 1
-        S = np.cumsum(steps, axis=1)
-        mn = np.minimum(S.min(axis=1), 0)
-        mx = np.maximum(S.max(axis=1), 0)
-        r = mx - mn + 1
-        e = S[:, -1]
-        keys = (e + m) // 2 * (m + 2) + r
-        binc = np.bincount(keys, minlength=(m + 1) * (m + 2))
-        for key in np.nonzero(binc)[0]:
-            X = int(key) // (m + 2) * 2 - m
-            rr = int(key) % (m + 2)
-            prefix[(rr, X)] = prefix.get((rr, X), 0) + int(binc[key])
-    return _law_from_counts(n, _convolve_final_step(prefix))
-
-
-def joint_law_dp(n: int) -> JointEndpointRangeLaw:
-    """Third route: dynamic program over (position, running min, running max)."""
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n > ENUMERATION_CAP:
-        raise ResourceCapError(f"DP oracle limited to n <= {ENUMERATION_CAP}")
-    states: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    for _ in range(n - 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (pos, mn, mx), c in states.items():
-            for step in (-1, 1):
-                q = pos + step
-                key = (q, min(mn, q), max(mx, q))
-                nxt[key] = nxt.get(key, 0) + c
-        states = nxt
-    law: dict[tuple[int, int], int] = {}
-    for (pos, mn, mx), c in states.items():
-        r = mx - mn + 1
-        for x in (pos - 1, pos + 1):
-            law[(x, r)] = law.get((x, r), 0) + c
-    return _law_from_counts(n, law)
-
-
-def _strict_corridor_count(n: int, L: int, U: int, X: int) -> int:
-    """Paths of length n ending at X with L < min and max < U, exact count.
-
-    Standard two-barrier reflection: sum over images with period 2(U - L),
-    truncated exactly once the shifted endpoint leaves [-n, n].
-    """
-    if (X - n) % 2 or not -n <= X <= n:
-        return 0
-    D = U - L
-    acc = 0
-    k = -((n + X) // (2 * D))
-    top = (n - X) // (2 * D)
-    while k <= top:
-        y = X + 2 * k * D
-        if -n <= y <= n:
-            acc += math.comb(n, (n + y) // 2)
-        k += 1
-    ref = 2 * U - X
-    k = -((n + ref) // (2 * D))
-    top = (n - ref) // (2 * D)
-    while k <= top:
-        y = ref + 2 * k * D
-        if -n <= y <= n:
-            acc -= math.comb(n, (n + y) // 2)
-        k += 1
-    return acc
-
-
-def reflection_min_max_endpoint(n: int, L: int, U: int, X: int) -> float:
-    """P(min S = L, max S = U, S_n = X) over the walk S_0 .. S_n, exactly.
-
-    Inclusion-exclusion of four strict-corridor counts; zero whenever X and n
-    have opposite parity.
-    """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not (L <= 0 <= U and L < U):
-        raise DomainError(f"need L <= 0 <= U and L < U, got L={L!r}, U={U!r}")
-    if not L <= X <= U:
-        raise DomainError(f"endpoint X={X!r} outside [L, U] = [{L!r}, {U!r}]")
-    count = (
-        _strict_corridor_count(n, L - 1, U + 1, X)
-        - _strict_corridor_count(n, L, U + 1, X)
-        - _strict_corridor_count(n, L - 1, U, X)
-        + _strict_corridor_count(n, L, U, X)
-    )
-    return math.ldexp(float(count), -n)
-
-
 @dataclass(frozen=True)
 class PolymerLaw:
     """The walk's joint law reweighted by exp(-beta n^2 / r) and normalized.
@@ -336,11 +191,6 @@ class PolymerLaw:
     def endpoint_mean_conditional(self) -> float:
         xs, ps = self.endpoint_conditional_positive()
         return float(np.dot(ps, xs))
-
-    def endpoint_variance_conditional(self) -> float:
-        xs, ps = self.endpoint_conditional_positive()
-        mu = float(np.dot(ps, xs))
-        return float(np.dot(ps, (xs - mu) ** 2))
 
     def range_mean(self) -> float:
         return float(np.dot(self.tilted.ps, self.tilted.rs))

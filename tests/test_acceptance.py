@@ -37,7 +37,6 @@ import numpy as np
 
 from rangepolymer import (
     clt_check,
-    enumerate_joint_law,
     endpoint_clt_continuous,
     free_energy_g_star,
     joint_law_exact,
@@ -49,11 +48,12 @@ from rangepolymer import (
     range_density,
     range_second_order_cdf,
     partition_function_continuous,
-    sigma_star,
     speed_c_star,
     brownian_range_mc,
 )
 from rangepolymer.density import joint_density_grid, range_density_grid, _panels
+
+from oracles import enumerate_joint_law, g_star_infimum
 
 PREFACTOR = 8.0 / math.sqrt(3.0)
 
@@ -137,7 +137,7 @@ def test_criterion_01_oracle_chain():
 def test_criterion_02_free_energy():
     started = time.monotonic()
     consts = free_energy_g_star(1.0)
-    cross = abs(consts.g_star - consts.g_star_infimum)
+    cross = abs(consts.g_star - g_star_infimum(1.0))
     seq = {n: polymer_law(1.0, n).log_partition / n for n in (100, 400)}
     err400 = abs(seq[400] - consts.g_star)
     err100 = abs(seq[100] - consts.g_star)
@@ -364,8 +364,9 @@ def test_criterion_09_asymptotic_limits():
                                (-1.53, -1.47)),
         "g*(8)+8": (free_energy_g_star(8.0).g_star + 8.0,
                     (-math.log(2.0) - 0.01, -math.log(2.0) + 0.01)),
-        "sigma*(1e-8)": (sigma_star(1e-8), (0.576, 0.579)),
-        "e^6 sigma*(6)": (math.exp(6.0) * sigma_star(6.0), (1.95, 2.05)),
+        "sigma*(1e-8)": (free_energy_g_star(1e-8).sigma_star, (0.576, 0.579)),
+        "e^6 sigma*(6)": (math.exp(6.0) * free_energy_g_star(6.0).sigma_star,
+                          (1.95, 2.05)),
     }
     ok = True
     for name, (value, (lo, hi)) in checks.items():

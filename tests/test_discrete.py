@@ -19,11 +19,12 @@ from rangepolymer import (
     ldp_rate_discrete_info,
     rate_I,
     rate_I_prime,
-    sigma_star,
     speed_c_star,
     tilde_c_d,
 )
 from rangepolymer.roots import bisect_newton
+
+from oracles import g_star_infimum
 
 
 def _rate(beta, theta):
@@ -143,7 +144,7 @@ class TestFreeEnergy:
     def test_two_forms_agree(self):
         for beta in (0.01, 0.1, 1.0, 10.0):
             pc = free_energy_g_star(beta)
-            assert abs(pc.g_star - pc.g_star_infimum) <= 1e-10
+            assert abs(pc.g_star - g_star_infimum(beta)) <= 1e-10
 
     def test_variational_oracle(self):
         # minimize beta/c + I(c) on a dense grid, independent of the solver
@@ -163,23 +164,24 @@ class TestFreeEnergy:
 
     def test_c_tilde_field(self):
         pc = free_energy_g_star(1.0)
-        assert pc.c_tilde == pytest.approx(1.0 / (1.0 + math.log(2.0)), rel=1e-15)
-        assert pc.c_tilde <= pc.c_star <= 1.0
+        c_tilde = tilde_c_d(1.0, 1)
+        assert c_tilde == pytest.approx(1.0 / (1.0 + math.log(2.0)), rel=1e-15)
+        assert c_tilde <= pc.c_star <= 1.0
 
 
 class TestSigma:
     def test_small_beta_limit(self):
-        s = sigma_star(1e-8)
+        s = free_energy_g_star(1e-8).sigma_star
         assert 0.576 <= s <= 0.579  # 1/sqrt(3) = 0.5773...
 
     def test_large_beta_limit(self):
-        assert 1.95 <= math.exp(6.0) * sigma_star(6.0) <= 2.05
+        assert 1.95 <= math.exp(6.0) * free_energy_g_star(6.0).sigma_star <= 2.05
 
     def test_direct_substitution(self):
         c = C_STAR_1
         expected = 1.0 / math.sqrt(2.0 / c**3 + 1.0 / (1.0 - c * c))
-        assert sigma_star(1.0) == pytest.approx(expected, rel=1e-12)
-        assert sigma_star(1.0) == pytest.approx(SIGMA_STAR_1, rel=1e-12)
+        assert free_energy_g_star(1.0).sigma_star == pytest.approx(expected, rel=1e-12)
+        assert free_energy_g_star(1.0).sigma_star == pytest.approx(SIGMA_STAR_1, rel=1e-12)
 
     def test_matches_second_difference_of_variational_functional(self):
         h = 1e-4
@@ -187,7 +189,7 @@ class TestSigma:
             c = speed_c_star(beta).value
             psi = lambda x: beta / x + _I(x)
             d2 = (psi(c + h) - 2 * psi(c) + psi(c - h)) / (h * h)
-            assert 1.0 / sigma_star(beta) ** 2 == pytest.approx(d2, rel=1e-4)
+            assert 1.0 / free_energy_g_star(beta).sigma_star ** 2 == pytest.approx(d2, rel=1e-4)
 
 
 class TestLdpRate:

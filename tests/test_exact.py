@@ -17,23 +17,23 @@ from rangepolymer import (
     DomainError,
     ResourceCapError,
     clt_check,
-    enumerate_joint_law,
     free_energy_g_star,
-    joint_law_dp,
     joint_law_exact,
     ldp_empirical,
     ldp_rate_discrete_info,
     polymer_law,
-    reflection_min_max_endpoint,
-    sigma_star,
     speed_c_star,
     tilde_c_d,
 )
-from rangepolymer.exact import (
+from rangepolymer.exact import _ks_distance, _window_site
+
+from oracles import (
     _convolve_final_step,
-    _ks_distance,
     _law_from_counts,
-    _window_site,
+    endpoint_variance_conditional,
+    enumerate_joint_law,
+    joint_law_dp,
+    reflection_min_max_endpoint,
 )
 
 C_STAR_1 = 0.86833203774014073374
@@ -157,7 +157,7 @@ class TestJointLawExact:
 
     def test_support_and_mass(self):
         law = joint_law_exact(31)
-        assert law.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(law.ps.tolist()) == pytest.approx(1.0, abs=1e-12)
         for x, r, p in law.entries():
             assert abs(x) <= 31 and 1 <= r <= 31
             assert (x - 31) % 2 == 0
@@ -180,7 +180,7 @@ class TestJointLawExact:
         def slope_gap(n, rf, xf):
             x0 = 2 * round(xf * n / 2)
             r0 = round(rf * n)
-            p = joint_law_exact(n).prob(x0, r0)
+            p = _as_dict(joint_law_exact(n)).get((x0, r0), 0.0)
             target = 0.5 * (1 + 2 * r0 / n - x0 / n) * math.log1p(2 * r0 / n - x0 / n) \
                 + 0.5 * (1 - 2 * r0 / n + x0 / n) * math.log1p(-(2 * r0 / n - x0 / n))
             return abs(-math.log(p) / n - target)
@@ -277,16 +277,6 @@ class TestRowBuilderMatchesDictOracle:
         assert tilted.endpoint_marginal() == _dict_marginal(tilted, 0)
         assert tilted.range_marginal() == _dict_marginal(tilted, 1)
 
-    def test_prob_on_and_off_support(self):
-        law = joint_law_exact(9)
-        for x, r, p in law.entries():
-            assert law.prob(x, r) == p
-        present = set(zip(law.xs.tolist(), law.rs.tolist()))
-        for x in range(-12, 13):
-            for r in range(-1, 12):
-                if (x, r) not in present:
-                    assert law.prob(x, r) == 0.0
-
     def test_overflow_past_double_range_is_a_cap_error(self):
         with pytest.raises(ResourceCapError, match="double range"):
             joint_law_exact(1034, cap=2000)
@@ -310,7 +300,7 @@ class TestPolymerLaw:
 
     def test_tilted_law_normalized(self):
         pl = polymer_law(1.0, 60)
-        assert pl.tilted.total_mass() == pytest.approx(1.0, abs=1e-10)
+        assert math.fsum(pl.tilted.ps.tolist()) == pytest.approx(1.0, abs=1e-10)
 
     def test_partition_bounds_small_n(self):
         # one self-avoiding path gives Z >= e^{-beta n} 2^{-n}; the
@@ -334,10 +324,10 @@ class TestPolymerLaw:
         assert abs(mean - C_STAR_1) <= 0.02
 
     def test_conditional_variance_near_sigma_star(self):
-        target = sigma_star(1.0) ** 2
+        target = free_energy_g_star(1.0).sigma_star ** 2
         ratios = {}
         for n in (100, 400):
-            var_n = polymer_law(1.0, n).endpoint_variance_conditional() / n
+            var_n = endpoint_variance_conditional(polymer_law(1.0, n)) / n
             ratios[n] = var_n / target
         assert abs(ratios[400] - 1.0) <= 0.15
         assert abs(ratios[400] - 1.0) < abs(ratios[100] - 1.0)
