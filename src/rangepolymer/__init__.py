@@ -48,11 +48,9 @@ from .exact import (
 from .mc import (
     BrownianRangeHistograms,
     CorollaryBoundReport,
-    FloryProbeResult,
     McEstimate,
     brownian_range_mc,
     corollary_bound_check,
-    flory_probe,
     polymer_estimate_tilted,
 )
 from .roots import RootResult
@@ -63,7 +61,6 @@ __all__ = [
     "ContinuousConstants",
     "CorollaryBoundReport",
     "DomainError",
-    "FloryProbeResult",
     "JointEndpointRangeLaw",
     "McEstimate",
     "PolymerConstants",
@@ -79,7 +76,6 @@ __all__ = [
     "continuous_constants",
     "corollary_bound_check",
     "endpoint_clt_continuous",
-    "flory_probe",
     "free_energy_g_star",
     "joint_density",
     "joint_law_exact",

@@ -45,7 +45,6 @@ from .gaussian import norm_cdf
 from .mc import (
     brownian_range_mc,
     corollary_bound_check,
-    flory_probe,
     polymer_estimate_tilted,
 )
 
@@ -255,21 +254,7 @@ def _cmd_mc(args, out: Path) -> tuple[str, dict]:
         })
         params.update(beta=args.beta, d=args.d, n=args.n)
         warn_low_ess = rep.unreliable
-    elif args.mc_command == "flory":
-        grid = [int(v) for v in _parse_grid(args.grid)] if args.grid \
-            else [50, 100, 200, 400]
-        res = flory_probe(args.d, args.beta, grid, args.seed, args.samples,
-                          threads=args.threads)
-        _write_json(out / "flory.json", {
-            "beta": args.beta, "d": args.d, "exponent": res.exponent,
-            "intercept": res.intercept,
-            "points": [{"n": p.n, "value": p.value, "std_error": p.std_error,
-                        "effective_sample_size": p.effective_sample_size,
-                        "used": p.used} for p in res.points],
-        })
-        params.update(beta=args.beta, d=args.d, grid=grid)
-        warn_low_ess = any(not p.used for p in res.points)
-    else:  # brownian; argparse requires one of the four subcommands
+    else:  # brownian; argparse requires one of the three subcommands
         hist = brownian_range_mc(args.t, args.dt, args.seed, args.samples,
                                  threads=args.threads)
         hist.to_csv(out / "histograms.csv")
@@ -349,13 +334,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--beta", type=float, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--samples", type=int, required=True)
-    common(q)
-    q = mc_sub.add_parser("flory", help="endpoint scaling exponent probe")
-    q.add_argument("--beta", type=float, required=True)
-    q.add_argument("--d", type=int, default=1)
-    q.add_argument("--grid", default=None, help="n grid, comma list")
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--samples", type=int, required=True)
     common(q)

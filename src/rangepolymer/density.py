@@ -354,7 +354,7 @@ def _tilted_range_integral(beta: float, t: float, r_lo: float, r_hi: float,
         nodes_used += len(X)
         series, _, _ = _range_series_scaled(t, X)
         ex = np.exp(_tilt_exponent(beta, t, X, g, use_exact_radius))
-        return 8.0 / math.sqrt(t) * float(np.dot(W, series * ex))
+        return 8.0 / math.sqrt(t) * math.fsum(W * series * ex)
 
     acc = chunk(r_lo, r_hi)
     step = max(width * 4.0, 0.25 * (r_hi - r_lo))

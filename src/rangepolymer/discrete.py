@@ -129,7 +129,11 @@ def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[flo
 
 
 def _speed_gap(beta: float) -> tuple[float, RootResult]:
-    """Gap u* = 1 - c*(beta) of the speed equation beta = c^2 I'(c)."""
+    """Gap u* = 1 - c*(beta) of the speed equation beta = c^2 I'(c).
+
+    The residual is the speed equation at the returned gap and must be at
+    most 1e-12; the bracket is in u coordinates.
+    """
     u_hi = 1.0 - tilde_c_d(beta, 1)  # c_tilde < c* < 1, so u* < u_hi
     if u_hi == 0.0:
         raise DomainError(
@@ -138,21 +142,21 @@ def _speed_gap(beta: float) -> tuple[float, RootResult]:
         )
     scale = lambda u: (1.0 - u) ** 2
     scale_p = lambda u: -2.0 * (1.0 - u)
-    return _solve_gap(beta, scale, scale_p, u_hi)
+    u, res = _solve_gap(beta, scale, scale_p, u_hi)
+    if abs(res.residual) > 1e-12:
+        raise SolverError(
+            f"speed solve residual {res.residual!r} above 1e-12 on bracket {res.bracket!r}"
+        )
+    return u, res
 
 
 def speed_c_star(beta: float) -> RootResult:
     """Endpoint speed c*(beta): unique root in (0, 1) of beta = c^2 I'(c).
 
-    The reported residual is the speed equation evaluated at the returned
-    value, and must be at most 1e-12; the bracket is in c coordinates.
+    The residual is that of ``_speed_gap``; the bracket is in c coordinates.
     """
     check_positive("beta", beta)
     u, res = _speed_gap(beta)
-    if abs(res.residual) > 1e-12:
-        raise SolverError(
-            f"speed solve residual {res.residual!r} above 1e-12 on bracket {res.bracket!r}"
-        )
     c = 1.0 - u
     return RootResult(c, res.residual, res.iterations, (1.0 - res.bracket[1], 1.0 - res.bracket[0]))
 
@@ -202,6 +206,8 @@ def ldp_rate_discrete_info(beta: float, thetas) -> list[tuple[float, str, float]
             raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
     if not thetas:
         return []
+    if 0.5 * beta == 0.0:
+        raise DomainError(f"beta={beta!r} is too small: beta/2 underflows to 0")
     g = free_energy_g_star(beta).g_star
     threshold = 1.0 - _speed_gap(0.5 * beta)[0]  # c*(beta/2)
     out = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,12 @@ from .errors import DomainError, ResourceCapError, check_positive
 __all__ = [
     "McEstimate",
     "CorollaryBoundReport",
-    "FloryPoint",
-    "FloryProbeResult",
     "BrownianRangeHistograms",
     "WALK_BLOCK",
     "PATH_BLOCK",
     "TIME_CHUNK",
     "polymer_estimate_tilted",
     "corollary_bound_check",
-    "flory_probe",
     "brownian_range_mc",
 ]
 
@@ -176,7 +173,7 @@ def _ratio_estimate(w, f, samples, ess, indicator=None) -> McEstimate:
     denom = float(wa.sum())
     if denom <= 0.0:
         raise DomainError("conditioning event has zero sampled mass")
-    mu = float(np.dot(wa, f)) / denom
+    mu = math.fsum(wa * f) / denom  # correctly rounded: no BLAS, no CPU dependence
     se = math.sqrt(float(np.sum(np.square(wa * (f - mu))))) / denom
     return McEstimate(
         mean=mu,
@@ -188,8 +185,8 @@ def _ratio_estimate(w, f, samples, ess, indicator=None) -> McEstimate:
 
 
 def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
-                            samples: int, drift: float | None = None,
-                            threads: int = 1, c_point: float = 0.0) -> McEstimate:
+                            samples: int, threads: int = 1,
+                            c_point: float = 0.0) -> McEstimate:
     """Importance-sampling estimate of a tilted-measure observable.
 
     observable:
@@ -198,19 +195,16 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
       "range_mean"              E[R_n/n]
       "endpoint_cdf"            P((S_n - c* n)/(sigma* sqrt(n)) <= c_point | S_n > 0)
 
-    ``drift`` defaults to c*(beta) (0 at beta = 0, where the tilt is trivial
-    and the estimator reduces to plain Monte Carlo).
+    The proposal drift is c*(beta); at beta = 0 it is 0, the tilt is trivial
+    and the estimator reduces to plain Monte Carlo.
     """
     check_positive("beta", beta, allow_zero=True)
     if n < 1 or samples < 2:
         raise DomainError(f"need n >= 1 and samples >= 2, got {n!r}, {samples!r}")
     if not math.isfinite(c_point):
         raise DomainError(f"c_point must be finite, got {c_point!r}")
-    if drift is None:
-        drift = _default_drift(beta)
-    if not -1.0 < drift < 1.0:
-        raise DomainError(f"drift must lie in (-1, 1), got {drift!r}")
-    e, r, w, ess = _weighted_walks(beta, n, 1, seed, samples, drift, threads)
+    e, r, w, ess = _weighted_walks(beta, n, 1, seed, samples, _default_drift(beta),
+                                   threads)
     if observable == "endpoint_mean":
         return _ratio_estimate(w, e / n, samples, ess)
     if observable == "endpoint_mean_positive":
@@ -264,53 +258,6 @@ def corollary_bound_check(beta: float, d: int, n: int, seed: int,
         satisfied=margin >= 0.0,
         unreliable=est.low_ess,
     )
-
-
-@dataclass(frozen=True)
-class FloryPoint:
-    n: int
-    value: float
-    std_error: float
-    effective_sample_size: float
-    used: bool
-
-
-@dataclass(frozen=True)
-class FloryProbeResult:
-    """Least-squares endpoint-scaling exponent from log E|S_n| vs log n."""
-
-    exponent: float
-    intercept: float
-    points: list[FloryPoint] = field(default_factory=list)
-
-
-def flory_probe(d: int, beta: float, n_grid, seed: int, samples: int,
-                threads: int = 1) -> FloryProbeResult:
-    """Fit the growth exponent of E|S_n| under the tilted measure.
-
-    d = 1 uses the drifted proposal at c*(beta); d >= 2 uses the plain walk.
-    Grid points whose effective sample size collapses below 1% are dropped
-    from the fit but still reported.  The fit needs at least two distinct
-    usable n; fewer raise DomainError.
-    """
-    check_positive("beta", beta, allow_zero=True)
-    if d < 1 or samples < 1:
-        raise DomainError(f"need d >= 1 and samples >= 1, got {d!r}, {samples!r}")
-    drift = _default_drift(beta) if d == 1 else 0.0
-    points: list[FloryPoint] = []
-    for k, n in enumerate(n_grid):
-        n = int(n)
-        sub_seed = seed + 7919 * k  # disjoint streams per grid point
-        f, _, w, ess = _weighted_walks(beta, n, d, sub_seed, samples, drift, threads)
-        est = _ratio_estimate(w, np.abs(f).astype(float), samples, ess)
-        points.append(FloryPoint(n, est.mean, est.std_error, ess, not est.low_ess))
-    fit = [p for p in points if p.used and p.value > 0]
-    if len({p.n for p in fit}) < 2:
-        raise DomainError("fewer than two distinct usable n for the exponent fit")
-    slope, intercept = np.polyfit([math.log(p.n) for p in fit],
-                                  [math.log(p.value) for p in fit], 1)
-    return FloryProbeResult(exponent=float(slope), intercept=float(intercept),
-                            points=points)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 Each command runs in-process and every file it writes, ``manifest.json``
 included, must hash to the recorded sha256 prefix (first 16 hex digits).
 A change that moves artifact bytes on purpose updates this table and says
-so in CHANGES.md.  ``mc tilted`` is left out: its weighted sums go through
-a BLAS reduction whose order, and so whose last bits, differ from machine
-to machine.  ``mc brownian`` makes no BLAS call, and its samples do not
-depend on the thread count: only the manifest, which echoes ``--threads``,
-differs between the one- and two-thread runs.
+so in CHANGES.md.  No artifact sum goes through BLAS, whose dot kernel is
+picked per CPU: the weighted sums of ``mc tilted`` and of the continuous
+quadratures use ``math.fsum``, which is correctly rounded, so no dot kernel
+picks their last bits.  The samples of ``mc brownian`` do not depend on the
+thread count: only the manifest, which echoes ``--threads``, differs
+between the one- and two-thread runs.
 """
 
 import hashlib
@@ -22,8 +23,8 @@ _CONTINUOUS_40 = ["continuous", *_BETA, "--t", "40",
 _CONTINUOUS_40_FILES = {
     "endpoint_clt.csv": "e58c18320c231ff7",
     "manifest.json": "f538919a1a256074",
-    "partition_continuous.json": "508a64d0e6fd3755",
-    "range_clt.csv": "48957d1b1346fe4a",
+    "partition_continuous.json": "cd9e598ad594c3c8",
+    "range_clt.csv": "7b6dd0693c47e0fc",
     "range_density.csv": "3d42e6ab0447fa58",
 }
 _BROWNIAN = ["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "42",
@@ -55,6 +56,12 @@ ARTIFACTS = {
             "partition.json": "e8b0d811e6bec50e",
         }),
     "continuous-t40": (_CONTINUOUS_40, _CONTINUOUS_40_FILES),
+    "readme-mc-tilted": (
+        ["mc", "tilted", *_BETA, "--n", "200", "--observable", "endpoint_mean_positive",
+         "--seed", "7", "--samples", "100000"], {
+            "estimate.json": "c756cc292dad37a2",
+            "manifest.json": "aadac2e8e640e7a6",
+        }),
     "bench-rate-curves-discrete": (
         ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:2001"], {
             "manifest.json": "564b8a1e52525904",

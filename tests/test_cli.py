@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, manifests, determinism, file contents."""
 
+import importlib
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+import rangepolymer
 from rangepolymer import cli, joint_law_exact
 from rangepolymer.cli import main
 
@@ -146,15 +148,6 @@ def test_mc_corollary_reports_bound(tmp_path):
     assert payload["bound"] == pytest.approx(0.5906, abs=5e-4)
 
 
-def test_mc_flory_d1(tmp_path):
-    out = tmp_path / "run"
-    assert main(["mc", "flory", "--beta", "1", "--d", "1",
-                 "--grid", "50,100,200", "--seed", "5", "--samples", "8000",
-                 "--out", str(out)]) == 0
-    payload = json.loads(_read(out / "flory.json"))
-    assert 0.9 <= payload["exponent"] <= 1.1
-
-
 def test_mc_brownian_outputs(tmp_path):
     out = tmp_path / "run"
     assert main(["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "2",
@@ -181,6 +174,11 @@ def test_exit_codes(tmp_path):
                  "--out", out]) == 3
     assert main(["bogus"]) == 1
     assert main(["constants"]) == 1  # missing --beta
+    # a removed subcommand is a usage error that writes nothing
+    gone = tmp_path / "gone"
+    assert main(["mc", "flory", "--beta", "1", "--seed", "1", "--samples", "10",
+                 "--out", str(gone)]) == 1
+    assert not gone.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -192,6 +190,7 @@ def test_exit_codes(tmp_path):
     ["rate-curves", "--model", "discrete", "--beta", "1e-300", "--grid", "0:1:5"],
     ["exact", "--beta", "800", "--n", "10", "--outputs", "Z,clt"],
     ["rate-curves", "--model", "continuous", "--beta", "5e-324", "--grid", "0:1:3"],
+    ["rate-curves", "--model", "discrete", "--beta", "5e-324", "--grid", "0:1:3"],
 ])
 def test_extreme_beta_exits_2_without_artifacts(tmp_path, capsys, argv):
     """Betas past what the solvers can resolve stop with one error line."""
@@ -199,6 +198,8 @@ def test_extreme_beta_exits_2_without_artifacts(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if "5e-324" in argv:  # beta/2 underflows: the error names the beta passed
+        assert "beta=5e-324" in err
     assert list(out.iterdir()) == []
 
 
@@ -267,12 +268,11 @@ def test_exact_past_double_range_exits_3(tmp_path, capsys):
      "--c-point", "nan", "--samples", "100"],
     ["corollary", "--beta", "nan", "--d", "2", "--n", "20", "--samples", "10"],
     ["corollary", "--beta", "1", "--d", "2", "--n", "20", "--samples", "0"],
-    ["flory", "--beta", "1", "--samples", "0"],
+    ["tilted", "--beta", "1", "--n", "0", "--samples", "100"],
     ["corollary", "--beta", "1", "--d", "2", "--n", "0", "--samples", "10"],
-    ["flory", "--beta", "1", "--grid", "0,5", "--samples", "10"],
-    # one distinct n: the exponent fit used to run on a single abscissa
-    ["flory", "--beta", "1", "--grid", "50,50", "--samples", "200"],
-    ["flory", "--beta", "1", "--d", "2", "--grid", "20,20,20", "--samples", "200"],
+    ["tilted", "--beta", "1", "--n", "20", "--samples", "1"],
+    ["tilted", "--beta", "-1", "--n", "20", "--samples", "100"],
+    ["corollary", "--beta", "1", "--d", "1", "--n", "20", "--samples", "10"],
 ])
 def test_mc_bad_input_exits_2_without_artifacts(tmp_path, capsys, args):
     out = tmp_path / "run"
@@ -308,7 +308,8 @@ def test_continuous_failure_writes_no_artifact(tmp_path, capsys, extra):
     ["continuous", "--beta", "1", "--t", "inf", "--outputs", "Z"],
     ["continuous", "--beta", "1", "--t", "inf", "--outputs", "density"],
     ["mc", "tilted", "--beta", "inf", "--n", "20", "--seed", "1", "--samples", "100"],
-    ["mc", "flory", "--beta", "inf", "--d", "2", "--seed", "1", "--samples", "10"],
+    ["mc", "tilted", "--beta", "1", "--n", "20", "--observable", "endpoint_cdf",
+     "--c-point", "inf", "--seed", "1", "--samples", "100"],
     ["mc", "corollary", "--beta", "inf", "--d", "2", "--n", "10", "--seed", "1",
      "--samples", "10"],
     ["mc", "brownian", "--t", "1e300", "--dt", "1e-10", "--seed", "1", "--samples", "10"],
@@ -469,12 +470,6 @@ _COMMANDS = st.one_of(
     _argv(st.just(["mc", "corollary"]), _flag("--beta", _REALS),
           _flag("--d", st.sampled_from(["1", "2", "3"])), _flag("--n", _SMALL_NS),
           _SEED, _flag("--samples", _SAMPLES), _flag("--threads", _THREADS)),
-    _argv(st.just(["mc", "flory"]), _flag("--beta", _REALS),
-          _opt("--d", st.sampled_from(["0", "1", "2"])),
-          _flag("--grid", st.one_of(
-              st.lists(_SMALL_NS, min_size=1, max_size=3).map(",".join),
-              st.sampled_from(["x", "nan", "0:1:x"]))),
-          _SEED, _flag("--samples", _SAMPLES), _flag("--threads", _THREADS)),
     _argv(st.just(["mc", "brownian"]),
           _flag("--t", st.sampled_from(["nan", "inf", "-1", "0", "1", "2", "1e12"])),
           _flag("--dt", st.sampled_from(["nan", "0", "-1e-4", "1e-4", "1e-3", "1e-300"])),
@@ -508,3 +503,13 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, "clibench/selftest.py"], cwd=root,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_every_exported_name_resolves():
+    """The benchmark tracer reads each layer's ``__all__`` and skips a name
+    that does not resolve, so a stale entry would go unnoticed there."""
+    layers = ("cli", "exact", "density", "mc", "discrete", "continuous", "roots")
+    for mod in [rangepolymer, *(importlib.import_module(f"rangepolymer.{layer}")
+                                for layer in layers)]:
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert missing == [], mod.__name__

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from rangepolymer import (
     DomainError,
+    SolverError,
     discrete,
     free_energy_g_star,
     ldp_rate_discrete_info,
@@ -22,7 +23,7 @@ from rangepolymer import (
     speed_c_star,
     tilde_c_d,
 )
-from rangepolymer.roots import bisect_newton
+from rangepolymer.roots import RootResult, bisect_newton
 
 from oracles import g_star_infimum
 
@@ -113,6 +114,16 @@ class TestSpeed:
         assert res.value == pytest.approx(C_STAR_1, abs=1e-12)
         assert abs(res.residual) <= 1e-12
         assert res.bracket[0] <= res.value <= res.bracket[1]
+
+    def test_free_energy_checks_the_speed_residual(self, monkeypatch):
+        # g* reads the same speed solve as c*, so it refuses the same residual
+        def loose(*args):
+            res = bisect_newton(*args)
+            return RootResult(res.value, 1e-9, res.iterations, res.bracket)
+
+        monkeypatch.setattr(discrete, "bisect_newton", loose)
+        with pytest.raises(SolverError, match="residual"):
+            free_energy_g_star(1.0)
 
     def test_small_beta_cube_root_scaling(self):
         beta = 1e-4

@@ -18,7 +18,6 @@ from rangepolymer import (
     McEstimate,
     brownian_range_mc,
     corollary_bound_check,
-    flory_probe,
     joint_law_exact,
     polymer_estimate_tilted,
     polymer_law,
@@ -28,10 +27,9 @@ from rangepolymer.mc import (
     PATH_BLOCK,
     TIME_CHUNK,
     WALK_BLOCK,
-    FloryPoint,
-    FloryProbeResult,
     _map_blocks,
     _path_block,
+    _ratio_estimate,
     _stream,
     _walk_block_1d,
     _walk_block_nd,
@@ -66,14 +64,6 @@ def _exact_d2_range_mean(beta: float, n: int) -> float:
         total_w += float(w.sum())
         total_wr += float((w * r).sum())
     return total_wr / total_w / n
-
-
-class TestProposal:
-    def test_domain(self):
-        """The proposal's drift must lie in the open interval (-1, 1)."""
-        for drift in (1.0, -1.0, math.nan):
-            with pytest.raises(DomainError, match="drift"):
-                polymer_estimate_tilted(1.0, 10, "range_mean", 1, 100, drift=drift)
 
 
 def _walk_block_1d_oracle(seed: int, block: int, count: int, n: int, c: float):
@@ -196,6 +186,13 @@ class TestSampleWalk:
         assert np.all((1 <= r) & (r <= n)) and np.all(norms <= n)
 
 
+def _naive_range_mean(n, seed, samples):
+    """E[R_n/n] at beta = 1 from the undrifted proposal."""
+    _, r, w, ess = _weighted_walks(1.0, n, 1, seed=seed, samples=samples, drift=0.0,
+                                   threads=1)
+    return _ratio_estimate(w, r / n, samples, ess)
+
+
 class TestTiltedEstimator:
     def test_endpoint_matches_exact(self):
         n, samples = 200, 40000
@@ -233,8 +230,10 @@ class TestTiltedEstimator:
 
     def test_drift_correction_identity(self):
         # a drifted proposal with beta = 0 must still estimate E[S_n/n] = 0
-        est = polymer_estimate_tilted(0.0, 50, "endpoint_mean", seed=29,
-                                      samples=30000, drift=0.1)
+        n, samples = 50, 30000
+        e, _, w, ess = _weighted_walks(0.0, n, 1, seed=29, samples=samples, drift=0.1,
+                                       threads=1)
+        est = _ratio_estimate(w, e / n, samples, ess)
         assert not est.low_ess
         assert abs(est.mean) <= 3.0 * est.std_error
 
@@ -246,8 +245,7 @@ class TestTiltedEstimator:
         exact = polymer_law(1.0, n).range_mean() / n
         tilted = polymer_estimate_tilted(1.0, n, "range_mean", seed=31,
                                          samples=samples)
-        naive = polymer_estimate_tilted(1.0, n, "range_mean", seed=37,
-                                        samples=samples, drift=0.0)
+        naive = _naive_range_mean(n, seed=37, samples=samples)
         assert abs(tilted.mean - exact) <= 3.0 * tilted.std_error
         assert abs(naive.mean - exact) <= 3.0 * naive.std_error
         combined = math.hypot(tilted.std_error, naive.std_error)
@@ -257,8 +255,7 @@ class TestTiltedEstimator:
         n, samples = 60, 20000
         tilted = polymer_estimate_tilted(1.0, n, "range_mean", seed=31,
                                          samples=samples)
-        naive = polymer_estimate_tilted(1.0, n, "range_mean", seed=37,
-                                        samples=samples, drift=0.0)
+        naive = _naive_range_mean(n, seed=37, samples=samples)
         assert tilted.effective_sample_size > 10.0 * naive.effective_sample_size
         assert naive.low_ess
 
@@ -321,24 +318,6 @@ class TestCorollaryBound:
             corollary_bound_check(1.0, 1, 50, seed=1, samples=100)
 
 
-class TestFloryProbe:
-    def test_ballistic_exponent_d1(self):
-        res = flory_probe(1, 1.0, [50, 100, 200, 400], seed=3, samples=12000)
-        assert 0.95 <= res.exponent <= 1.05
-
-    def test_diffusive_exponent_at_zero_beta(self):
-        res = flory_probe(1, 0.0, [64, 128, 256, 512], seed=7, samples=12000)
-        assert 0.45 <= res.exponent <= 0.55
-
-    def test_d2_probe_runs_and_reports(self):
-        # exploratory: naive-proposal weights collapse quickly in d = 2, so
-        # the probe lives at small n; the slope is recorded, not gated
-        res = flory_probe(2, 1.0, [12, 20, 32], seed=11, samples=20000)
-        assert len(res.points) == 3
-        assert all(math.isfinite(p.value) for p in res.points)
-        assert math.isfinite(res.exponent)
-
-
 class TestBrownian:
     def test_positive_fraction_and_mean_range(self):
         h = brownian_range_mc(1.0, 1e-4, seed=42, samples=8000)
@@ -367,7 +346,8 @@ class TestBrownian:
 
 
 # The sampling pipeline before the estimators shared one weighted-walk
-# sampler, verbatim.  Every estimate must stay bitwise what it gave.
+# sampler, verbatim except that the weighted mean is a correctly rounded
+# math.fsum.  Every estimate must stay bitwise what it gives.
 
 def _walk_blocks_oracle(kernel, seed, samples, n, arg, threads):
     if n < 1:
@@ -404,16 +384,14 @@ def _ratio_estimate_oracle(w, f, indicator, samples, ess):
     denom = float(wa.sum())
     if denom <= 0.0:
         raise DomainError("conditioning event has zero sampled mass")
-    mu = float(np.dot(wa, f)) / denom
+    mu = math.fsum(wa * f) / denom
     se = math.sqrt(float(np.sum(np.square(wa * (f - mu))))) / denom
     return McEstimate(mean=mu, std_error=se, samples=samples,
                       effective_sample_size=ess, low_ess=ess < 0.01 * samples)
 
 
-def _tilted_oracle(beta, n, observable, seed, samples, drift=None, threads=1,
-                   c_point=0.0):
-    if drift is None:
-        drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
+def _tilted_oracle(beta, n, observable, seed, samples, threads=1, c_point=0.0):
+    drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
     e, r, logw = _collect_1d(beta, n, seed, samples, drift, threads)
     w, ess = _normalized_weights(logw)
     ones = np.ones_like(w)
@@ -438,26 +416,6 @@ def _corollary_oracle(beta, d, n, seed, samples, threads=1, slack=0.05):
     margin = est.mean - 3.0 * est.std_error - (bound - slack)
     return CorollaryBoundReport(estimate=est, bound=bound, margin=margin,
                                 satisfied=margin >= 0.0, unreliable=est.low_ess)
-
-
-def _flory_oracle(d, beta, n_grid, seed, samples, threads=1):
-    points = []
-    for k, n in enumerate(n_grid):
-        sub_seed = seed + 7919 * k
-        if d == 1:
-            drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
-            e, r, logw = _collect_1d(beta, n, sub_seed, samples, drift, threads)
-            f = np.abs(e).astype(float)
-        else:
-            f, rr = _walk_blocks_oracle(_walk_block_nd, sub_seed, samples, n, d, threads)
-            logw = -beta * float(n) * float(n) / rr
-        w, ess = _normalized_weights(logw)
-        est = _ratio_estimate_oracle(w, f, np.ones_like(w), samples, ess)
-        points.append(FloryPoint(n, est.mean, est.std_error, ess, not est.low_ess))
-    fit = [(math.log(p.n), math.log(p.value)) for p in points if p.used and p.value > 0]
-    slope, intercept = np.polyfit([a for a, _ in fit], [b for _, b in fit], 1)
-    return FloryProbeResult(exponent=float(slope), intercept=float(intercept),
-                            points=points)
 
 
 def _brownian_joint_oracle(t, dt, seed, samples, threads=1):
@@ -500,11 +458,10 @@ _SAMPLES = 3 * WALK_BLOCK + 517
 
 class TestEstimatorsMatchPipelineOracle:
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("drift", [None, 0.3])
     @pytest.mark.parametrize("observable", ["endpoint_mean", "endpoint_mean_positive",
                                             "range_mean", "endpoint_cdf"])
-    def test_tilted_bitwise(self, observable, drift, threads):
-        kwargs = dict(drift=drift, threads=threads, c_point=0.25)
+    def test_tilted_bitwise(self, observable, threads):
+        kwargs = dict(threads=threads, c_point=0.25)
         got = polymer_estimate_tilted(1.0, 120, observable, 5, _SAMPLES, **kwargs)
         want = _tilted_oracle(1.0, 120, observable, 5, _SAMPLES, **kwargs)
         assert _bits(got) == _bits(want)
@@ -513,12 +470,6 @@ class TestEstimatorsMatchPipelineOracle:
     def test_corollary_bitwise(self, d):
         got = corollary_bound_check(1.0, d, 60, 13, _SAMPLES, threads=2)
         want = _corollary_oracle(1.0, d, 60, 13, _SAMPLES, threads=2)
-        assert _bits(got) == _bits(want)
-
-    @pytest.mark.parametrize("d, grid", [(1, [40, 80, 160]), (2, [12, 20, 32])])
-    def test_flory_bitwise(self, d, grid):
-        got = flory_probe(d, 1.0, grid, 3, _SAMPLES)
-        want = _flory_oracle(d, 1.0, grid, 3, _SAMPLES)
         assert _bits(got) == _bits(want)
 
     def test_brownian_joint_table_bitwise(self):
@@ -544,5 +495,3 @@ def test_non_finite_log_weight_trips_the_check_in_every_dimension(monkeypatch):
             polymer_estimate_tilted(1.0, 20, "range_mean", 1, 100)
         with pytest.raises(AssertionError, match="non-finite log-weight"):
             corollary_bound_check(1.0, 2, 20, 1, 100)
-        with pytest.raises(AssertionError, match="non-finite log-weight"):
-            flory_probe(2, 1.0, [10, 20], 1, 100)
