@@ -15,10 +15,14 @@ where B_s(y) = sum_k N_m(y + 2k(s+2)) is a lattice comb of binomial counts
 and T_s is the symmetric prefix sum of B_s; the count of paths with range
 r = s + 1 and endpoint X is the second difference of G in s.  The builder
 walks s = 0 .. m once over dense numpy object rows of exact Python ints,
-keeping only the current G row and its first difference, and converts each
-finished count row to correctly rounded doubles at once, so the alternating
-reflection series suffers no cancellation and no big-integer table is held.
-Above n = 1033 a count exceeds the double range.
+keeping only the current G row and its first difference.  N_m, and so B_s,
+G_s and every count, is even in X, so the rows cover only X >= 0 and each
+big-integer operation serves a +-X pair.  Each finished half row of counts
+is converted to correctly rounded doubles at once and mirrored to x < 0 as
+doubles, so the alternating reflection series suffers no cancellation and
+no big-integer table is held.  Above n = 1033 a count exceeds the double
+range; from n = 1045 on a counting bound proves that before any build, and
+``joint_law_exact`` fails at once.
 """
 
 from __future__ import annotations
@@ -93,60 +97,79 @@ class JointEndpointRangeLaw:
             fh.write("\n")
 
 
+def _past_double_range(n: int) -> ResourceCapError:
+    return ResourceCapError(
+        f"n={n}: an exact path count exceeds the double range "
+        "(2^1024), so its probability cannot be formed as count * "
+        "2^-n; raising the cap does not help"
+    )
+
+
 @lru_cache(maxsize=12)
 def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
-    """Stream the range rows r = 1 .. n of the law over dense endpoint rows.
+    """Stream the range rows r = 1 .. n of the law over half endpoint rows.
 
-    Rows are numpy object arrays of exact ints indexed by the half-index
-    h = (X + m) / 2.  Only the current G row and its first difference in s
-    stay alive; each finished count row is converted straight to doubles.
+    B_s, G_s and the counts are even in X, because N_m is, so every row of
+    exact ints covers only X >= 0: the half-index h = (X + m) / 2 runs from
+    ceil(m / 2).  Only the current G row and its first difference in s stay
+    alive.  Each finished half row of counts after the final +-1 step is
+    converted to doubles once and written to both x and -x.
     """
     m = n - 1
-    half = np.arange(m + 1)
-    absx = np.abs(2 * half - m)
+    h0 = (m + 1) // 2  # the first h with X >= 0
+    hs = np.arange(h0, m + 1)
+    ax = 2 * hs - m  # |X| on the half
+    ints = np.arange(m + 2).astype(object)  # exact factors s + 1 - |X|
     binom = np.zeros(2 * m + 2, dtype=object)  # padded for the residue sums
-    binom[: m + 1] = [math.comb(m, j) for j in range(m + 1)]
+    row = [1]
+    for j in range(m // 2):  # C(m, j + 1) = C(m, j) (m - j) / (j + 1)
+        row.append(row[-1] * (m - j) // (j + 1))
+    binom[: m // 2 + 1] = row
+    binom[m - m // 2 : m + 1] = row[::-1]
     # G + 2^m: the constant cancels in the second difference and the row
     # reads 2^m off the support |X| <= s, where G itself is 0.
-    g = np.full(m + 1, 1 << m, dtype=object)
-    dg = np.zeros(m + 1, dtype=object)
-    ps = np.zeros((n, n + 1))
+    g = np.full(len(hs), 1 << m, dtype=object)
+    dg = np.zeros(len(hs), dtype=object)
+    H0 = (n + 1) // 2  # the first final half-index with x >= 0
+    pt = np.zeros((n + 1, n))  # x-major, so the support reads in storage order
     for s in range(m + 1):
+        k = (m + s) // 2 + 1 - h0  # entries with 0 <= X <= s
+        if k == 0:  # s = 0 with m odd: no X has |X| <= 0
+            continue
         W = s + 2
-        F = binom[: -(-(m + 1) // W) * W].reshape(-1, W).sum(axis=0)
-        a, b = (m - s + 1) // 2, (m + s) // 2 + 1  # the support |X| <= s
-        B = F[half[a:b] % W]  # the comb: residue sums of N_m modulo W
-        k = (b - a + 1) // 2  # entries with X >= 0
-        pairs = B[b - a - k:] + B[k - 1::-1]  # B(q) + B(-q), q >= 0
-        if (b - a) % 2:
-            pairs[0] = B[k - 1]  # X = 0 counts once
-        ax = absx[a:b]
-        g_s = (s - ax + 1) * B + np.cumsum(pairs)[ax // 2]
-        d = g_s - g[a:b]
-        c = d - dg[a:b]  # paths with range s + 1 ending at X
-        g[a:b], dg[a:b] = g_s, d
-        row = np.append(c, 0)  # one final +-1 step: x = X - 1 and X + 1
-        row[1:] += c
+        # the comb: residue sums of N_m modulo W, for the residues h mod W
+        B = binom[: -(-(m + 1) // W) * W].reshape(-1, W)[:, hs[:k] % W].sum(axis=0)
+        pairs = 2 * B  # B(q) + B(-q)
+        if m % 2 == 0:
+            pairs[0] = B[0]  # X = 0 counts once
+        g_s = ints[s + 1 - ax[:k]] * B + np.cumsum(pairs)
+        d = g_s - g[:k]
+        c = d - dg[:k]  # paths with range s + 1 ending at X
+        g[:k], dg[:k] = g_s, d
+        # one final +-1 step: x = X - 1 and X + 1, with c(-1) = c(1) at x = 0
+        ext = np.concatenate((c[:1], c, [0])) if m % 2 else np.append(c, 0)
         try:
-            ps[s, a:b + 1] = np.ldexp(row.astype(float), -n)
+            p = np.ldexp((ext[:-1] + ext[1:]).astype(float), -n)
         except OverflowError as exc:
-            raise ResourceCapError(
-                f"n={n}: an exact path count exceeds the double range "
-                "(2^1024), so its probability cannot be formed as count * "
-                "2^-n; raising the cap does not help"
-            ) from exc
-    # a count c >= 1 gives c 2^-n >= 2^-1033 > 0, so ps != 0 is the support
-    hx, ri = np.nonzero(ps.T)  # x ascending, then r ascending
-    return JointEndpointRangeLaw(n=n, xs=2 * hx - n, rs=ri + 1, ps=ps[ri, hx])
+            raise _past_double_range(n) from exc
+        pt[H0:H0 + len(p), s] = p
+        pt[n + 1 - H0 - len(p):n + 1 - H0, s] = p[::-1]
+    # a count c >= 1 gives c 2^-n >= 2^-1033 > 0, so pt != 0 is the support
+    hx, ri = np.nonzero(pt)  # x ascending, then r ascending
+    return JointEndpointRangeLaw(n=n, xs=2 * hx - n, rs=ri + 1, ps=pt[hx, ri])
 
 
 def joint_law_exact(n: int, cap: int = EXACT_LAW_CAP) -> JointEndpointRangeLaw:
     """Exact joint law of (S_n, R_n), streamed one range row at a time.
 
-    O(n^2) exact-integer operations on numpy object rows; only a few rows of
-    n ints and the float64 (r, x) table (8 MB at n = 1000) are held.  Raises
+    About n^2 / 4 exact-integer row operations on numpy object rows over the
+    X >= 0 half, each done once per +-X pair; only a few half rows of ints
+    and the float64 (x, r) table (8 MB at n = 1000) are held.  Raises
     ResourceCapError above the cap and when a count exceeds the double range
-    (first at n = 1034).  Results are cached per n.
+    (first at n = 1034).  From n = 1045 on the overflow is certain before any
+    build: the 2^n paths fall into at most n (n + 1) cells (x, r), so some
+    count exceeds 2^(n - L) with L the bit length of n (n + 1), and n - L
+    reaches 1024 there.  Results are cached per n.
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
@@ -155,6 +178,8 @@ def joint_law_exact(n: int, cap: int = EXACT_LAW_CAP) -> JointEndpointRangeLaw:
             f"n={n} exceeds the exact-law cap ({cap}); raise the cap "
             "(--cap-override) to override"
         )
+    if n - (n * (n + 1)).bit_length() >= 1024:
+        raise _past_double_range(n)
     return _exact_law_cached(n)
 
 

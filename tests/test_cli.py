@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,19 @@ def test_exact_past_double_range_exits_3(tmp_path, capsys):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", ["20000", str(10**9)])
+def test_exact_certain_overflow_exits_3_at_once(tmp_path, capsys, n):
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    code = main(["exact", "--beta", "1", "--n", n, "--outputs", "law,Z",
+                 "--cap-override", n, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "double range" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("args", [
     ["brownian", "--t", "1", "--dt", "nan", "--samples", "10"],
     ["brownian", "--t", "1", "--dt", "0", "--samples", "10"],
@@ -451,10 +465,11 @@ _COMMANDS = st.one_of(
           _flag("--model", st.sampled_from(["discrete", "continuous"])),
           _opt("--grid", _GRIDS)),
     _argv(st.just(["exact"]), _flag("--beta", _REALS),
-          _flag("--n", st.sampled_from(["-1", "0", "1", "3", "12", "30", "700", "1034"])),
+          _flag("--n", st.sampled_from(["-1", "0", "1", "3", "12", "30", "700", "1034",
+                                         "20000"])),
           _flag("--outputs", _names(cli._EXACT_OUTPUTS)),
           _opt("--grid", _GRIDS), _opt("--n-grid", _GRIDS),
-          _opt("--cap-override", st.sampled_from(["-1", "0", "5", "1100"])),
+          _opt("--cap-override", st.sampled_from(["-1", "0", "5", "1100", "20000"])),
           _opt("--format", st.sampled_from(["csv", "json"]))),
     _argv(st.just(["continuous"]), _flag("--beta", _REALS),
           _flag("--t", st.sampled_from(["nan", "inf", "-1", "0", "1e-300", "1", "4",

@@ -7,6 +7,7 @@ All three use exact integer counts, so the agreement demanded here is exact,
 well inside the 1e-12 contract.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -277,9 +278,33 @@ class TestRowBuilderMatchesDictOracle:
         assert tilted.endpoint_marginal() == _dict_marginal(tilted, 0)
         assert tilted.range_marginal() == _dict_marginal(tilted, 1)
 
+    @pytest.mark.parametrize("n, digest", [
+        # m odd: the x = 0 column holds 2 c(1)
+        (1000, "8394d27cfe2bf69637169b0c68d2079f938ab4bb644c21a6b3b72d16a07d0bc7"),
+        # m even: the largest n that builds, with counts nearest 2^1024
+        (1033, "c6d62499a7e33080496faf8cdb5dcbc872058799af25b4c86607c939a38e2daf"),
+    ])
+    def test_large_tables_keep_their_bytes(self, n, digest):
+        law = joint_law_exact(n, cap=n)
+        blob = law.xs.tobytes() + law.rs.tobytes() + law.ps.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_overflow_past_double_range_is_a_cap_error(self):
         with pytest.raises(ResourceCapError, match="double range"):
             joint_law_exact(1034, cap=2000)
+
+    def test_certain_overflow_fails_before_any_build(self, monkeypatch):
+        # 2^n paths in at most n (n + 1) cells: some count passes 2^1024
+        # once n - bit_length(n (n + 1)) >= 1024, first at n = 1045
+        def no_build(n):
+            raise AssertionError(f"built n={n}")
+
+        monkeypatch.setattr("rangepolymer.exact._exact_law_cached", no_build)
+        for n in (1045, 20000, 10**9):
+            with pytest.raises(ResourceCapError, match="double range"):
+                joint_law_exact(n, cap=n)
+        with pytest.raises(AssertionError, match="built n=1044"):
+            joint_law_exact(1044, cap=2000)
 
 
 class TestPolymerLaw:
