@@ -126,8 +126,11 @@ def _cmd_exact(args, out: Path) -> tuple[str, dict]:
     for kind in outputs:
         if kind not in _EXACT_OUTPUTS:
             raise DomainError(f"unknown exact output {kind!r}")
-    ns = [int(v) for v in _parse_grid(args.n_grid)] if args.n_grid else \
+    ns = _parse_grid(args.n_grid) if args.n_grid else \
         sorted({max(2, args.n // 4), max(2, args.n // 2), args.n})
+    if any(m != int(m) for m in ns):
+        raise DomainError(f"--n-grid values must be integers, got {args.n_grid!r}")
+    ns = [int(m) for m in ns]
     thetas = _parse_grid(args.grid) if args.grid else [0.3, 0.5, 0.7, 0.95]
     cap = EXACT_LAW_CAP if args.cap_override is None else args.cap_override
     if cap < 1:

@@ -13,7 +13,8 @@ callers must stay above the floor r >= DEFAULT_FLOOR sqrt(t).  The joint
 density of (B_t, R_t) on {0 < x < r, B_t > 0} is the two-sum expression
 obtained from the mixed derivative of the two-barrier corridor probability;
 both series terminate quickly because every term carries a Gaussian factor
-phi((2kr +- x)/sqrt(t)).
+phi((2kr +- x)/sqrt(t)).  Its x-integral is closed-form term by term, so the
+endpoint CLT integrates B_t out exactly and is a 1-D quadrature in r.
 
 The tilt exp(-beta t^2 / rho) is integrated against these densities with
 composite Gauss-Legendre panels (width ~ sqrt(t)/4 near the saddle
@@ -59,11 +60,6 @@ _ORDER = 16
 # Most nodes one composite Gauss-Legendre layout may hold.  The quadratures
 # here use at most a few thousand per layout at the documented sizes.
 PANEL_NODE_CAP = 10**6
-
-# np.exp returns exactly 0.0 for every argument below -745.1332 (the
-# smallest subnormal's log, rounded); an argument at or below this is "dead".
-_EXP_ZERO = -750.0
-
 
 @dataclass(frozen=True)
 class SeriesEval:
@@ -178,83 +174,72 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray):
     would be inf * 0 = NaN, so that input raises DomainError before the
     loop, with no numpy warning.  A NaN block max further on can never meet
     the stop test, so it raises DomainError too.
-
-    Nearly all the cost is np.exp on arguments that underflow: a result that
-    rounds to 0.0 costs ~10x a normal one.  Dead arguments (<= _EXP_ZERO)
-    are masked out of the exp and keep the 0.0 their slot was filled with,
-    which is what exp returns for them, so every term is bitwise the plain
-    evaluation's.  A block k >= 2 whose arguments are all dead is not
-    computed: each of its terms is then a signed zero, and the sums start at
-    +0.0, so they never hold -0.0 and adding a zero leaves them as they are;
-    the block's max is 0.0.  That holds while no factor multiplying a zero
-    exp is infinite and t^(3/2) > 0 (else a term is NaN), which the guard
-    checks on the largest a^2, the products being monotone in it.  Every
-    other expression keeps the plain evaluation's association.
     """
     st = math.sqrt(t)
     t32 = t * st
-    two_t = 2.0 * t
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     a1 = 2.0 * float(np.abs(r).max()) + float(np.abs(x).max())
     if not 4.0 * (a1 * a1 / t + 1.0) < math.inf:
         raise DomainError(f"joint series overflows at t={t!r}: x or r out of range")
-    base = np.square(r) / two_t
+    base = np.square(r) / (2.0 * t)
     shape = np.broadcast(x, r).shape
     s_sym = np.zeros(shape)
     s_asym = np.zeros(shape)
-    am, ap, zm2, zp2, em, ep, tm, tp = (np.empty(shape) for _ in range(8))
     k = 0
     block_max = math.inf
     while k < 100000:
         k += 1
-        kr = 2.0 * k * r
-        np.subtract(kr, x, out=am)
-        np.add(kr, x, out=ap)
-        np.square(am, out=zm2)
-        np.square(ap, out=zp2)
-        # exp arguments base - a^2/2t; zm2, zp2 still hold a^2
-        np.subtract(base, np.divide(zm2, two_t, out=tm), out=tm)
-        np.subtract(base, np.divide(zp2, two_t, out=tp), out=tp)
-        if (k >= 2 and tm.max() <= _EXP_ZERO and tp.max() <= _EXP_ZERO
-                and t32 > 0.0 and float(zp2.max()) / t < math.inf
-                and 4.0 * k * k * (float(zm2.max()) / t + 1.0) < math.inf):
-            block_max = 0.0  # an all-dead block: every term is a signed zero
-        else:
-            zm2 /= t
-            zp2 /= t
-            for arg, e in ((tm, em), (tp, ep)):
-                e.fill(0.0)
-                np.exp(arg, out=e, where=~(arg <= _EXP_ZERO))  # NaN stays live
-                e /= SQRT2PI
-            c = 4.0 * k * k
-            # s_sym += c * ((zm2 - 1.0) * em + (zp2 - 1.0) * ep)
-            np.subtract(zm2, 1.0, out=tm)
-            tm *= em
-            np.subtract(zp2, 1.0, out=tp)
-            tp *= ep
-            tm += tp
-            tm *= c
-            s_sym += tm
-            # s_asym += (4k(k-1) * am * em - 4k(k+1) * ap * ep) / t32
-            am *= 4.0 * k * (k - 1)
-            am *= em
-            ap *= 4.0 * k * (k + 1)
-            ap *= ep
-            am -= ap
-            am /= t32
-            s_asym += am
-            # block_max = max(c * (zm2 + 1.0) * em)
-            zm2 += 1.0
-            zm2 *= c
-            zm2 *= em
-            block_max = float(zm2.max())
-        if block_max <= 1e-13 * max(1.0, float(np.abs(s_sym, out=tm).max())):
+        am = 2.0 * k * r - x
+        ap = 2.0 * k * r + x
+        em = np.exp(base - np.square(am) / (2.0 * t)) / SQRT2PI
+        ep = np.exp(base - np.square(ap) / (2.0 * t)) / SQRT2PI
+        zm2 = np.square(am) / t
+        zp2 = np.square(ap) / t
+        s_sym += 4.0 * k * k * ((zm2 - 1.0) * em + (zp2 - 1.0) * ep)
+        s_asym += (4.0 * k * (k - 1) * am * em - 4.0 * k * (k + 1) * ap * ep) / t32
+        block_max = float(np.max(4.0 * k * k * (zm2 + 1.0) * em))
+        if block_max <= 1e-13 * max(1.0, float(np.max(np.abs(s_sym)))):
             break
         if block_max != block_max:
             raise DomainError(f"joint series is NaN at t={t!r}: x or r out of range")
     value = (r - x) / t32 * s_sym + s_asym
     return value, 10.0 * block_max, k
+
+
+def _joint_cdf_series_scaled(t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A(x; r) times exp(r^2 / 2t), where dA/dx is the joint density h(x, r).
+
+    Each block of ``_joint_series_scaled`` integrates in x term by term,
+    since phi'' = (z^2 - 1) phi and phi' = -z phi.  With u = r/sqrt(t),
+    v = x/sqrt(t) and z-+ = 2ku -+ v,
+
+        A = (4/sqrt(t)) sum_k k { phi(z-) [k (u - v) z- + 2k - 1]
+                                 + phi(z+) [2k + 1 - k (u - v) z+] },
+
+    and A(r; r) - A(0; r) = f_R(r)/2, the range density's share on B_t > 0.
+    The scaled Gaussian exp(u^2/2) phi(z) is exp(-(z - u)(z + u)/2)/sqrt(2 pi),
+    both factors formed directly, so no square of a large argument is
+    subtracted.  Summing stops once a block is at most 1e-13 of
+    max(1, |partial sum|).
+    """
+    st = math.sqrt(t)
+    u = np.asarray(r, dtype=float) / st
+    v = np.asarray(x, dtype=float) / st
+    gap = u - v
+    total = np.zeros(np.broadcast(u, v).shape)
+    k = 0
+    while k < 100000:
+        k += 1
+        lo, mid, hi = (2 * k - 1) * u, 2 * k * u, (2 * k + 1) * u
+        em = np.exp(-0.5 * (lo - v) * (hi - v)) / SQRT2PI
+        ep = np.exp(-0.5 * (lo + v) * (hi + v)) / SQRT2PI
+        block = 4.0 * k / st * (em * (k * gap * (mid - v) + (2 * k - 1))
+                                + ep * ((2 * k + 1) - k * gap * (mid + v)))
+        total += block
+        if np.max(np.abs(block)) <= 1e-13 * max(1.0, float(np.max(np.abs(total)))):
+            break
+    return total
 
 
 def joint_density(t: float, x: float, r: float) -> SeriesEval:
@@ -342,6 +327,25 @@ def _tilt_exponent(beta: float, t: float, r: np.ndarray, g: float,
     return -beta * t * t / rho - np.square(r) / (2.0 * t) - g * t
 
 
+def _extended_integral(chunk, r_lo: float, r_hi: float, width: float,
+                       tol: float) -> tuple[float, float]:
+    """chunk(r_lo, r_hi) plus chunks past r_hi until two in a row each add at
+    most tol of the total, or the limit reaches r_lo + 60 (r_hi - r_lo).
+
+    Returns the sum and the final upper limit.
+    """
+    acc = chunk(r_lo, r_hi)
+    step = max(width * 4.0, 0.25 * (r_hi - r_lo))
+    quiet = 0
+    hi = r_hi
+    while quiet < 2 and hi < r_lo + 60.0 * (r_hi - r_lo):
+        extra = chunk(hi, hi + step)
+        acc += extra
+        hi += step
+        quiet = quiet + 1 if abs(extra) <= tol * abs(acc) else 0
+    return acc, hi
+
+
 def _tilted_range_integral(beta: float, t: float, r_lo: float, r_hi: float,
                            g: float, use_exact_radius: bool, width: float,
                            order: int, tol: float) -> tuple[float, int, float]:
@@ -356,15 +360,7 @@ def _tilted_range_integral(beta: float, t: float, r_lo: float, r_hi: float,
         ex = np.exp(_tilt_exponent(beta, t, X, g, use_exact_radius))
         return 8.0 / math.sqrt(t) * math.fsum(W * series * ex)
 
-    acc = chunk(r_lo, r_hi)
-    step = max(width * 4.0, 0.25 * (r_hi - r_lo))
-    quiet = 0
-    hi = r_hi
-    while quiet < 2 and hi < r_lo + 60.0 * (r_hi - r_lo):
-        extra = chunk(hi, hi + step)
-        acc += extra
-        hi += step
-        quiet = quiet + 1 if abs(extra) <= tol * abs(acc) else 0
+    acc, hi = _extended_integral(chunk, r_lo, r_hi, width, tol)
     return acc, nodes_used, hi
 
 
@@ -427,64 +423,21 @@ def range_second_order_cdf(beta: float, t: float, C,
     return tails
 
 
-# A row term at most 2^-60 of a sum is far below half an ulp of that sum.
-_ABSORBED = 2.0 ** 60
-
-
-def _joint_series_bound(t: float, r: float) -> float:
-    """H(r, t) >= |_joint_series_scaled(t, x, r)| for every 0 < x < r.
-
-    With q = r^2/t, block k of the series has a-+ = 2kr -+ x in
-    ((2k-1) r, (2k+1) r), so each Gaussian factor exp(r^2/2t - a^2/2t) is at
-    most exp(-2k(k-1) q) <= rho^(k-1), rho = exp(-4q); |a-^2/t - 1| <=
-    4k^2 q + 1, |a+^2/t - 1| <= (2k+1)^2 q + 1 and 0 < r - x < r.  The
-    block's share of (r - x)/t^(3/2) s_sym + s_asym is therefore at most
-
-        r/(sqrt(2 pi) t^(3/2)) rho^(k-1) [4k^2((8k^2 + 4k + 1) q + 2)
-                                          + 8k^2(k-1) + 4k(k+1)(2k+1)]
-        <= r (52 q + 32)/(sqrt(2 pi) t^(3/2)) k^4 rho^(k-1),
-
-    comparing coefficients (32k^4 + 16k^3 + 4k^2 <= 52k^4 and 16k^3 + 12k^2
-    + 4k <= 32k^4).  Summing, sum_k k^4 rho^(k-1) = (1 + 11 rho + 11 rho^2
-    + rho^3)/(1 - rho)^5 bounds every partial sum the kernel can stop at.
-    The factor 2 in front is the rounding margin.  The kernel's few dozen
-    roundings and np.exp's ulp-level error per term, the row's s-weights
-    (whose float sum is s_max to ~1e-15) and the roundings of weight * H *
-    s_max and of the row sums use up a negligible part of it.
-    """
-    q = r * r / t
-    rho = math.exp(-4.0 * q)
-    tail = (1.0 + rho * (11.0 + rho * (11.0 + rho))) / (-math.expm1(-4.0 * q)) ** 5
-    return 2.0 * r * (52.0 * q + 32.0) / (SQRT2PI * t * math.sqrt(t)) * tail
-
-
 def endpoint_clt_continuous(beta: float, t: float, C,
                             use_exact_radius: bool = False) -> list[float]:
     """Conditional CDF P((B_t - c** t)/(sigma** sqrt(t)) <= C | B_t > 0).
 
-    Two-dimensional weighted quadrature of the joint density against the
-    tilt, over the saddle window in r; the x integral runs over the gap
-    s = r - x, where the joint mass concentrates on the scale t/r.  The
-    numerator clips x at the CLT threshold; the denominator is unclipped.
+    The x-integral of the joint density is closed-form
+    (``_joint_cdf_series_scaled``), so each CDF is a ratio of two 1-D
+    Gauss-Legendre quadratures in r against the tilt: the numerator
+    integrates A(min(x_cut, r); r) - A(0; r), the denominator
+    A(r; r) - A(0; r).  The denominator's window starts at the cutoff
+    beta^(1/3) t / 2 and is extended past 4 c** t until the tail adds at
+    most 1e-10 of the total; every numerator runs over the same window,
+    with a panel edge at r = x_cut, where its integrand has a kink.
 
     ``C`` is a sequence of finite levels; the CDFs come back as a list in
-    input order.  Only the clip depends on C, so every level is read off one
-    sweep over the nodes.  The s-panels differ per r node, so the sweep walks
-    the r nodes in ascending order and each level's sum is accumulated
-    exactly as a one-level call would.
-
-    A row r whose term every sum it can touch would absorb is skipped
-    before its panels are built.  Its term, and each level's part of it, is
-    at most B = weight * H * s_max with H = ``_joint_series_bound``
-    (|h_scaled| <= H/2 up to rounding; the s-weights sum to s_max).  Its
-    nodes x = r - s lie in [r - s_max, r), so it touches num_i only if
-    r - s_max <= x_cut_i.  If B * 2^60 <= A for den and every such num_i,
-    the computed term is at most about 2^-61 A: under half an ulp of A when
-    A is normal, and rounded to a signed zero when A is subnormal or 0.0
-    (the sums start at +0.0, so they never hold -0.0).  Every sum, hence
-    every CDF, is then bitwise what the full sweep gives.  A row of weight
-    0.0 has B = 0.0 and is skipped at once.  Past the saddle the tilt weight
-    falls as a Gaussian in r, so the test skips most of the tail rows.
+    input order, each computed as a one-level call would.
     """
     check_positive("beta", beta)
     levels = check_grid("C", C)
@@ -492,32 +445,26 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     if not levels:
         return []
     st = math.sqrt(t)
-    x_cuts = [c * t + level * st / math.sqrt(3.0) for level in levels]
-    R, WR = _panels(r_lo, r_hi, 0.25 * st, _ORDER)
-    num = [0.0] * len(x_cuts)
-    den = 0.0
-    for r_val, w_r in zip(R, WR):
-        weight = w_r * math.exp(
-            float(_tilt_exponent(beta, t, np.float64(r_val), g, use_exact_radius)))
-        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st)
-        scaled = weight * (_joint_series_bound(t, r_val) * s_max) * _ABSORBED
-        if scaled <= den and all(scaled <= n for n, x_cut in zip(num, x_cuts)
-                                 if r_val - s_max <= x_cut):
-            continue
-        gap_scale = min(t / r_val, st)
-        S, WS = _panels(0.0, s_max, 0.5 * gap_scale, _ORDER)
-        xv = r_val - S
-        keep = xv > 0.0
-        if not keep.any():
-            continue
-        xk = xv[keep]
-        h_scaled, _, _ = _joint_series_scaled(t, xk, np.float64(r_val))
-        contrib = h_scaled * WS[keep]
-        den += weight * float(contrib.sum())
-        for i, x_cut in enumerate(x_cuts):
-            below = xk <= x_cut
-            if below.any():
-                num[i] += weight * float(contrib[below].sum())
-    if den <= 0.0:
+    width = 0.25 * st
+
+    def mass(a: float, b: float, x_cut: float = math.inf) -> float:
+        """Tilted joint mass over a <= r <= b and 0 < x <= min(x_cut, r)."""
+        R, W = _panels(a, b, width, _ORDER)
+        clipped = _joint_cdf_series_scaled(t, np.minimum(R, x_cut), R) \
+            - _joint_cdf_series_scaled(t, 0.0, R)
+        ex = np.exp(_tilt_exponent(beta, t, R, g, use_exact_radius))
+        return math.fsum(W * clipped * ex)
+
+    den, hi = _extended_integral(mass, r_lo, r_hi, width, 1e-10)
+    if not den > 0.0:
         raise DomainError("empty quadrature window; increase t")
-    return [float(n / den) for n in num]
+    cdfs = []
+    for level in levels:
+        x_cut = c * t + level * st / math.sqrt(3.0)
+        if x_cut >= hi:
+            cdfs.append(1.0)
+            continue
+        edge = max(x_cut, r_lo)
+        num = mass(r_lo, edge) + mass(edge, hi, max(x_cut, 0.0))
+        cdfs.append(min(num / den, 1.0))
+    return cdfs

@@ -21,7 +21,7 @@ _BETA = ["--beta", "1"]
 _CONTINUOUS_40 = ["continuous", *_BETA, "--t", "40",
                   "--outputs", "density,Z,range-clt,endpoint-clt"]
 _CONTINUOUS_40_FILES = {
-    "endpoint_clt.csv": "e58c18320c231ff7",
+    "endpoint_clt.csv": "89c2c9abc67472df",
     "manifest.json": "f538919a1a256074",
     "partition_continuous.json": "cd9e598ad594c3c8",
     "range_clt.csv": "7b6dd0693c47e0fc",
@@ -93,7 +93,7 @@ ARTIFACTS = {
     "bench-continuous-t160": (
         ["continuous", *_BETA, "--t", "160", "--outputs", "Z,range-clt,endpoint-clt",
          "--grid=-1,0,1"], {
-            "endpoint_clt.csv": "3d80cb9ed965cad9",
+            "endpoint_clt.csv": "e3569cfcd4a5584f",
             "manifest.json": "a95db103f7633e1e",
             "partition_continuous.json": "97630f7ec3255a84",
             "range_clt.csv": "bcacf25f275b463b",

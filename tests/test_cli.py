@@ -240,6 +240,8 @@ def test_cap_override_allows_larger_n(tmp_path):
     # a cap below 1 is a usage error, not an unset cap or a resource cap
     (["--outputs", "law,Z", "--cap-override=0"], 2),
     (["--n", "610", "--outputs", "law,Z", "--cap-override=-1"], 2),
+    # a non-integral size used to be truncated: 10.5 ran as n = 10
+    (["--outputs", "law,free-energy", "--n-grid", "10.5,20.9"], 2),
 ])
 def test_exact_failure_writes_no_artifact(tmp_path, capsys, extra, code):
     out = tmp_path / "run"

@@ -25,16 +25,14 @@ from rangepolymer import (
 )
 from rangepolymer.cli import main
 from rangepolymer.continuous import continuous_constants
-from rangepolymer.errors import check_grid
 from rangepolymer.gaussian import SQRT2PI
 from rangepolymer import density
 from rangepolymer.density import (
     PANEL_NODE_CAP,
-    _EXP_ZERO,
     joint_density_grid,
     range_density_grid,
     small_range_weight_bound,
-    _joint_series_bound,
+    _joint_cdf_series_scaled,
     _joint_series_scaled,
     _panels,
     _tilt_exponent,
@@ -373,8 +371,9 @@ def test_scalar_level_rejected(fn):
         fn(1.0, 40.0, 0.0)
 
 
-# Per-level references: the one-level-per-call loops that the level-sequence
-# sweeps replaced.  The sweeps must reproduce them bit for bit.
+# Per-level reference: the one-level-per-call loop that the range tail's
+# level-sequence sweep replaced, which it must reproduce bit for bit.  A
+# level list of the endpoint CDF must give bitwise its one-level calls.
 
 def _range_tail_one_level(beta, t, C, use_exact_radius, order=16):
     r_lo, _, c, _ = _z_domain(beta, t)
@@ -391,34 +390,6 @@ def _range_tail_one_level(beta, t, C, use_exact_radius, order=16):
     return min(num / den, 1.0)
 
 
-def _endpoint_cdf_one_level(beta, t, C, use_exact_radius, order=16):
-    r_lo, _, c, _ = _z_domain(beta, t)
-    r_hi = 4.0 * c * t
-    st_ = math.sqrt(t)
-    g = continuous_constants(beta).g_dstar
-    x_cut = c * t + C * st_ / math.sqrt(3.0)
-    R, WR = _panels(r_lo, r_hi, 0.25 * st_, order)
-    num = 0.0
-    den = 0.0
-    for r_val, w_r in zip(R, WR):
-        weight = w_r * math.exp(
-            float(_tilt_exponent(beta, t, np.float64(r_val), g, use_exact_radius)))
-        gap_scale = min(t / r_val, st_)
-        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
-        S, WS = _panels(0.0, s_max, 0.5 * gap_scale, order)
-        xv = r_val - S
-        keep = xv > 0.0
-        if not keep.any():
-            continue
-        h_scaled, _, _ = _joint_series_scaled(t, xv[keep], np.float64(r_val))
-        contrib = h_scaled * WS[keep]
-        den += weight * float(contrib.sum())
-        below = xv[keep] <= x_cut
-        if below.any():
-            num += weight * float(contrib[below].sum())
-    return num / den
-
-
 # unsorted, one duplicate, -4 below the cutoff at t=10 for both betas, +-9
 _ORACLE_LEVELS = [0.5, -9.0, 1.0, -4.0, 0.5, 9.0]
 
@@ -429,9 +400,9 @@ class TestLevelSweepMatchesPerLevelOracle:
     def test_endpoint_cdf_bitwise(self, beta, exact_radius):
         swept = endpoint_clt_continuous(beta, 10.0, _ORACLE_LEVELS,
                                         use_exact_radius=exact_radius)
-        oracle = [_endpoint_cdf_one_level(beta, 10.0, c, exact_radius)
-                  for c in _ORACLE_LEVELS]
-        assert swept == oracle
+        one_level = [endpoint_clt_continuous(beta, 10.0, [c], use_exact_radius=exact_radius)[0]
+                     for c in _ORACLE_LEVELS]
+        assert [v.hex() for v in swept] == [v.hex() for v in one_level]
 
     def test_range_tail_bitwise(self, beta, exact_radius):
         swept = range_second_order_cdf(beta, 10.0, _ORACLE_LEVELS,
@@ -442,9 +413,13 @@ class TestLevelSweepMatchesPerLevelOracle:
         assert oracle[3] == 1.0  # the below-cutoff branch is exercised
 
 
-# The plain joint-series kernel and endpoint-CLT sweep that the masked-exp
-# kernel replaced, kept verbatim.  The kernel must reproduce every value,
-# bound and term count bit for bit.
+# The plain joint-series kernel, kept verbatim as the reference for
+# ``_joint_series_scaled``, which must reproduce every value, bound and term
+# count bit for bit; and a 2-D endpoint-CLT quadrature built on it.
+
+# np.exp returns exactly 0.0 for every argument at or below this; the
+# node-set test counts the blocks whose arguments all lie there.
+_EXP_ZERO = -750.0
 
 def _oracle_joint_series_scaled(t, x, r, tol=1e-13):
     st = math.sqrt(t)
@@ -474,41 +449,35 @@ def _oracle_joint_series_scaled(t, x, r, tol=1e-13):
     return value, 10.0 * block_max, k
 
 
-def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False, order=16):
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
-    levels = check_grid("C", C)
-    r_lo, _, c, _ = _z_domain(beta, t)
-    if not levels:
-        return []
-    r_hi = 4.0 * c * t
+def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False):
+    """2-D Gauss-Legendre quadrature of the plain joint series against the
+    tilt, with no closed form: r over [c** t/2, 4 c** t + 12 sqrt(t)] (the
+    tilted range has no mass left past it), x = r - s over the gap s in
+    [0, min(r, 30 t/r + 4 sqrt(t))], and a panel edge at every level's clip
+    in both r and s, so no panel holds a kink or a jump."""
+    r_lo, _, c, g = _z_domain(beta, t)
     st_ = math.sqrt(t)
-    g = continuous_constants(beta).g_dstar
-    x_cuts = [c * t + level * st_ / math.sqrt(3.0) for level in levels]
-    R, WR = _panels(r_lo, r_hi, 0.25 * st_, order)
+    r_top = 4.0 * c * t + 12.0 * st_
+    x_cuts = [c * t + level * st_ / math.sqrt(3.0) for level in C]
+    r_edges = sorted({r_lo, r_top, *(x for x in x_cuts if r_lo < x < r_top)})
     num = [0.0] * len(x_cuts)
     den = 0.0
-    for r_val, w_r in zip(R, WR):
-        weight = w_r * math.exp(
-            float(_tilt_exponent(beta, t, np.float64(r_val), g, use_exact_radius)))
-        gap_scale = min(t / r_val, st_)
-        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
-        S, WS = _panels(0.0, s_max, 0.5 * gap_scale, order)
-        xv = r_val - S
-        keep = xv > 0.0
-        if not keep.any():
-            continue
-        xk = xv[keep]
-        h_scaled, _, _ = _oracle_joint_series_scaled(t, xk, np.float64(r_val))
-        contrib = h_scaled * WS[keep]
-        den += weight * float(contrib.sum())
-        for i, x_cut in enumerate(x_cuts):
-            below = xk <= x_cut
-            if below.any():
-                num[i] += weight * float(contrib[below].sum())
-    if den <= 0.0:
-        raise DomainError("empty quadrature window; increase t")
-    return [float(n / den) for n in num]
+    for a, b in zip(r_edges, r_edges[1:]):
+        R, WR = _panels(a, b, 0.25 * st_, 16)
+        weights = WR * np.exp(_tilt_exponent(beta, t, R, g, use_exact_radius))
+        for r_val, weight in zip(R, weights):
+            s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
+            s_edges = sorted({0.0, s_max,
+                              *(r_val - x for x in x_cuts if 0.0 < r_val - x < s_max)})
+            for s0, s1 in zip(s_edges, s_edges[1:]):
+                S, WS = _panels(s0, s1, 0.5 * min(t / r_val, st_), 16)
+                h, _, _ = _oracle_joint_series_scaled(t, r_val - S, np.float64(r_val))
+                part = weight * float(np.dot(WS, h))
+                den += part
+                for i, x_cut in enumerate(x_cuts):
+                    if s0 >= r_val - x_cut:  # the whole segment has x <= x_cut
+                        num[i] += part
+    return [n / den for n in num]
 
 
 def _assert_same_series(args):
@@ -531,8 +500,9 @@ def _block_args(t, x, r, k):
 @pytest.mark.parametrize("t", [1.0, 10.0, 40.0, 160.0, 640.0])
 class TestJointSeriesMatchesOracle:
     def test_endpoint_nodes_bitwise(self, t):
-        """The (x, r) sets of the endpoint sweep, from the cutoff to r where
-        the tilt weight is 0.0: live, subnormal-band and all-dead blocks."""
+        """The (x, r) node sets of a 2-D endpoint quadrature, from the cutoff
+        to r where the tilt weight is 0.0: live, subnormal-band and all-dead
+        blocks."""
         beta = 1.0
         r_lo, _, c, _ = _z_domain(beta, t)
         g = continuous_constants(beta).g_dstar
@@ -575,95 +545,61 @@ class TestJointSeriesMatchesOracle:
     (1.0, np.array([0.5, 0.7, 39.0]), np.float64(40.0)),  # mostly dead from k = 1
 ])
 def test_joint_series_off_the_wedge_matches_oracle(args):
-    """Outside 0 < x < r (joint_density_grid does not check) the skipped
-    all-dead blocks must still leave the same signed zeros and NaNs."""
+    """Outside 0 < x < r (joint_density_grid does not check) the kernel must
+    leave the oracle's signed zeros and NaNs."""
     with np.errstate(all="ignore"):
         _assert_same_series(args)
 
 
-def test_endpoint_cdf_matches_oracle_at_t160():
-    levels = [-1.0, 0.0, 1.0]
-    assert endpoint_clt_continuous(1.0, 160.0, levels) == \
-        _oracle_endpoint_clt_continuous(1.0, 160.0, levels)
+# The closed-form x-integral of the joint density and the endpoint CDF
+# built on it, against the plain series and the 2-D oracle.  Below
+# u = r/sqrt(t) ~ 1 both series cancel to ~1e-15 absolute, so the relative
+# checks start at u = 1.
+
+@pytest.mark.parametrize("t", [1.0, 40.0, 640.0])
+@pytest.mark.parametrize("u", [1.0, 1.7, 3.0, 5.0, 9.0])
+def test_joint_cdf_differences_integrate_the_joint_density(t, u):
+    st_ = math.sqrt(t)
+    r = u * st_
+    for a, b in [(0.0, r), (0.3 * r, 0.9 * r), (0.9 * r, r), (0.0, 0.5 * r)]:
+        X, W = _panels(a, b, 0.25 * min(t / r, st_), 32)
+        want = math.fsum(W * joint_density_grid(t, X, r))
+        ends = _joint_cdf_series_scaled(t, np.array([b, a]), np.float64(r))
+        got = (ends[0] - ends[1]) * math.exp(-r * r / (2.0 * t))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (a, b)
 
 
-@pytest.mark.parametrize("beta", [0.5, 2.0])
-def test_endpoint_cdf_matches_oracle_other_betas(beta):
-    levels = [-2.0, 0.0, 1.5]
-    assert endpoint_clt_continuous(beta, 40.0, levels, use_exact_radius=True) == \
-        _oracle_endpoint_clt_continuous(beta, 40.0, levels, use_exact_radius=True)
-
-
-def test_exp_is_exactly_zero_at_and_below_the_dead_threshold():
-    sweep = np.linspace(-800.0, _EXP_ZERO, 200001)
-    assert sweep[-1] == _EXP_ZERO
-    assert not np.exp(sweep).any()
-    assert np.exp(np.array([-1e300, -np.inf])).tolist() == [0.0, 0.0]
-    assert math.exp(_EXP_ZERO) == 0.0
-
-
-# The endpoint sweep skips a row when every sum it touches would absorb its
-# term.  The audit runs the full sweep beside it, row by row, and checks the
-# skipped rows against what computing them would have done.
-
-_AUDIT_LEVELS = [-9.0, -2.0, 0.0, 1.0, 9.0]
+@pytest.mark.parametrize("t", [1.0, 40.0, 640.0])
+def test_joint_cdf_over_the_wedge_is_half_the_range_density(t):
+    """P(B_t > 0 | R_t = r) = 1/2, so A(r; r) - A(0; r) = f_R(r)/2."""
+    r = np.linspace(1.0, 9.0, 81) * math.sqrt(t)
+    half = (_joint_cdf_series_scaled(t, r, r) - _joint_cdf_series_scaled(t, 0.0, r)) \
+        * np.exp(-np.square(r) / (2.0 * t))
+    np.testing.assert_allclose(half, range_density_grid(t, r) / 2.0, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("t", [4.0, 10.0, 40.0, 160.0])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("exact_radius", [False, True])
-def test_skipped_endpoint_rows_are_absorbed(t, beta, exact_radius, monkeypatch):
-    computed = set()
-    kernel = density._joint_series_scaled
+def test_endpoint_cdf_matches_the_2d_oracle(t, beta, exact_radius):
+    got = endpoint_clt_continuous(beta, t, _ORACLE_LEVELS, use_exact_radius=exact_radius)
+    want = _oracle_endpoint_clt_continuous(beta, t, _ORACLE_LEVELS, exact_radius)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
-    def recording(t_, x, r):
-        computed.add(float(r))
-        return kernel(t_, x, r)
 
-    monkeypatch.setattr(density, "_joint_series_scaled", recording)
-    swept = endpoint_clt_continuous(beta, t, _AUDIT_LEVELS, use_exact_radius=exact_radius)
-    monkeypatch.undo()
+@pytest.mark.parametrize("t", [40.0, 160.0, 640.0])
+def test_endpoint_cdf_is_converged_in_the_order(t, monkeypatch):
+    levels = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    at_16 = endpoint_clt_continuous(1.0, t, levels)
+    monkeypatch.setattr(density, "_ORDER", 32)
+    at_32 = endpoint_clt_continuous(1.0, t, levels)
+    np.testing.assert_allclose(at_32, at_16, rtol=0.0, atol=1e-12)
 
-    r_lo, _, c, _ = _z_domain(beta, t)
-    st_ = math.sqrt(t)
-    g = continuous_constants(beta).g_dstar
-    x_cuts = [c * t + level * st_ / math.sqrt(3.0) for level in _AUDIT_LEVELS]
-    R, WR = _panels(r_lo, 4.0 * c * t, 0.25 * st_, 16)
-    num = [0.0] * len(x_cuts)
-    den = 0.0
-    skipped = 0
-    for r_val, w_r in zip(R, WR):
-        weight = w_r * math.exp(
-            float(_tilt_exponent(beta, t, np.float64(r_val), g, exact_radius)))
-        s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
-        S, WS = _panels(0.0, s_max, 0.5 * min(t / r_val, st_), 16)
-        xv = r_val - S
-        keep = xv > 0.0
-        if not keep.any():
-            continue
-        xk = xv[keep]
-        h_scaled, _, _ = _joint_series_scaled(t, xk, np.float64(r_val))
-        H = _joint_series_bound(t, r_val)
-        assert H >= np.abs(h_scaled).max(), (r_val, H, np.abs(h_scaled).max())
-        bound = weight * H * s_max
-        contrib = h_scaled * WS[keep]
-        skip = float(r_val) not in computed
-        skipped += skip
-        term = weight * float(contrib.sum())
-        if skip:
-            assert abs(term) <= bound
-            assert (den + term).hex() == den.hex()
-        den += term
-        for i, x_cut in enumerate(x_cuts):
-            below = xk <= x_cut
-            if r_val - s_max > x_cut:
-                assert not below.any()
-            if below.any():
-                part = weight * float(contrib[below].sum())
-                if skip:
-                    assert abs(part) <= bound
-                    assert (num[i] + part).hex() == num[i].hex()
-                num[i] += part
-    assert swept == [n / den for n in num]
-    if t >= 40.0:  # at small t the weight is not yet small enough anywhere
-        assert skipped > len(R) // 3
+
+@pytest.mark.parametrize("beta, t", [(0.1, 1.0), (1.0, 0.25), (0.001, 4.0)])
+def test_endpoint_window_extends_past_the_saddle_window(beta, t):
+    """At small beta^(1/3) sqrt(t) the tilted range still has mass past
+    4 c** t; stopping there read F(0) = 0.4577 at (0.1, 1) for 0.3528."""
+    [got] = endpoint_clt_continuous(beta, t, [0.0])
+    [want] = _oracle_endpoint_clt_continuous(beta, t, [0.0])
+    assert got == pytest.approx(want, rel=0.0, abs=1e-10)
