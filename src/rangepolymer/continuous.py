@@ -62,26 +62,30 @@ def rate_J(x: float) -> float:
 def unit_ball_volume(k: int) -> float:
     """Volume of the unit ball in k dimensions; w_0 = 1 by convention.
 
-    Uses the recurrence w_k = w_{k-2} * 2 pi / k, exact in closed form.
+    Loops the recurrence w_k = w_{k-2} * 2 pi / k and stops once w
+    underflows to 0.0 (from k = 453 on), so any k costs at most ~230 steps.
     """
     if k < 0:
         raise DomainError(f"dimension must be nonnegative, got {k!r}")
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return 2.0
-    return unit_ball_volume(k - 2) * 2.0 * math.pi / k
+    w = 2.0 if k % 2 else 1.0
+    for j in range(2 + k % 2, k + 1, 2):
+        w = w * 2.0 * math.pi / j
+        if w == 0.0:
+            break
+    return w
 
 
 def continuous_constants(beta: float, d: int = 1) -> ContinuousConstants:
-    """All explicit constants at one beta (see the type docstring for d >= 2)."""
+    """All explicit constants at one beta (see the type docstring for d >= 2);
+    DomainError where beta/w_{d-1} or any of them is not finite."""
     check_positive("beta", beta)
     if d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
     c = _CBRT(beta)
     w = unit_ball_volume(d - 1)
-    ratio = _CBRT(beta / w)
-    return ContinuousConstants(
+    scaled = beta / w if w > 0.0 else math.inf
+    ratio = _CBRT(scaled)
+    consts = ContinuousConstants(
         beta=beta,
         c_dstar=c,
         g_dstar=-1.5 * c * c,
@@ -90,6 +94,9 @@ def continuous_constants(beta: float, d: int = 1) -> ContinuousConstants:
         beta_tilde_d=0.5 * ratio,
         free_energy_bound=-1.5 * ratio * ratio,
     )
+    if not all(math.isfinite(v) for v in (scaled, *vars(consts).values())):
+        raise DomainError(f"beta/w_(d-1) = {scaled!r} is not finite at d={d!r}")
+    return consts
 
 
 def positive_cubic_root(beta: float, theta: float = 0.0) -> RootResult:

@@ -13,16 +13,18 @@ callers must stay above the floor r >= DEFAULT_FLOOR sqrt(t).  The joint
 density of (B_t, R_t) on {0 < x < r, B_t > 0} is the two-sum expression
 obtained from the mixed derivative of the two-barrier corridor probability;
 both series terminate quickly because every term carries a Gaussian factor
-phi((2kr +- x)/sqrt(t)).  Its x-integral is closed-form term by term, so the
-endpoint CLT integrates B_t out exactly and is a 1-D quadrature in r.
+phi((2kr +- x)/sqrt(t)).  Its x-integral A(x; r) is closed-form term by term.
 
-The tilt exp(-beta t^2 / rho) is integrated against these densities with
-composite Gauss-Legendre panels (width ~ sqrt(t)/4 near the saddle
-beta^(1/3) t).  rho = r + 2 is the exact unit-sausage radius; rho = r is the
-surrogate used by the free-energy computation - the two free energies agree
-in the limit while the partition functions themselves keep a constant ratio
-exp(2 beta^(1/3)).  Quadrature integrands are assembled in log space: the
-leading Gaussian e^{-r^2/2t} is folded into the tilt exponent together with
+Z_t and both CLTs are calls of one tilted r-quadrature, ``_tilted_mass``:
+an r-integrand times exp(-beta t^2 / rho) on composite Gauss-Legendre
+panels (width sqrt(t)/4 near the saddle beta^(1/3) t).  The CLTs share one
+window and its range mass; below its clip the endpoint CDF reads the wedge
+mass f_R/2 from the range kernel, above it A(x_cut; r) - A(0; r).
+rho = r + 2 is the exact unit-sausage radius; rho = r is the surrogate used
+by the free-energy computation - the two free energies agree in the limit
+while the partition functions themselves keep a constant ratio
+exp(2 beta^(1/3)).  Integrands are assembled in log space: the leading
+Gaussian e^{-r^2/2t} is folded into the tilt exponent together with
 exp(-g** t), so no factor overflows or underflows at any t.
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -101,7 +103,7 @@ def range_density(t: float, r: float) -> SeriesEval:
     A one-point call of ``_range_series_scaled``, so it is bitwise
     ``range_density_grid`` at r; the bound is the kernel's, scaled alike.
     Where the Gaussian factor exp(-u^2/2) is already 0.0 the density and its
-    bound are returned as 0.0 at once, before r^2 can overflow.
+    bound are returned as 0.0 at once, before u^2 can overflow.
     """
     _check_floor(t, r)
     sqrt_t = math.sqrt(t)
@@ -110,28 +112,28 @@ def range_density(t: float, r: float) -> SeriesEval:
         return SeriesEval(value=0.0, truncation_bound=0.0, terms_used=1)
     rs = np.array([r])
     series, bound, terms = _range_series_scaled(t, rs)
-    damp = float((8.0 / sqrt_t * np.exp(-np.square(rs) / (2.0 * t)))[0])
-    return SeriesEval(value=damp * float(series[0]), truncation_bound=damp * bound,
+    damp = (8.0 / sqrt_t * np.exp(-0.5 * np.square(rs / sqrt_t)))[0]
+    return SeriesEval(value=float(damp * series[0]), truncation_bound=float(damp * bound),
                       terms_used=terms)
 
 
 def _range_series_scaled(t: float, r: np.ndarray) -> tuple[np.ndarray, float, int]:
     """f_R(r) * exp(r^2 / 2t) * sqrt(t) / 8, a truncation bound, terms used.
 
-    With q = r^2/2t and u = r/sqrt(t), term k of Feller's alternating series
-    is k^2 exp(-(k^2 - 1) q) / sqrt(2 pi): the k = 1 Gaussian has been
-    pulled out so the caller can fold it into a larger exponent.  Below
+    With u = r/sqrt(t) and q = u^2/2 (formed from u, so q cannot underflow
+    while u is in range), term k of Feller's alternating series is
+    k^2 exp(-(k^2 - 1) q) / sqrt(2 pi): the k = 1 Gaussian has been pulled
+    out so the caller can fold it into a larger exponent.  Below
     u = sqrt(pi) that series cancels to noise, so there the Jacobi dual is
     summed instead: term j = 1, 3, 5, ... is (j^2 pi^2/u^2 - 1) u^-3
     exp(q - j^2 pi^2/4q), every one positive.  On its own side of sqrt(pi)
     every exponent is <= 0 and each term is at most 0.036 (primal) or
-    4.5e-5 (dual) of the one before, so the remainder of either series is
-    at most the last term added; the bound returned is the largest of those
-    over r.  A point stops once its term is at most 1e-13 of
-    max(1, |partial sum|).
+    4.5e-5 (dual) of the one before, so the remainder is at most the last
+    term added times 0.036 (alternating) or 4.5e-5/(1 - 4.5e-5) (a
+    geometric tail); the bound returned is the largest of those over r.
+    A point stops once its term is at most 1e-13 of max(1, |partial sum|).
     """
-    r = np.asarray(r, dtype=float)
-    q = np.square(r) / (2.0 * t)
+    q = 0.5 * np.square(np.asarray(r, dtype=float) / math.sqrt(t))
     dual = q < 0.5 * math.pi
     primal = ~dual
     qp, qd = q[primal], q[dual]
@@ -152,13 +154,14 @@ def _range_series_scaled(t: float, r: np.ndarray) -> tuple[np.ndarray, float, in
         total += term if k % 2 else sign * term
         last[active] = term[active]
         active &= ~(term <= 1e-13 * np.maximum(1.0, np.abs(total)))
+    last *= np.where(dual, 4.5e-5 / (1.0 - 4.5e-5), 0.036)
     return total, float(last.max(initial=0.0)), k
 
 
 def range_density_grid(t: float, r: np.ndarray) -> np.ndarray:
     """Vectorized range density; caller is responsible for the domain floor."""
     r = np.asarray(r, dtype=float)
-    return 8.0 / math.sqrt(t) * np.exp(-np.square(r) / (2.0 * t)) \
+    return 8.0 / math.sqrt(t) * np.exp(-0.5 * np.square(r / math.sqrt(t))) \
         * _range_series_scaled(t, r)[0]
 
 
@@ -327,41 +330,39 @@ def _tilt_exponent(beta: float, t: float, r: np.ndarray, g: float,
     return -beta * t * t / rho - np.square(r) / (2.0 * t) - g * t
 
 
-def _extended_integral(chunk, r_lo: float, r_hi: float, width: float,
-                       tol: float) -> tuple[float, float]:
-    """chunk(r_lo, r_hi) plus chunks past r_hi until two in a row each add at
-    most tol of the total, or the limit reaches r_lo + 60 (r_hi - r_lo).
+def _tilted_mass(beta: float, t: float, g: float, use_exact_radius: bool,
+                 width: float, f, a: float, b: float,
+                 tol: float | None = None) -> tuple[float, float, int]:
+    """Integral of f(r) exp(_tilt_exponent) over [a, b] on ``_ORDER``-node
+    Gauss-Legendre panels of width ``width``, the one tilted r-quadrature.
 
-    Returns the sum and the final upper limit.
+    With a ``tol``, chunks past b are added until two in a row each add at
+    most tol of the total, or the limit reaches a + 60 (b - a).  Returns the
+    integral, the final upper limit and the number of nodes used.
     """
-    acc = chunk(r_lo, r_hi)
-    step = max(width * 4.0, 0.25 * (r_hi - r_lo))
+    nodes = 0
+
+    def chunk(lo: float, hi: float) -> float:
+        nonlocal nodes
+        R, W = _panels(lo, hi, width, _ORDER)
+        nodes += len(R)
+        return math.fsum(W * f(R) * np.exp(_tilt_exponent(beta, t, R, g, use_exact_radius)))
+
+    acc = chunk(a, b)
+    step = max(width * 4.0, 0.25 * (b - a))
     quiet = 0
-    hi = r_hi
-    while quiet < 2 and hi < r_lo + 60.0 * (r_hi - r_lo):
+    hi = b
+    while tol is not None and quiet < 2 and hi < a + 60.0 * (b - a):
         extra = chunk(hi, hi + step)
         acc += extra
         hi += step
         quiet = quiet + 1 if abs(extra) <= tol * abs(acc) else 0
-    return acc, hi
+    return acc, hi, nodes
 
 
-def _tilted_range_integral(beta: float, t: float, r_lo: float, r_hi: float,
-                           g: float, use_exact_radius: bool, width: float,
-                           order: int, tol: float) -> tuple[float, int, float]:
-    """Integral of f_R(r) exp(-beta t^2/rho - g t) dr, extending r_hi."""
-    nodes_used = 0
-
-    def chunk(a: float, b: float) -> float:
-        nonlocal nodes_used
-        X, W = _panels(a, b, width, order)
-        nodes_used += len(X)
-        series, _, _ = _range_series_scaled(t, X)
-        ex = np.exp(_tilt_exponent(beta, t, X, g, use_exact_radius))
-        return 8.0 / math.sqrt(t) * math.fsum(W * series * ex)
-
-    acc, hi = _extended_integral(chunk, r_lo, r_hi, width, tol)
-    return acc, nodes_used, hi
+def _scaled_range(t: float):
+    """The range integrand r -> f_R(r) exp(r^2/2t) sqrt(t)/8."""
+    return lambda r: _range_series_scaled(t, r)[0]
 
 
 def partition_function_continuous(beta: float, t: float,
@@ -375,20 +376,35 @@ def partition_function_continuous(beta: float, t: float,
     """
     check_positive("beta", beta)
     r_lo, r_hi, _, g = _z_domain(beta, t)
-    width = 0.25 * math.sqrt(t)
-    coarse, n1, hi1 = _tilted_range_integral(
-        beta, t, r_lo, r_hi, g, use_exact_radius, width, _ORDER, 1e-9)
-    fine, n2, hi2 = _tilted_range_integral(
-        beta, t, r_lo, r_hi, g, use_exact_radius, 0.5 * width, _ORDER, 1e-9)
-    log_value = math.log(fine) + g * t if fine > 0.0 else -math.inf
-    err_scaled = abs(fine - coarse)
+    mass = partial(_tilted_mass, beta, t, g, use_exact_radius)
+    coarse, hi1, n1 = mass(0.25 * math.sqrt(t), _scaled_range(t), r_lo, r_hi, 1e-9)
+    fine, hi2, n2 = mass(0.125 * math.sqrt(t), _scaled_range(t), r_lo, r_hi, 1e-9)
+    fine, coarse = 8.0 / math.sqrt(t) * fine, 8.0 / math.sqrt(t) * coarse
     return QuadratureResult(
         value=fine * math.exp(g * t),
-        abs_error_estimate=err_scaled * math.exp(g * t),
+        abs_error_estimate=abs(fine - coarse) * math.exp(g * t),
         nodes=n1 + n2,
         domain=(r_lo, max(hi1, hi2)),
-        log_value=log_value,
+        log_value=math.log(fine) + g * t if fine > 0.0 else -math.inf,
     )
+
+
+def _clt_window(beta: float, t: float, C, use_exact_radius: bool):
+    """What both CLTs share: the checked levels, the centre c** t, and one
+    window [r_lo, hi] with its range mass ``den``.
+
+    The window starts at the cutoff beta^(1/3) t / 2 and is extended past
+    4 c** t until the tail adds at most 1e-10 of the total.  ``mass(f, a, b)``
+    integrates f against the tilt on the window's panel width sqrt(t)/4.
+    """
+    check_positive("beta", beta)
+    levels = check_grid("C", C)
+    r_lo, r_hi, c, g = _z_domain(beta, t)
+    mass = partial(_tilted_mass, beta, t, g, use_exact_radius, 0.25 * math.sqrt(t))
+    den, hi, _ = mass(_scaled_range(t), r_lo, r_hi, 1e-10)
+    if not den > 0.0:
+        raise DomainError("empty quadrature window; increase t")
+    return levels, c * t, r_lo, hi, den, mass
 
 
 def range_second_order_cdf(beta: float, t: float, C,
@@ -397,29 +413,17 @@ def range_second_order_cdf(beta: float, t: float, C,
 
     Returns P(C < (R_t - beta^(1/3) t) / (sqrt(t)/sqrt(3))), which tends to
     1 - Phi(C); exactly 1.0 when the threshold falls below the integration
-    cutoff and 0.0 when it lies at or beyond the denominator's upper limit.
+    cutoff and 0.0 when it lies at or beyond the window's upper limit.
     ``C`` is a sequence of finite levels; the tails come back as a list in
-    input order.  The C-independent denominator is integrated once per call,
-    so each level costs one numerator integral only.
+    input order.  Each is the range mass over [threshold, hi] of the window
+    ``_clt_window`` shares with the endpoint CLT, over the whole window's.
     """
-    check_positive("beta", beta)
-    levels = check_grid("C", C)
-    r_lo, r_hi, c, g = _z_domain(beta, t)
-    width = 0.125 * math.sqrt(t)
-    den, _, hi = _tilted_range_integral(beta, t, r_lo, r_hi, g, use_exact_radius,
-                                        width, _ORDER, 1e-10)
+    levels, centre, r_lo, hi, den, mass = _clt_window(beta, t, C, use_exact_radius)
     tails = []
     for level in levels:
-        thr = c * t + level * math.sqrt(t) / math.sqrt(3.0)
-        if thr <= r_lo:
-            tails.append(1.0)
-        elif thr >= hi:
-            tails.append(0.0)
-        else:
-            num, _, _ = _tilted_range_integral(
-                beta, t, thr, max(r_hi, thr + math.sqrt(t)), g,
-                use_exact_radius, width, _ORDER, 1e-10)
-            tails.append(min(num / den, 1.0))
+        thr = centre + level * math.sqrt(t) / math.sqrt(3.0)
+        tails.append(1.0 if thr <= r_lo else 0.0 if thr >= hi else
+                     min(mass(_scaled_range(t), thr, hi)[0] / den, 1.0))
     return tails
 
 
@@ -428,43 +432,28 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     """Conditional CDF P((B_t - c** t)/(sigma** sqrt(t)) <= C | B_t > 0).
 
     The x-integral of the joint density is closed-form
-    (``_joint_cdf_series_scaled``), so each CDF is a ratio of two 1-D
-    Gauss-Legendre quadratures in r against the tilt: the numerator
-    integrates A(min(x_cut, r); r) - A(0; r), the denominator
-    A(r; r) - A(0; r).  The denominator's window starts at the cutoff
-    beta^(1/3) t / 2 and is extended past 4 c** t until the tail adds at
-    most 1e-10 of the total; every numerator runs over the same window,
-    with a panel edge at r = x_cut, where its integrand has a kink.
+    (``_joint_cdf_series_scaled``), so each CDF is a ratio of 1-D
+    quadratures in r against the tilt, over the window ``_clt_window``
+    shares with the range CLT.  Below r = x_cut the whole wedge 0 < x < r
+    counts, and its mass is f_R(r)/2, since P(B_t > 0 | R_t = r) = 1/2;
+    above it the numerator integrates A(x_cut; r) - A(0; r), with a panel
+    edge at x_cut, where the integrand has a kink.  The denominator is the
+    window's range mass, halved.
 
     ``C`` is a sequence of finite levels; the CDFs come back as a list in
     input order, each computed as a one-level call would.
     """
-    check_positive("beta", beta)
-    levels = check_grid("C", C)
-    r_lo, r_hi, c, g = _z_domain(beta, t)
-    if not levels:
-        return []
+    levels, centre, r_lo, hi, den, mass = _clt_window(beta, t, C, use_exact_radius)
     st = math.sqrt(t)
-    width = 0.25 * st
-
-    def mass(a: float, b: float, x_cut: float = math.inf) -> float:
-        """Tilted joint mass over a <= r <= b and 0 < x <= min(x_cut, r)."""
-        R, W = _panels(a, b, width, _ORDER)
-        clipped = _joint_cdf_series_scaled(t, np.minimum(R, x_cut), R) \
-            - _joint_cdf_series_scaled(t, 0.0, R)
-        ex = np.exp(_tilt_exponent(beta, t, R, g, use_exact_radius))
-        return math.fsum(W * clipped * ex)
-
-    den, hi = _extended_integral(mass, r_lo, r_hi, width, 1e-10)
-    if not den > 0.0:
-        raise DomainError("empty quadrature window; increase t")
     cdfs = []
     for level in levels:
-        x_cut = c * t + level * st / math.sqrt(3.0)
+        x_cut = centre + level * st / math.sqrt(3.0)
         if x_cut >= hi:
             cdfs.append(1.0)
             continue
-        edge = max(x_cut, r_lo)
-        num = mass(r_lo, edge) + mass(edge, hi, max(x_cut, 0.0))
-        cdfs.append(min(num / den, 1.0))
+        edge, clip = max(x_cut, r_lo), max(x_cut, 0.0)
+        below, _, _ = mass(_scaled_range(t), r_lo, edge)
+        above, _, _ = mass(lambda r: _joint_cdf_series_scaled(t, clip, r)
+                           - _joint_cdf_series_scaled(t, 0.0, r), edge, hi)
+        cdfs.append(min((below + 0.25 * st * above) / den, 1.0))
     return cdfs

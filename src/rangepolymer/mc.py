@@ -111,7 +111,8 @@ def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
 def _walk_block_nd(seed: int, block: int, count: int, n: int, d: int):
     """(endpoint norms, ranges) for one block of undrifted d-dim walks."""
     span = 2 * n + 1
-    if span**d >= 2**62:
+    # span >= 3, so every d >= 62 overflows; below that the power is small
+    if d >= 62 or span**d >= 2**62:
         raise DomainError(f"coordinate packing overflows for d={d}, n={n}")
     rng = _stream(seed, block)
     dirs = _direction_table(d)

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,21 @@ from rangepolymer.cli import main
 
 def _read(path):
     return path.read_text(encoding="utf-8")
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _assert_published(out, code):
+    """A failed run (exit 2 or 3) leaves --out empty; a run that exits 0
+    publishes artifacts that hold no nan or inf."""
+    found = sorted(out.iterdir())
+    if code != 0:
+        assert found == []
+        return
+    assert found
+    for path in found:
+        assert not _NON_FINITE.search(_read(path)), path.name
 
 
 def test_constants_row(tmp_path):
@@ -201,7 +217,7 @@ def test_extreme_beta_exits_2_without_artifacts(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
     if "5e-324" in argv:  # beta/2 underflows: the error names the beta passed
         assert "beta=5e-324" in err
-    assert list(out.iterdir()) == []
+    _assert_published(out, 2)
 
 
 @pytest.mark.parametrize("grid", ["nan", "0,inf", "-inf:0:3", "1e308:-1e308:3"])
@@ -212,7 +228,7 @@ def test_non_finite_clt_grid_exits_2_without_artifacts(tmp_path, capsys, grid):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert list(out.iterdir()) == []
+    _assert_published(out, 2)
 
 
 def test_exact_law_files_byte_identical(tmp_path):
@@ -249,7 +265,7 @@ def test_exact_failure_writes_no_artifact(tmp_path, capsys, extra, code):
                  "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    _assert_published(out, code)
 
 
 def test_exact_past_double_range_exits_3(tmp_path, capsys):
@@ -258,7 +274,7 @@ def test_exact_past_double_range_exits_3(tmp_path, capsys):
                  "--cap-override", "2000", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "double range" in err and "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    _assert_published(out, 3)
 
 
 @pytest.mark.parametrize("n", ["20000", str(10**9)])
@@ -271,7 +287,7 @@ def test_exact_certain_overflow_exits_3_at_once(tmp_path, capsys, n):
     assert code == 3
     err = capsys.readouterr().err
     assert "double range" in err and "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    _assert_published(out, code)
 
 
 @pytest.mark.parametrize("args", [
@@ -295,7 +311,7 @@ def test_mc_bad_input_exits_2_without_artifacts(tmp_path, capsys, args):
     assert main(["mc", *args, "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert list(out.iterdir()) == []
+    _assert_published(out, 2)
 
 
 @pytest.mark.parametrize("extra", [
@@ -310,7 +326,7 @@ def test_continuous_failure_writes_no_artifact(tmp_path, capsys, extra):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert list(out.iterdir()) == []
+    _assert_published(out, 2)
 
 
 @pytest.mark.parametrize("args", [
@@ -340,7 +356,7 @@ def test_non_finite_parameter_exits_2_without_artifacts(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "finite" in err or "overflows" in err
-    assert list(out.iterdir()) == []
+    _assert_published(out, 2)
 
 
 @pytest.mark.parametrize("grid", ["0:1:x", "0:1", "0:1:2:3", "a:1:3", "0,x", "0:1:1.5"])
@@ -350,7 +366,7 @@ def test_malformed_grid_exits_2_without_artifacts(tmp_path, capsys, grid):
                  f"--grid={grid}", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed grid") and "Traceback" not in err
-    assert list(out.iterdir()) == []
+    _assert_published(out, 2)
 
 
 def test_brownian_step_cap_exits_3_at_once(tmp_path, capsys):
@@ -359,7 +375,7 @@ def test_brownian_step_cap_exits_3_at_once(tmp_path, capsys):
                  "--samples", "1", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "exceeds the cap" in err and "Traceback" not in err
-    assert list(out.iterdir()) == []
+    _assert_published(out, 3)
 
 
 @pytest.mark.parametrize("args", [["--beta", "1e300", "--t", "4"],
@@ -369,7 +385,7 @@ def test_quadrature_past_the_node_cap_exits_3(tmp_path, capsys, args):
     assert main(["continuous", *args, "--outputs", "Z", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "exceed the cap" in err and "Traceback" not in err
-    assert list(out.iterdir()) == []
+    _assert_published(out, 3)
 
 
 def test_density_far_past_its_mass_is_zero(tmp_path, capsys):
@@ -377,8 +393,36 @@ def test_density_far_past_its_mass_is_zero(tmp_path, capsys):
     assert main(["continuous", "--beta", "1", "--t", "4", "--outputs", "density",
                  "--r-grid", "1e300", "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
+    _assert_published(out, 0)
     lines = _read(out / "range_density.csv").strip().splitlines()
     assert [float(v) for v in lines[1].split(",")] == [1e300, 0.0, 0.0]
+
+
+_HUGE_D = str(10**400)
+
+
+@pytest.mark.parametrize("args, code", [
+    # the unit-ball volume w_(d-1) underflows to 0.0: ZeroDivisionError at
+    # d = 1500, RecursionError from d = 1999 on
+    (["constants", "--beta", "1", "--d", "1500"], 2),
+    (["constants", "--beta", "1", "--d", "1999"], 2),
+    (["constants", "--beta", "1", "--d", _HUGE_D], 2),
+    (["constants", "--beta", "1", "--d", "300"], 0),
+    # the packing bound formed (2n + 1)^d and hung
+    (["mc", "corollary", "--beta", "1", "--d", _HUGE_D, "--n", "10", "--seed", "1",
+      "--samples", "10"], 2),
+    # r^2 underflowed in the range kernel: 14 NaN rows and two RuntimeWarnings
+    (["continuous", "--beta", "1", "--t", "5e-324", "--outputs", "density"], 0),
+])
+def test_extreme_input_exits_cleanly_and_at_once(tmp_path, capsys, args, code):
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert main([*args, "--out", str(out)]) == code
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") if code else err == ""
+    _assert_published(out, code)
 
 
 @pytest.mark.parametrize("args", [

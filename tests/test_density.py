@@ -35,8 +35,9 @@ from rangepolymer.density import (
     _joint_cdf_series_scaled,
     _joint_series_scaled,
     _panels,
+    _scaled_range,
     _tilt_exponent,
-    _tilted_range_integral,
+    _tilted_mass,
     _z_domain,
 )
 
@@ -109,6 +110,14 @@ class TestRangeDensity:
         rhs = range_density(1.0, u).value / math.sqrt(t)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("u", [0.1, 0.3, 1.0, 2.0, 5.0])
+    def test_scaling_law_at_subnormal_t(self, u):
+        """At t = 5e-324, r^2 underflowed to 0 in the kernel and every
+        density came out NaN; q is now formed from u = r/sqrt(t)."""
+        t = 5e-324
+        lhs = range_density(t, u * math.sqrt(t)).value * math.sqrt(t)
+        assert lhs == range_density(1.0, u).value
+
     def test_scalar_matches_grid(self):
         """Bitwise over the CLI's whole default r-grid, dual rows included."""
         for t in (1.7, 40.0):
@@ -146,6 +155,13 @@ class TestRangeDensity:
             slack = 4e-16 * max(1.0, abs(dense))
             assert abs(se.value - dense) <= se.truncation_bound + slack
             assert se.terms_used >= 1
+
+    def test_bound_is_relative_where_one_term_is_summed(self):
+        """Below u ~ 0.36 the dual stops after one term; its bound used to be
+        that term, the whole value, and is now the next-term ratio times it."""
+        se = range_density(1.0, 0.3)
+        assert se.terms_used == 1
+        assert 0.0 < se.truncation_bound <= 1e-4 * se.value
 
     def test_floor_rejected(self):
         with pytest.raises(DomainError):
@@ -250,15 +266,16 @@ def test_joint_overflow_raises_without_a_warning(args):
             joint_density(*args)
 
 
-def _z_at(beta, t, order, tol):
+def _z_at(monkeypatch, beta, t, order, tol):
     """Z_t and its panel-halving error estimate at any order and tail tol;
     partition_function_continuous is this at order 16 and tol 1e-9."""
+    monkeypatch.setattr(density, "_ORDER", order)
     r_lo, r_hi, _, g = _z_domain(beta, t)
     width = 0.25 * math.sqrt(t)
-    coarse, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, g, False, width,
-                                          order, tol)
-    fine, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, g, False, 0.5 * width,
-                                        order, tol)
+    f = _scaled_range(t)
+    coarse, _, _ = _tilted_mass(beta, t, g, False, width, f, r_lo, r_hi, tol)
+    fine, _, _ = _tilted_mass(beta, t, g, False, 0.5 * width, f, r_lo, r_hi, tol)
+    fine, coarse = 8.0 / math.sqrt(t) * fine, 8.0 / math.sqrt(t) * coarse
     return fine * math.exp(g * t), abs(fine - coarse) * math.exp(g * t)
 
 
@@ -281,11 +298,11 @@ class TestPartitionFunction:
         assert bound == pytest.approx(math.exp(-2.0 * 40.0), rel=1e-12)
         assert bound <= 1e-6 * res.value
 
-    def test_error_estimate_honest_under_refinement(self):
+    def test_error_estimate_honest_under_refinement(self, monkeypatch):
         res = partition_function_continuous(1.0, 30.0)
-        assert _z_at(1.0, 30.0, 16, 1e-9) == (res.value, res.abs_error_estimate)
-        base, base_err = _z_at(1.0, 30.0, 8, 1e-9)
-        fine, _ = _z_at(1.0, 30.0, 16, 1e-12)
+        assert _z_at(monkeypatch, 1.0, 30.0, 16, 1e-9) == (res.value, res.abs_error_estimate)
+        base, base_err = _z_at(monkeypatch, 1.0, 30.0, 8, 1e-9)
+        fine, _ = _z_at(monkeypatch, 1.0, 30.0, 16, 1e-12)
         assert abs(base - fine) <= 10.0 * base_err + 1e-30
 
     def test_exact_radius_free_energy_gap_shrinks(self):
@@ -371,24 +388,7 @@ def test_scalar_level_rejected(fn):
         fn(1.0, 40.0, 0.0)
 
 
-# Per-level reference: the one-level-per-call loop that the range tail's
-# level-sequence sweep replaced, which it must reproduce bit for bit.  A
-# level list of the endpoint CDF must give bitwise its one-level calls.
-
-def _range_tail_one_level(beta, t, C, use_exact_radius, order=16):
-    r_lo, _, c, _ = _z_domain(beta, t)
-    r_hi = 4.0 * c * t
-    g = continuous_constants(beta).g_dstar
-    width = 0.125 * math.sqrt(t)
-    den, _, _ = _tilted_range_integral(beta, t, r_lo, r_hi, g, use_exact_radius,
-                                       width, order, 1e-10)
-    thr = c * t + C * math.sqrt(t) / math.sqrt(3.0)
-    if thr <= r_lo:
-        return 1.0
-    num, _, _ = _tilted_range_integral(beta, t, thr, max(r_hi, thr + math.sqrt(t)),
-                                       g, use_exact_radius, width, order, 1e-10)
-    return min(num / den, 1.0)
-
+# A level list of either CLT must give bitwise its one-level calls.
 
 # unsorted, one duplicate, -4 below the cutoff at t=10 for both betas, +-9
 _ORACLE_LEVELS = [0.5, -9.0, 1.0, -4.0, 0.5, 9.0]
@@ -407,10 +407,10 @@ class TestLevelSweepMatchesPerLevelOracle:
     def test_range_tail_bitwise(self, beta, exact_radius):
         swept = range_second_order_cdf(beta, 10.0, _ORACLE_LEVELS,
                                        use_exact_radius=exact_radius)
-        oracle = [_range_tail_one_level(beta, 10.0, c, exact_radius)
-                  for c in _ORACLE_LEVELS]
-        assert swept == oracle
-        assert oracle[3] == 1.0  # the below-cutoff branch is exercised
+        one_level = [range_second_order_cdf(beta, 10.0, [c], use_exact_radius=exact_radius)[0]
+                     for c in _ORACLE_LEVELS]
+        assert [v.hex() for v in swept] == [v.hex() for v in one_level]
+        assert one_level[3] == 1.0  # the below-cutoff branch is exercised
 
 
 # The plain joint-series kernel, kept verbatim as the reference for
@@ -587,12 +587,19 @@ def test_endpoint_cdf_matches_the_2d_oracle(t, beta, exact_radius):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("t", [40.0, 160.0, 640.0])
-def test_endpoint_cdf_is_converged_in_the_order(t, monkeypatch):
+_ORDER_TS = (40.0, 160.0, 640.0)
+
+
+@pytest.mark.parametrize(
+    "fn, t", [(endpoint_clt_continuous, t) for t in _ORDER_TS]
+    + [(range_second_order_cdf, t) for t in _ORDER_TS],
+    ids=[str(t) for t in _ORDER_TS] + [f"range-{t}" for t in _ORDER_TS])
+def test_endpoint_cdf_is_converged_in_the_order(fn, t, monkeypatch):
+    """Both CLTs; their one window has no kink inside a panel."""
     levels = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    at_16 = endpoint_clt_continuous(1.0, t, levels)
+    at_16 = fn(1.0, t, levels)
     monkeypatch.setattr(density, "_ORDER", 32)
-    at_32 = endpoint_clt_continuous(1.0, t, levels)
+    at_32 = fn(1.0, t, levels)
     np.testing.assert_allclose(at_32, at_16, rtol=0.0, atol=1e-12)
 
 
@@ -603,3 +610,13 @@ def test_endpoint_window_extends_past_the_saddle_window(beta, t):
     [got] = endpoint_clt_continuous(beta, t, [0.0])
     [want] = _oracle_endpoint_clt_continuous(beta, t, [0.0])
     assert got == pytest.approx(want, rel=0.0, abs=1e-10)
+
+
+def test_endpoint_cdf_at_a_small_window_matches_the_2d_oracle():
+    """Below u ~ 0.3 the difference A(r; r) - A(0; r) cancels to ~1e-13
+    noise; reading f_R/2 from the range kernel there took the gap to the
+    2-D oracle at (0.001, 4) from 8.3e-14 to a few ulps."""
+    levels = [-1.0, 0.0, 1.0]
+    got = endpoint_clt_continuous(0.001, 4.0, levels)
+    want = _oracle_endpoint_clt_continuous(0.001, 4.0, levels)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
