@@ -49,6 +49,7 @@ from .mc import (
 )
 
 _F = "{:.17g}".format
+GRID_POINT_CAP = 10**6  # most points an 'a:b:k' grid may ask for
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +73,9 @@ def _parse_grid(text: str) -> list[float]:
     if ":" in text:
         if count < 1:
             raise DomainError(f"grid count must be positive, got {count}")
+        if count > GRID_POINT_CAP:
+            raise ResourceCapError(f"grid count {count} exceeds the cap of "
+                                   f"{GRID_POINT_CAP:.0e}")
         values = [lo] if count == 1 else \
             [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     if not all(math.isfinite(v) for v in values):

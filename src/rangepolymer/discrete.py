@@ -92,7 +92,7 @@ def tilde_c_d(beta: float, d: int = 1) -> float:
     check_positive("beta", beta)
     if d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
-    return beta / (beta + math.log(2.0 * d))
+    return beta / (beta + math.log(2 * d))
 
 
 def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[float, RootResult]:

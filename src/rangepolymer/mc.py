@@ -41,6 +41,11 @@ PATH_BLOCK = 512
 TIME_CHUNK = 2048  # Brownian increments drawn per chunk; fixes the stream order
 LOW_ESS_FRACTION = 0.01
 PATH_STEP_CAP = 10**10  # most path steps (samples * t/dt) brownian_range_mc takes
+# Most walk steps _weighted_walks takes, a walk charged n d + 8: a step peaks
+# at ~14 B (d = 1) or ~16 B (d >= 2), a walk's own arrays at ~80 B.  1.1e8
+# admits 1e5 walks of n = 1000; peak RSS was 0.97 GB at n = 1 (1.2e7 walks),
+# 1.5 GB and 1.8 GB at 2 walks of n d = 5.5e7 in d = 1 and d = 2.
+WALK_STEP_CAP = 11 * 10**7
 
 
 @dataclass(frozen=True)
@@ -111,13 +116,9 @@ def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
 def _walk_block_nd(seed: int, block: int, count: int, n: int, d: int):
     """(endpoint norms, ranges) for one block of undrifted d-dim walks."""
     span = 2 * n + 1
-    # span >= 3, so every d >= 62 overflows; below that the power is small
-    if d >= 62 or span**d >= 2**62:
-        raise DomainError(f"coordinate packing overflows for d={d}, n={n}")
     rng = _stream(seed, block)
-    dirs = _direction_table(d)
-    idx = rng.integers(0, 2 * d, size=(count, n))
-    coords = np.cumsum(dirs[idx], axis=1)  # (count, n, d)
+    coords = _direction_table(d)[rng.integers(0, 2 * d, size=(count, n))]
+    np.cumsum(coords, axis=1, out=coords)  # (count, n, d), summed in place
     visited = coords[:, : n - 1, :] if n > 1 else np.zeros((count, 0, d), np.int64)
     packed = np.zeros((count, visited.shape[1] + 1), dtype=np.int64)
     stride = 1
@@ -142,6 +143,12 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
     """
     if n < 1:
         raise DomainError(f"need walk length n >= 1, got {n!r}")
+    # 2n + 1 >= 3, so every d >= 62 overflows; below that the power is small
+    if d >= 2 and (d >= 62 or (2 * n + 1)**d >= 2**62):
+        raise DomainError(f"coordinate packing overflows for d={d}, n={n}")
+    if samples * (n * d + 8) > WALK_STEP_CAP:
+        raise ResourceCapError(f"samples * (n d + 8) = {samples} * {n * d + 8} walk "
+                               f"steps exceeds the cap of {WALK_STEP_CAP:.1e}")
     kernel, arg = (_walk_block_1d, drift) if d == 1 else (_walk_block_nd, d)
     nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
 
@@ -347,7 +354,7 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
         raise DomainError(f"t/dt overflows: t={t!r}, dt={dt!r}")
     nsteps = int(round(t / dt))
     if samples * nsteps > PATH_STEP_CAP:
-        raise ResourceCapError(f"samples * t/dt = {samples * nsteps:.3g} path steps "
+        raise ResourceCapError(f"samples * t/dt = {samples} * {nsteps} path steps "
                                f"exceeds the cap of {PATH_STEP_CAP:.0e}")
     st = math.sqrt(t)
     range_edges = np.linspace(0.0, 6.0 * st, 61)

@@ -413,6 +413,16 @@ _HUGE_D = str(10**400)
       "--samples", "10"], 2),
     # r^2 underflowed in the range kernel: 14 NaN rows and two RuntimeWarnings
     (["continuous", "--beta", "1", "--t", "5e-324", "--outputs", "density"], 0),
+    # the 'a:b:k' list was built first: MemoryError, or the OOM killer
+    (["rate-curves", "--beta", "1", "--model", "continuous",
+      "--grid", "0:1:1000000000000"], 3),
+    # the first draw asked for 14.6 TiB and 14.9 GiB: _ArrayMemoryError
+    (["mc", "tilted", "--beta", "1", "--n", "1000000000000", "--seed", "1",
+      "--samples", "2"], 3),
+    (["mc", "corollary", "--beta", "1", "--d", "2", "--n", "1000000000", "--seed", "1",
+      "--samples", "2"], 3),
+    # the cap's message formed samples * t/dt as a float: OverflowError
+    (["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "1", "--samples", _HUGE_D], 3),
 ])
 def test_extreme_input_exits_cleanly_and_at_once(tmp_path, capsys, args, code):
     out = tmp_path / "run"

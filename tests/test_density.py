@@ -4,6 +4,7 @@ The normal CDF used as a comparison target comes from scipy (ndtr), an
 implementation independent of the package's erf-based one.
 """
 
+import hashlib
 import math
 import time
 import warnings
@@ -413,9 +414,10 @@ class TestLevelSweepMatchesPerLevelOracle:
         assert one_level[3] == 1.0  # the below-cutoff branch is exercised
 
 
-# The plain joint-series kernel, kept verbatim as the reference for
-# ``_joint_series_scaled``, which must reproduce every value, bound and term
-# count bit for bit; and a 2-D endpoint-CLT quadrature built on it.
+# The joint-series kernel in its a^2 form, kept verbatim as the reference for
+# ``_joint_series_scaled``, which works in u = r/sqrt(t) and v = x/sqrt(t)
+# and must match its term counts exactly and its values to rounding; and a
+# 2-D endpoint-CLT quadrature built on it.
 
 # np.exp returns exactly 0.0 for every argument at or below this; the
 # node-set test counts the blocks whose arguments all lie there.
@@ -480,21 +482,25 @@ def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False):
     return [n / den for n in num]
 
 
-def _assert_same_series(args):
+def _assert_same_series(args, rel=2e-12):
+    """Type, shape and term count as the oracle's, values within
+    rel * max(1, max |oracle|): the two forms round differently."""
     got = _joint_series_scaled(*args)
     want = _oracle_joint_series_scaled(*args)
     assert type(got[0]) is type(want[0])
     assert np.shape(got[0]) == np.shape(want[0])
-    assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
-    assert type(got[1]) is float and got[1] == want[1]
+    assert type(got[1]) is float
     assert got[2] == want[2]
-    return want
+    scale = max(1.0, float(np.max(np.abs(want[0]))))
+    assert float(np.max(np.abs(got[0] - want[0]))) <= rel * scale
+    return got
 
 
 def _block_args(t, x, r, k):
-    """Exp arguments of both branches of block k, as the kernels form them."""
-    base = np.square(r) / (2.0 * t)
-    return [base - np.square(2.0 * k * r + sign * x) / (2.0 * t) for sign in (-1.0, 1.0)]
+    """Exp arguments of both branches of block k, as ``_joint_blocks`` forms them."""
+    u, v = r / math.sqrt(t), x / math.sqrt(t)
+    lo, hi = (2 * k - 1) * u, (2 * k + 1) * u
+    return [-0.5 * (lo - sign * v) * (hi - sign * v) for sign in (1.0, -1.0)]
 
 
 @pytest.mark.parametrize("t", [1.0, 10.0, 40.0, 160.0, 640.0])
@@ -502,7 +508,7 @@ class TestJointSeriesMatchesOracle:
     def test_endpoint_nodes_bitwise(self, t):
         """The (x, r) node sets of a 2-D endpoint quadrature, from the cutoff
         to r where the tilt weight is 0.0: live, subnormal-band and all-dead
-        blocks."""
+        blocks, each summed to the oracle's term count."""
         beta = 1.0
         r_lo, _, c, _ = _z_domain(beta, t)
         g = continuous_constants(beta).g_dstar
@@ -528,15 +534,20 @@ class TestJointSeriesMatchesOracle:
         st_ = math.sqrt(t)
         x = np.linspace(0.01 * st_, 3.0 * st_, 37)[:, None]
         r = np.linspace(0.05 * st_, 8.0 * st_, 41)[None, :]
-        for args in [(t, x, r), (t, x[:, 0], np.float64(2.0 * st_)),
+        for args in [(t, x[:, 0], np.float64(2.0 * st_)),
                      (t, np.array([0.5 * st_]), np.array([st_])), (t, 0.3 * st_, st_)]:
             _assert_same_series(args)
+        # off the wedge at (u, v) = (0.05, 2.5) both forms sum O(1e4) terms to
+        # a true 1e-57 and are rounding noise: 2.4e-12 and 3.3e-12 of the
+        # scale apart at t = 1 and 10
+        _assert_same_series((t, x, r), rel=1e-11)
         want = _oracle_joint_series_scaled(t, x, r)[0] * np.exp(-np.square(r) / (2.0 * t))
-        assert joint_density_grid(t, x, r).tobytes() == want.tobytes()
+        np.testing.assert_allclose(joint_density_grid(t, x, r), want, rtol=0.0,
+                                   atol=1e-11 * max(1.0, float(np.max(np.abs(want)))))
 
 
 @pytest.mark.parametrize("args", [
-    (1.0, np.array([5.0, 9.0, 30.0, 60.0]), np.float64(1.0)),  # x > 2kr: signed zeros
+    (1.0, np.array([5.0, 9.0, 30.0, 60.0]), np.float64(1.0)),  # x > 2kr
     (1.0, np.array([-5.0, -30.0, 0.2]), np.float64(1.0)),
     (1.0, np.array([0.5, 0.9]), np.array([1.0, -1.0])),
     (2.0, np.array([1e-300, 3.0]), np.float64(3.0)),
@@ -546,9 +557,104 @@ class TestJointSeriesMatchesOracle:
 ])
 def test_joint_series_off_the_wedge_matches_oracle(args):
     """Outside 0 < x < r (joint_density_grid does not check) the kernel must
-    leave the oracle's signed zeros and NaNs."""
+    match the oracle too.  Where the oracle's t^(3/2) underflows, its
+    0 * inf is NaN; u and v stay finite, and the kernel reads 0.0 there."""
     with np.errstate(all="ignore"):
-        _assert_same_series(args)
+        if args[0] == 1e-250:
+            assert np.isnan(_oracle_joint_series_scaled(*args)[0]).all()
+            assert _joint_series_scaled(*args)[0].tolist() == [0.0, 0.0]
+        else:
+            _assert_same_series(args)
+
+
+def _mp_joint_series_scaled(t, x, r, blocks=None):
+    """h(x, r) exp(r^2/2t) at 60 digits from the same float t, x and r: the
+    first ``blocks`` blocks, or all of them until one is below 1e-75 of the
+    partial sum."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        t = mp.mpf(t)
+        u, v = mp.mpf(r) / mp.sqrt(t), mp.mpf(x) / mp.sqrt(t)
+        total, k = mp.mpf(0), 0
+        while True:
+            k += 1
+            zm, zp = 2 * k * u - v, 2 * k * u + v
+            em, ep = mp.exp(-(zm - u) * (zm + u) / 2), mp.exp(-(zp - u) * (zp + u) / 2)
+            block = (4 * k * k * (u - v) * ((zm ** 2 - 1) * em + (zp ** 2 - 1) * ep)
+                     + 4 * k * (k - 1) * zm * em - 4 * k * (k + 1) * zp * ep)
+            total += block
+            if k == blocks or blocks is None and abs(block) < mp.mpf(10) ** -75 * abs(total):
+                return total / (t * mp.sqrt(2 * mp.pi))
+
+
+@pytest.mark.parametrize("t", [1.0, 40.0, 640.0])
+@pytest.mark.parametrize("u", [0.7, 1.0, 2.0, 4.0, 8.0, 12.0, 24.0])
+def test_joint_series_matches_a_60_digit_sum(t, u):
+    """Above u ~ 0.6; below it the series cancels (see ``joint_density``)."""
+    st_ = math.sqrt(t)
+    for frac in (0.25, 0.5, 0.9):
+        x, r = frac * u * st_, u * st_
+        [got], _, _ = _joint_series_scaled(t, np.array([x]), np.array([r]))
+        assert got == pytest.approx(float(_mp_joint_series_scaled(t, x, r)),
+                                    rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e4])
+def test_joint_bound_scales_like_the_value(lam):
+    """h(x, r) at lam t is h(x/sqrt(lam), r/sqrt(lam)) / lam, and so is the
+    bound; it used to read the same at every t."""
+    for x, r in [(0.5, 1.0), (0.3, 0.7), (1.0, 4.0)]:
+        ref = joint_density(1.0, x, r)
+        got = joint_density(lam, math.sqrt(lam) * x, math.sqrt(lam) * r)
+        assert got.terms_used == ref.terms_used
+        want = ref.truncation_bound
+        assert got.truncation_bound * lam == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("u", [0.7, 1.0, 2.0, 4.0])
+def test_joint_bound_covers_the_60_digit_remainder(t, u):
+    import mpmath as mp
+
+    st_ = math.sqrt(t)
+    for frac in (0.25, 0.5, 0.9):
+        x, r = frac * u * st_, u * st_
+        se = joint_density(t, x, r)
+        rest = _mp_joint_series_scaled(t, x, r) \
+            - _mp_joint_series_scaled(t, x, r, blocks=se.terms_used)
+        assert se.truncation_bound >= float(abs(rest) * mp.exp(-mp.mpf(u) ** 2 / 2))
+
+
+@pytest.mark.parametrize("x, r", [(1e153, 5e153), (3e153, 1e154)])
+def test_joint_density_at_t_1e308_is_the_unit_density_rescaled(x, r):
+    """u = 0.5 and 1: the a^2 form raised DomainError at both, the first
+    after RuntimeWarnings, and exp(-r^2/2t) read 1.0 once 2t overflowed."""
+    st_ = math.sqrt(1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = joint_density(1e308, x, r)
+    want = joint_density(1.0, x / st_, r / st_).value * 1e-308
+    assert math.isfinite(got.value)
+    assert got.value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+# sha256 of ``_joint_cdf_series_scaled`` over a (u, v) grid, off the wedge
+# included: the endpoint CDF's kernel keeps its bits.
+_CDF_KERNEL_SHA256 = {
+    1.0: "32e028e16f068fd2346a5cfd9a22b906c185cf4db3fa98ce0136c2bffdb8a13b",
+    40.0: "c21334a22bdf46ff3a4dca50f8370c399c6043a4000e677b8049bb8e5f6c764d",
+    640.0: "7c71e23ee8d167b6470db6948d679be1076c96355291ba1c35fe683d4a1bc298",
+}
+
+
+@pytest.mark.parametrize("t", sorted(_CDF_KERNEL_SHA256))
+def test_joint_cdf_kernel_keeps_its_bits(t):
+    st_ = math.sqrt(t)
+    u = np.linspace(0.3, 9.0, 59)[None, :]
+    v = np.linspace(0.0, 9.0, 61)[:, None]
+    got = _joint_cdf_series_scaled(t, v * st_, u * st_)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == _CDF_KERNEL_SHA256[t]
 
 
 # The closed-form x-integral of the joint density and the endpoint CDF

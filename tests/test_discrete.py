@@ -329,3 +329,10 @@ class TestTildeCd:
            st.integers(min_value=1, max_value=6))
     def test_in_unit_interval(self, beta, d):
         assert 0.0 < tilde_c_d(beta, d) < 1.0
+
+    def test_dimension_past_the_double_range(self):
+        """log(2.0 * d) raised OverflowError for an int d above ~1e308."""
+        v = tilde_c_d(1.0, 10**400)
+        assert math.isfinite(v)
+        assert v == pytest.approx(1.0 / (1.0 + math.log(2.0) + 400.0 * math.log(10.0)),
+                                  rel=1e-15)
