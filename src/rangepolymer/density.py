@@ -16,28 +16,28 @@ every term carries a Gaussian factor phi(2ku +- v), u = r/sqrt(t) and
 v = x/sqrt(t).  The density and its x-integral A(x; r), closed-form term by
 term, both sum the blocks of one generator, ``_joint_blocks``.
 
-Z_t and both CLTs are calls of one tilted r-quadrature, ``_tilted_mass``:
-an r-integrand times exp(-beta t^2 / rho) on composite Gauss-Legendre
-panels (width sqrt(t)/4 near the saddle beta^(1/3) t).  The CLTs share one
-window and its range mass; below its clip the endpoint CDF reads the wedge
-mass f_R/2 from the range kernel, above it A(x_cut; r) - A(0; r).
-rho = r + 2 is the exact unit-sausage radius; rho = r is the surrogate used
-by the free-energy computation - the two free energies agree in the limit
-while the partition functions themselves keep a constant ratio
-exp(2 beta^(1/3)).  Integrands are assembled in log space: the leading
-Gaussian e^{-r^2/2t} is folded into the tilt exponent together with
-exp(-g** t), so no factor overflows or underflows at any t.
+Z_t and both CLTs are calls of one tilted quadrature in u = r/sqrt(t),
+``_tilted_mass``, on the one window of ``_window``, off which the tilt
+exp(-beta t^2 / rho) e^(-u^2/2) lies 40 nats below its peak.  The CLTs share
+its range mass; below its clip the endpoint CDF reads the wedge mass f_R/2
+from the range kernel, above it A(x_cut; r) - A(0; r).  rho = r + 2 is the
+exact unit-sausage radius; rho = r is the surrogate used by the free-energy
+computation - the two free energies agree in the limit while the partition
+functions themselves keep a constant ratio exp(2 beta^(1/3)).  The tilt
+exponent is taken relative to its value at the saddle, so no factor
+overflows or underflows at any t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .continuous import continuous_constants
+from .continuous import _CBRT
 from .errors import DomainError, ResourceCapError, check_grid, check_positive
 from .gaussian import SQRT2PI
 
@@ -52,7 +52,6 @@ __all__ = [
     "partition_function_continuous",
     "range_second_order_cdf",
     "endpoint_clt_continuous",
-    "small_range_weight_bound",
 ]
 
 DEFAULT_FLOOR = 0.05
@@ -111,18 +110,19 @@ def range_density(t: float, r: float) -> SeriesEval:
     u = r / sqrt_t
     if math.exp(-0.5 * u * u) == 0.0:
         return SeriesEval(value=0.0, truncation_bound=0.0, terms_used=1)
-    rs = np.array([r])
-    series, bound, terms = _range_series_scaled(t, rs)
-    damp = (8.0 / sqrt_t * np.exp(-0.5 * np.square(rs / sqrt_t)))[0]
+    us = np.array([r]) / sqrt_t
+    series, bound, terms = _range_series_scaled(us)
+    damp = (8.0 / sqrt_t * np.exp(-0.5 * np.square(us)))[0]
     return SeriesEval(value=float(damp * series[0]), truncation_bound=float(damp * bound),
                       terms_used=terms)
 
 
-def _range_series_scaled(t: float, r: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """f_R(r) * exp(r^2 / 2t) * sqrt(t) / 8, a truncation bound, terms used.
+def _range_series_scaled(u: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """S(u) = f_R(r) * exp(r^2 / 2t) * sqrt(t) / 8 at u = r/sqrt(t), a
+    truncation bound, terms used.
 
-    With u = r/sqrt(t) and q = u^2/2 (formed from u, so q cannot underflow
-    while u is in range), term k of Feller's alternating series is
+    With q = u^2/2 (formed from u, so q cannot underflow while u is in
+    range), term k of Feller's alternating series is
     k^2 exp(-(k^2 - 1) q) / sqrt(2 pi): the k = 1 Gaussian has been pulled
     out so the caller can fold it into a larger exponent.  Below
     u = sqrt(pi) that series cancels to noise, so there the Jacobi dual is
@@ -134,7 +134,7 @@ def _range_series_scaled(t: float, r: np.ndarray) -> tuple[np.ndarray, float, in
     geometric tail); the bound returned is the largest of those over r.
     A point stops once its term is at most 1e-13 of max(1, |partial sum|).
     """
-    q = 0.5 * np.square(np.asarray(r, dtype=float) / math.sqrt(t))
+    q = 0.5 * np.square(np.asarray(u, dtype=float))
     dual = q < 0.5 * math.pi
     primal = ~dual
     qp, qd = q[primal], q[dual]
@@ -161,9 +161,8 @@ def _range_series_scaled(t: float, r: np.ndarray) -> tuple[np.ndarray, float, in
 
 def range_density_grid(t: float, r: np.ndarray) -> np.ndarray:
     """Vectorized range density; caller is responsible for the domain floor."""
-    r = np.asarray(r, dtype=float)
-    return 8.0 / math.sqrt(t) * np.exp(-0.5 * np.square(r / math.sqrt(t))) \
-        * _range_series_scaled(t, r)[0]
+    u = np.asarray(r, dtype=float) / math.sqrt(t)
+    return 8.0 / math.sqrt(t) * np.exp(-0.5 * np.square(u)) * _range_series_scaled(u)[0]
 
 
 def _joint_blocks(t: float, x: np.ndarray, r: np.ndarray):
@@ -284,115 +283,110 @@ def _panels(a: float, b: float, max_width: float, order: int):
         (half[:, None] * ws[None, :]).ravel()
 
 
-def small_range_weight_bound(beta: float, t: float,
-                             use_exact_radius: bool = False) -> float:
-    """Upper bound on the tilt weight over the excluded region r < cutoff.
+# Nats below its peak that the tilt lies everywhere outside the window.
+_TAIL_NATS = 40.0
 
-    The weight is monotone in r, so the whole small-range contribution to the
-    partition function is at most exp(-beta t^2 / rho(cutoff)), which equals
-    exp(-2 beta^(2/3) t) for the surrogate radius.
+
+class _Window(NamedTuple):
+    """The tilt of ``_window`` in u and the one u-window it is integrated on."""
+
+    b: float
+    a: float
+    centre: float
+    c: float
+    lo: float
+    hi: float
+    shift: float
+    residue: float
+
+
+def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
+    """The tilt in u = r/sqrt(t) and the one window Z and both CLTs use.
+
+    With b = beta t^(3/2) and a = 2/sqrt(t) (0 for the surrogate radius),
+    exp(-beta t^2/rho - r^2/2t) = exp(phi(u)), phi(u) = -u^2/2 - b/(u + a),
+    and the centre c** t is b^(1/3) sqrt(t); so the surrogate depends on
+    (beta, t) through b alone.  With c = max(b^(1/3), 0.05) and
+    L = ``_TAIL_NATS``, phi <= phi(c) - L <= max phi - L off the window
+    [lo, hi] = [max(0.05, b/(L - phi(c)) - a), c + sqrt(2L)]: right of c,
+    phi'' <= -1 and phi'(c) <= -c + b/c^2 <= 0 give phi(u) <= phi(c) -
+    (u - c)^2/2; left of lo, phi(u) <= -b/(u + a) <= phi(c) - L.
+    The integrands are bounded there: S(u) = f_R(r) exp(u^2/2) sqrt(t)/8 <=
+    1/sqrt(2 pi), as above sqrt(pi) the alternating series is below its
+    first term, and below it the positive dual terms fall 4.5e-5-fold from
+    a first one that increases in u (u d/du of its log is w + pi^2/w - 5 -
+    2/(w - 1) > 0 for w = pi^2/u^2 >= pi) to 0.385; and A(x_cut; r) -
+    A(0; r) <= f_R/2.  So int S exp(phi - phi(c)) du off the window is at
+    most e^(-L) (lo + 1/sqrt(2L))/sqrt(2 pi), by the Gaussian tail bound
+    e^(-s^2/2)/s at s = sqrt(2L); below u = 0.05, S < e^(-1950), which adds
+    under e^(-1900) to Z_t.
+
+    phi(c) is formed exactly from the floats (a Fraction) and split into the
+    float ``shift`` and a ``residue``; the tilt exponent is taken in the
+    factored form phi(u) - phi(c) = (c - u)((u + c)/2 - b/(u + a)/(c + a)),
+    so no exponent of size |phi(c)| is rounded.  Raises ResourceCapError
+    where the double spacing at c exceeds a 1/8 panel (b = inf included).
     """
-    cut = 0.5 * continuous_constants(beta).c_dstar * t
-    rho = cut + 2.0 if use_exact_radius else cut
-    return math.exp(-beta * t * t / rho)
-
-
-def _z_domain(beta: float, t: float) -> tuple[float, float, float, float]:
-    """Saddle window (r_lo, r_hi) = (c** t/2, 4 c** t), c** and g** at beta."""
+    check_positive("beta", beta)
     check_positive("t", t)
-    consts = continuous_constants(beta)
-    c = consts.c_dstar
-    r_lo = 0.5 * c * t
-    if r_lo < DEFAULT_FLOOR * math.sqrt(t):
-        raise DomainError(
-            f"cutoff {r_lo!r} below the series floor {DEFAULT_FLOOR!r}*sqrt(t); "
-            "increase t or beta"
-        )
-    return r_lo, 4.0 * c * t, c, consts.g_dstar
+    st = math.sqrt(t)
+    b = beta * t * st
+    a = 2.0 / st if use_exact_radius else 0.0
+    centre = _CBRT(b)
+    c = max(centre, DEFAULT_FLOOR)
+    if not math.ulp(c) <= 0.125:
+        raise ResourceCapError(
+            f"the window at b = beta t^(3/2) = {b:.3g} is finer than the double "
+            f"spacing near its centre: its quadrature nodes exceed the cap of "
+            f"{PANEL_NODE_CAP:.0e}")
+    # Imported here: fractions loads decimal, ~4 ms of every CLI start-up.
+    from fractions import Fraction
+
+    peak = -Fraction(c) ** 2 / 2 - Fraction(b) / (Fraction(c) + Fraction(a))
+    shift = float(peak)
+    lo = max(DEFAULT_FLOOR, b / (_TAIL_NATS - shift) - a)
+    return _Window(b, a, centre, c, lo, c + math.sqrt(2.0 * _TAIL_NATS), shift,
+                   float(peak - Fraction(shift)))
 
 
-def _tilt_exponent(beta: float, t: float, r: np.ndarray, g: float,
-                   use_exact_radius: bool) -> np.ndarray:
-    """-beta t^2/rho - r^2/2t - g** t: nonpositive near the saddle, bounded."""
-    rho = r + 2.0 if use_exact_radius else r
-    return -beta * t * t / rho - np.square(r) / (2.0 * t) - g * t
-
-
-def _tilted_mass(beta: float, t: float, g: float, use_exact_radius: bool,
-                 width: float, f, a: float, b: float,
-                 tol: float | None = None) -> tuple[float, float, int]:
-    """Integral of f(r) exp(_tilt_exponent) over [a, b] on ``_ORDER``-node
-    Gauss-Legendre panels of width ``width``, the one tilted r-quadrature.
-
-    With a ``tol``, chunks past b are added until two in a row each add at
-    most tol of the total, or the limit reaches a + 60 (b - a).  Returns the
-    integral, the final upper limit and the number of nodes used.
+def _tilted_mass(win: _Window, width: float, lo: float, hi: float,
+                 f=None) -> tuple[float, int]:
+    """Integral of f(u) exp(phi(u) - shift) over [lo, hi] on ``_ORDER``-node
+    Gauss-Legendre panels of width ``width``, the one tilted u-quadrature,
+    and its node count.  f defaults to the scaled range kernel S(u).
     """
-    nodes = 0
-
-    def chunk(lo: float, hi: float) -> float:
-        nonlocal nodes
-        R, W = _panels(lo, hi, width, _ORDER)
-        nodes += len(R)
-        return math.fsum(W * f(R) * np.exp(_tilt_exponent(beta, t, R, g, use_exact_radius)))
-
-    acc = chunk(a, b)
-    step = max(width * 4.0, 0.25 * (b - a))
-    quiet = 0
-    hi = b
-    while tol is not None and quiet < 2 and hi < a + 60.0 * (b - a):
-        extra = chunk(hi, hi + step)
-        acc += extra
-        hi += step
-        quiet = quiet + 1 if abs(extra) <= tol * abs(acc) else 0
-    return acc, hi, nodes
-
-
-def _scaled_range(t: float):
-    """The range integrand r -> f_R(r) exp(r^2/2t) sqrt(t)/8."""
-    return lambda r: _range_series_scaled(t, r)[0]
+    U, W = _panels(lo, hi, width, _ORDER)
+    vals = _range_series_scaled(U)[0] if f is None else f(U)
+    b, a, c = win.b, win.a, win.c
+    tilt = np.exp((c - U) * (0.5 * (U + c) - b / (U + a) / (c + a)) + win.residue)
+    return math.fsum(W * vals * tilt), len(U)
 
 
 def partition_function_continuous(beta: float, t: float,
                                   use_exact_radius: bool = False) -> QuadratureResult:
-    """Quadrature of the tilted range density: Z_t = E exp(-beta t^2 / rho).
+    """Z_t = E exp(-beta t^2 / rho) = 8 int S(u) exp(phi(u)) du on ``_window``.
 
-    Integrates from the cutoff beta^(1/3) t / 2 and extends the upper limit
-    until the tail contributes below 1e-9 relative to the total.  The
-    error estimate is the change under halving the panel width.  The omitted
-    small-range region is bounded by ``small_range_weight_bound``.
+    Panel widths are 1/4 and 1/8 in u.  The error estimate adds their
+    difference, the bound on the mass off the window, and 4 + c +
+    3b/(lo + a) units of 2^-52 of the value for rounding: a few units in the
+    kernel, weights and exp, about c in the factored exponent, and 3 per
+    unit of b/(u + a) <= b/(lo + a) from the roundings of b and a.
     """
-    check_positive("beta", beta)
-    r_lo, r_hi, _, g = _z_domain(beta, t)
-    mass = partial(_tilted_mass, beta, t, g, use_exact_radius)
-    coarse, hi1, n1 = mass(0.25 * math.sqrt(t), _scaled_range(t), r_lo, r_hi, 1e-9)
-    fine, hi2, n2 = mass(0.125 * math.sqrt(t), _scaled_range(t), r_lo, r_hi, 1e-9)
-    fine, coarse = 8.0 / math.sqrt(t) * fine, 8.0 / math.sqrt(t) * coarse
+    win = _window(beta, t, use_exact_radius)
+    coarse, n1 = _tilted_mass(win, 0.25, win.lo, win.hi)
+    fine, n2 = _tilted_mass(win, 0.125, win.lo, win.hi)
+    fine, coarse = 8.0 * fine, 8.0 * coarse
+    tail = 8.0 / SQRT2PI * math.exp(-_TAIL_NATS) * (
+        win.lo + 1.0 / math.sqrt(2.0 * _TAIL_NATS))
+    rounding = 2.0 ** -52 * (4.0 + win.c + 3.0 * win.b / (win.lo + win.a)) * fine
+    scale, st = math.exp(win.shift), math.sqrt(t)
     return QuadratureResult(
-        value=fine * math.exp(g * t),
-        abs_error_estimate=abs(fine - coarse) * math.exp(g * t),
+        value=fine * scale,
+        abs_error_estimate=(abs(fine - coarse) + tail + rounding) * scale,
         nodes=n1 + n2,
-        domain=(r_lo, max(hi1, hi2)),
-        log_value=math.log(fine) + g * t if fine > 0.0 else -math.inf,
+        domain=(win.lo * st, win.hi * st),
+        log_value=math.log(fine) + win.shift if fine > 0.0 else -math.inf,
     )
-
-
-def _clt_window(beta: float, t: float, C, use_exact_radius: bool):
-    """What both CLTs share: the checked levels, the centre c** t, and one
-    window [r_lo, hi] with its range mass ``den``.
-
-    The window starts at the cutoff beta^(1/3) t / 2 and is extended past
-    4 c** t until the tail adds at most 1e-10 of the total.  ``mass(f, a, b)``
-    integrates f against the tilt on the window's panel width sqrt(t)/4.
-    """
-    check_positive("beta", beta)
-    levels = check_grid("C", C)
-    r_lo, r_hi, c, g = _z_domain(beta, t)
-    mass = partial(_tilted_mass, beta, t, g, use_exact_radius, 0.25 * math.sqrt(t))
-    den, hi, _ = mass(_scaled_range(t), r_lo, r_hi, 1e-10)
-    if not den > 0.0:
-        raise DomainError("empty quadrature window; increase t")
-    return levels, c * t, r_lo, hi, den, mass
 
 
 def range_second_order_cdf(beta: float, t: float, C,
@@ -400,18 +394,20 @@ def range_second_order_cdf(beta: float, t: float, C,
     """Tail probability of the normalized range under the tilted measure.
 
     Returns P(C < (R_t - beta^(1/3) t) / (sqrt(t)/sqrt(3))), which tends to
-    1 - Phi(C); exactly 1.0 when the threshold falls below the integration
-    cutoff and 0.0 when it lies at or beyond the window's upper limit.
-    ``C`` is a sequence of finite levels; the tails come back as a list in
-    input order.  Each is the range mass over [threshold, hi] of the window
-    ``_clt_window`` shares with the endpoint CLT, over the whole window's.
+    1 - Phi(C); exactly 1.0 when the threshold falls below the window of
+    ``_window`` and 0.0 when it lies at or beyond its upper end.  ``C`` is a
+    sequence of finite levels; the tails come back as a list in input order.
+    Each is the range mass over [threshold, hi] over the whole window's, at
+    u-panel width 1/4.
     """
-    levels, centre, r_lo, hi, den, mass = _clt_window(beta, t, C, use_exact_radius)
+    win = _window(beta, t, use_exact_radius)
+    levels = check_grid("C", C)
+    den, _ = _tilted_mass(win, 0.25, win.lo, win.hi)
     tails = []
     for level in levels:
-        thr = centre + level * math.sqrt(t) / math.sqrt(3.0)
-        tails.append(1.0 if thr <= r_lo else 0.0 if thr >= hi else
-                     min(mass(_scaled_range(t), thr, hi)[0] / den, 1.0))
+        thr = win.centre + level / math.sqrt(3.0)
+        tails.append(1.0 if thr <= win.lo else 0.0 if thr >= win.hi else
+                     min(_tilted_mass(win, 0.25, thr, win.hi)[0] / den, 1.0))
     return tails
 
 
@@ -421,27 +417,29 @@ def endpoint_clt_continuous(beta: float, t: float, C,
 
     The x-integral of the joint density is closed-form
     (``_joint_cdf_series_scaled``), so each CDF is a ratio of 1-D
-    quadratures in r against the tilt, over the window ``_clt_window``
-    shares with the range CLT.  Below r = x_cut the whole wedge 0 < x < r
-    counts, and its mass is f_R(r)/2, since P(B_t > 0 | R_t = r) = 1/2;
-    above it the numerator integrates A(x_cut; r) - A(0; r), with a panel
-    edge at x_cut, where the integrand has a kink.  The denominator is the
-    window's range mass, halved.
+    quadratures in u against the tilt, over the window of ``_window`` at
+    u-panel width 1/4, as for the range CLT.  Below u = x_cut/sqrt(t) the
+    whole wedge 0 < x < r counts, and its mass is f_R(r)/2, since
+    P(B_t > 0 | R_t = r) = 1/2; above it the numerator integrates
+    A(x_cut; r) - A(0; r), with a panel edge at x_cut, where the integrand
+    has a kink.  The denominator is the window's range mass, halved.
 
     ``C`` is a sequence of finite levels; the CDFs come back as a list in
     input order, each computed as a one-level call would.
     """
-    levels, centre, r_lo, hi, den, mass = _clt_window(beta, t, C, use_exact_radius)
-    st = math.sqrt(t)
+    win = _window(beta, t, use_exact_radius)
+    levels = check_grid("C", C)
+    den, _ = _tilted_mass(win, 0.25, win.lo, win.hi)
     cdfs = []
     for level in levels:
-        x_cut = centre + level * st / math.sqrt(3.0)
-        if x_cut >= hi:
+        x_cut = win.centre + level / math.sqrt(3.0)
+        if x_cut >= win.hi:
             cdfs.append(1.0)
             continue
-        edge, clip = max(x_cut, r_lo), max(x_cut, 0.0)
-        below, _, _ = mass(_scaled_range(t), r_lo, edge)
-        above, _, _ = mass(lambda r: _joint_cdf_series_scaled(t, clip, r)
-                           - _joint_cdf_series_scaled(t, 0.0, r), edge, hi)
-        cdfs.append(min((below + 0.25 * st * above) / den, 1.0))
+        edge, clip = max(x_cut, win.lo), max(x_cut, 0.0)
+        below, _ = _tilted_mass(win, 0.25, win.lo, edge)
+        above, _ = _tilted_mass(win, 0.25, edge, win.hi,
+                                lambda u: _joint_cdf_series_scaled(1.0, clip, u)
+                                - _joint_cdf_series_scaled(1.0, 0.0, u))
+        cdfs.append(min((below + 0.25 * above) / den, 1.0))
     return cdfs

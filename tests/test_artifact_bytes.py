@@ -21,10 +21,10 @@ _BETA = ["--beta", "1"]
 _CONTINUOUS_40 = ["continuous", *_BETA, "--t", "40",
                   "--outputs", "density,Z,range-clt,endpoint-clt"]
 _CONTINUOUS_40_FILES = {
-    "endpoint_clt.csv": "bd1aa41aabfa229c",
+    "endpoint_clt.csv": "7614b50911624043",
     "manifest.json": "f538919a1a256074",
-    "partition_continuous.json": "cd9e598ad594c3c8",
-    "range_clt.csv": "e992594de49ee49e",
+    "partition_continuous.json": "19c649f3edfc260a",
+    "range_clt.csv": "ab8a1fc523abc507",
     "range_density.csv": "dc0713fa6e43aadc",
 }
 _BROWNIAN = ["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "42",
@@ -93,10 +93,10 @@ ARTIFACTS = {
     "bench-continuous-t160": (
         ["continuous", *_BETA, "--t", "160", "--outputs", "Z,range-clt,endpoint-clt",
          "--grid=-1,0,1"], {
-            "endpoint_clt.csv": "f49bb4bf8f474543",
+            "endpoint_clt.csv": "a71cde0b1a2980e1",
             "manifest.json": "a95db103f7633e1e",
-            "partition_continuous.json": "97630f7ec3255a84",
-            "range_clt.csv": "de4bbdca981779d1",
+            "partition_continuous.json": "40cee70cc9231bd8",
+            "range_clt.csv": "672f0be15ba7eadb",
         }),
     "bench-mc-brownian-1-thread": ([*_BROWNIAN, "--threads", "1"], {
         **_BROWNIAN_FILES, "manifest.json": "e22f2d90d320b0b3"}),

@@ -388,6 +388,22 @@ def test_quadrature_past_the_node_cap_exits_3(tmp_path, capsys, args):
     _assert_published(out, 3)
 
 
+def test_quadratures_at_small_b_write_finite_rows(tmp_path, capsys):
+    """b = beta t^(3/2) = 8e-4: the window used to start at the cutoff
+    c** t/2, below the series floor, and the run exited 2."""
+    out = tmp_path / "run"
+    assert main(["continuous", "--beta", "1e-4", "--t", "4",
+                 "--outputs", "Z,range-clt,endpoint-clt", "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _assert_published(out, 0)
+    z = json.loads(_read(out / "partition_continuous.json"))
+    assert 0.999 < z["value"] < 1.0
+    for name in ("range_clt.csv", "endpoint_clt.csv"):
+        rows = _read(out / name).strip().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(0.0 <= float(row.split(",")[1]) <= 1.0 for row in rows)
+
+
 def test_density_far_past_its_mass_is_zero(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["continuous", "--beta", "1", "--t", "4", "--outputs", "density",

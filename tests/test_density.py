@@ -26,20 +26,18 @@ from rangepolymer import (
 )
 from rangepolymer.cli import main
 from rangepolymer.continuous import continuous_constants
+from rangepolymer.exact import polymer_law
 from rangepolymer.gaussian import SQRT2PI
 from rangepolymer import density
 from rangepolymer.density import (
     PANEL_NODE_CAP,
     joint_density_grid,
     range_density_grid,
-    small_range_weight_bound,
     _joint_cdf_series_scaled,
     _joint_series_scaled,
     _panels,
-    _scaled_range,
-    _tilt_exponent,
-    _tilted_mass,
-    _z_domain,
+    _range_series_scaled,
+    _window,
 )
 
 PREFACTOR = 8.0 / math.sqrt(3.0)
@@ -172,6 +170,15 @@ class TestRangeDensity:
         with pytest.raises(DomainError):
             range_density(4.0, math.inf)
 
+    def test_scaled_kernel_is_at_most_its_first_term(self):
+        """S(u) <= 1/sqrt(2 pi), the bound the quadrature window's tail
+        bound rests on; the dual side peaks at 0.385 by u = sqrt(pi)."""
+        u = np.concatenate([np.linspace(0.05, 6.0, 4001),
+                            math.sqrt(math.pi) + np.linspace(-1e-3, 1e-3, 201)])
+        scaled = _range_series_scaled(u)[0]
+        assert float(scaled.max()) <= 1.0 / SQRT2PI
+        assert float(scaled[u < math.sqrt(math.pi)].max()) <= 0.385
+
     def test_far_tail_is_zero_without_overflow(self):
         """Once the first term is 0.0 the result is the loop's one-term stop:
         just below the exp threshold (loop) and past it (early return) agree,
@@ -267,17 +274,46 @@ def test_joint_overflow_raises_without_a_warning(args):
             joint_density(*args)
 
 
-def _z_at(monkeypatch, beta, t, order, tol):
-    """Z_t and its panel-halving error estimate at any order and tail tol;
-    partition_function_continuous is this at order 16 and tol 1e-9."""
+def _z_at(monkeypatch, beta, t, order):
+    """Z_t and its error estimate at any panel order (16 in production)."""
     monkeypatch.setattr(density, "_ORDER", order)
-    r_lo, r_hi, _, g = _z_domain(beta, t)
-    width = 0.25 * math.sqrt(t)
-    f = _scaled_range(t)
-    coarse, _, _ = _tilted_mass(beta, t, g, False, width, f, r_lo, r_hi, tol)
-    fine, _, _ = _tilted_mass(beta, t, g, False, 0.5 * width, f, r_lo, r_hi, tol)
-    fine, coarse = 8.0 / math.sqrt(t) * fine, 8.0 / math.sqrt(t) * coarse
-    return fine * math.exp(g * t), abs(fine - coarse) * math.exp(g * t)
+    res = partition_function_continuous(beta, t)
+    return res.value, res.abs_error_estimate
+
+
+def _mp_partition_function(beta, t, use_exact_radius):
+    """Z_t at 40 digits: mpmath's quadrature of Feller's range density, its
+    Jacobi dual below u = 2 and the primal series above, against the tilt
+    exp(-b/(u + a)) with b = beta t^(3/2) and a = 2/sqrt(t) formed exactly
+    from the float beta and t.  The integrand is scaled by its value at
+    u = b^(1/3), since mpmath stops on an absolute error."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        b = mp.mpf(beta) * t * mp.sqrt(t)
+        a = 2 / mp.sqrt(t) if use_exact_radius else mp.mpf(0)
+        tiny = mp.mpf(10) ** -50
+
+        def density(u):
+            total, k = mp.mpf(0), 0
+            while True:
+                k += 1
+                if u < 2:
+                    j2 = (2 * k - 1) ** 2 * mp.pi ** 2
+                    term = (j2 / u ** 5 - 1 / u ** 3) * mp.exp(-j2 / (2 * u * u))
+                else:
+                    term = (-1) ** (k - 1) * k * k * mp.exp(-(k * u) ** 2 / 2) \
+                        / mp.sqrt(2 * mp.pi)
+                total += term
+                if abs(term) < tiny * abs(total):
+                    return 8 * total
+
+        c = mp.cbrt(b)
+        peak = c * c / 2 + b / (c + a)
+        edges = sorted({mp.mpf(0), mp.mpf(2), *(mp.mpf(k) for k in range(1, int(c) + 31))})
+        z = mp.quad(lambda u: density(u) * mp.exp(peak - b / (u + a)), edges)
+        return z * mp.exp(-peak)
 
 
 class TestPartitionFunction:
@@ -293,17 +329,19 @@ class TestPartitionFunction:
 
         assert abs(ratio(60.0) - 1.0) < abs(ratio(30.0) - 1.0)
 
-    def test_excluded_region_bound_is_negligible(self):
-        res = partition_function_continuous(1.0, 40.0)
-        bound = small_range_weight_bound(1.0, 40.0)
-        assert bound == pytest.approx(math.exp(-2.0 * 40.0), rel=1e-12)
-        assert bound <= 1e-6 * res.value
+    @pytest.mark.parametrize("exact_radius", [False, True])
+    @pytest.mark.parametrize("beta, t", [(1.0, 40.0), (1.0, 4.0), (1e-4, 4.0)])
+    def test_matches_a_40_digit_quadrature(self, beta, t, exact_radius):
+        """The window ended at the cutoff c** t/2: Z was 4.2e-13 low
+        (relative) at (1, 40) and 1.04e-3 low at (1, 4), against error
+        estimates of ~3e-16, and (1e-4, 4) raised DomainError."""
+        res = partition_function_continuous(beta, t, use_exact_radius=exact_radius)
+        want = _mp_partition_function(beta, t, exact_radius)
+        assert abs(res.value - float(want)) <= res.abs_error_estimate
 
     def test_error_estimate_honest_under_refinement(self, monkeypatch):
-        res = partition_function_continuous(1.0, 30.0)
-        assert _z_at(monkeypatch, 1.0, 30.0, 16, 1e-9) == (res.value, res.abs_error_estimate)
-        base, base_err = _z_at(monkeypatch, 1.0, 30.0, 8, 1e-9)
-        fine, _ = _z_at(monkeypatch, 1.0, 30.0, 16, 1e-12)
+        base, base_err = _z_at(monkeypatch, 1.0, 30.0, 8)
+        fine, _ = _z_at(monkeypatch, 1.0, 30.0, 16)
         assert abs(base - fine) <= 10.0 * base_err + 1e-30
 
     def test_exact_radius_free_energy_gap_shrinks(self):
@@ -324,9 +362,30 @@ class TestPartitionFunction:
             math.log(PREFACTOR) - 1.5 * 600.0, abs=0.05)
         assert res.value == 0.0  # underflows; the log form carries the value
 
-    def test_floor_conflict_reported(self):
-        with pytest.raises(DomainError):
-            partition_function_continuous(1e-6, 1.0)
+    @pytest.mark.parametrize("pair", [((1.0, 40.0), (8.0, 10.0)),
+                                      ((1.0, 160.0), (8.0, 40.0))])
+    def test_brownian_scaling_is_bitwise(self, pair):
+        """The surrogate depends on (beta, t) through b = beta t^(3/2) alone,
+        and these pairs form the same float b."""
+        levels = [-2.0, -1.0, 0.0, 1.0, 2.0]
+        outputs = []
+        for beta, t in pair:
+            res = partition_function_continuous(beta, t)
+            outputs.append((res.value, res.log_value, res.abs_error_estimate, res.nodes,
+                            range_second_order_cdf(beta, t, levels),
+                            endpoint_clt_continuous(beta, t, levels)))
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("b", [8.0, 27.0])
+def test_exact_law_converges_to_the_continuous_z(b):
+    """Brownian scaling: log Z_n(b n^(-3/2)) of the walk tends to
+    log Z_1(b) of the Brownian path, with an O(1/n) gap; Richardson in 1/n
+    from n = 400 and 800 cancels it.  The cutoff window left gaps of 1.04e-3
+    (b = 8) and 2.0e-4 (b = 27), the mass it dropped."""
+    log_z = {n: polymer_law(b * n ** -1.5, n, cap=800).log_partition for n in (400, 800)}
+    richardson = 2.0 * log_z[800] - log_z[400]
+    assert abs(richardson - partition_function_continuous(b, 1.0).log_value) <= 1e-4
 
 
 class TestRangeSecondOrder:
@@ -391,7 +450,7 @@ def test_scalar_level_rejected(fn):
 
 # A level list of either CLT must give bitwise its one-level calls.
 
-# unsorted, one duplicate, -4 below the cutoff at t=10 for both betas, +-9
+# unsorted, one duplicate, -9 below the window at t=10 for both betas, +-9
 _ORACLE_LEVELS = [0.5, -9.0, 1.0, -4.0, 0.5, 9.0]
 
 
@@ -411,7 +470,7 @@ class TestLevelSweepMatchesPerLevelOracle:
         one_level = [range_second_order_cdf(beta, 10.0, [c], use_exact_radius=exact_radius)[0]
                      for c in _ORACLE_LEVELS]
         assert [v.hex() for v in swept] == [v.hex() for v in one_level]
-        assert one_level[3] == 1.0  # the below-cutoff branch is exercised
+        assert one_level[1] == 1.0  # the below-window branch is exercised
 
 
 # The joint-series kernel in its a^2 form, kept verbatim as the reference for
@@ -453,12 +512,16 @@ def _oracle_joint_series_scaled(t, x, r, tol=1e-13):
 
 def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False):
     """2-D Gauss-Legendre quadrature of the plain joint series against the
-    tilt, with no closed form: r over [c** t/2, 4 c** t + 12 sqrt(t)] (the
+    tilt, with no closed form: r over [r_lo, 4 c** t + 12 sqrt(t)] (the
     tilted range has no mass left past it), x = r - s over the gap s in
     [0, min(r, 30 t/r + 4 sqrt(t))], and a panel edge at every level's clip
-    in both r and s, so no panel holds a kink or a jump."""
-    r_lo, _, c, g = _z_domain(beta, t)
+    in both r and s, so no panel holds a kink or a jump.  r_lo is the
+    production window's start or 0.3 sqrt(t), whichever is larger: below
+    0.3 sqrt(t) the plain series cancels to ~1e-14 noise, and the wedge left
+    out holds at most P(R_t < 0.3 sqrt(t)) ~ exp(-pi^2/0.18)."""
+    c = continuous_constants(beta).c_dstar
     st_ = math.sqrt(t)
+    r_lo = max(_window(beta, t, use_exact_radius).lo, 0.3) * st_
     r_top = 4.0 * c * t + 12.0 * st_
     x_cuts = [c * t + level * st_ / math.sqrt(3.0) for level in C]
     r_edges = sorted({r_lo, r_top, *(x for x in x_cuts if r_lo < x < r_top)})
@@ -466,7 +529,7 @@ def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False):
     den = 0.0
     for a, b in zip(r_edges, r_edges[1:]):
         R, WR = _panels(a, b, 0.25 * st_, 16)
-        weights = WR * np.exp(_tilt_exponent(beta, t, R, g, use_exact_radius))
+        weights = WR * np.exp(_oracle_tilt_exponent(beta, t, R, use_exact_radius))
         for r_val, weight in zip(R, weights):
             s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
             s_edges = sorted({0.0, s_max,
@@ -480,6 +543,13 @@ def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False):
                     if s0 >= r_val - x_cut:  # the whole segment has x <= x_cut
                         num[i] += part
     return [n / den for n in num]
+
+
+def _oracle_tilt_exponent(beta, t, r, use_exact_radius=False):
+    """-beta t^2/rho - r^2/2t - g** t, rho = r + 2 or r."""
+    rho = r + 2.0 if use_exact_radius else r
+    return -beta * t * t / rho - np.square(r) / (2.0 * t) \
+        - continuous_constants(beta).g_dstar * t
 
 
 def _assert_same_series(args, rel=2e-12):
@@ -510,8 +580,8 @@ class TestJointSeriesMatchesOracle:
         to r where the tilt weight is 0.0: live, subnormal-band and all-dead
         blocks, each summed to the oracle's term count."""
         beta = 1.0
-        r_lo, _, c, _ = _z_domain(beta, t)
-        g = continuous_constants(beta).g_dstar
+        c = continuous_constants(beta).c_dstar
+        r_lo = 0.5 * c * t
         # the weight exp(-beta t^2/r - r^2/2t - g t) is 0.0 once r^2/2t > ~745
         r_top = max(4.0 * c * t, 1.25 * math.sqrt(1500.0 * t))
         R, _ = _panels(r_lo, r_top, 0.25 * math.sqrt(t), 16)
@@ -527,7 +597,7 @@ class TestJointSeriesMatchesOracle:
                                      for a in args)
             seen["dead_block"] += terms >= 2 and max(a.max() for a in args[-2:]) <= _EXP_ZERO
             seen["zero_weight"] += math.exp(float(
-                _tilt_exponent(beta, t, np.float64(r_val), g, False))) == 0.0
+                _oracle_tilt_exponent(beta, t, np.float64(r_val)))) == 0.0
         assert min(seen.values()) > 0, seen
 
     def test_broadcast_grids_bitwise(self, t):
