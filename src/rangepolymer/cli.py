@@ -201,14 +201,16 @@ def _cmd_continuous(args, out: Path) -> tuple[str, dict]:
             res = partition_function_continuous(
                 args.beta, args.t, use_exact_radius=args.exact_radius)
             cont = continuous_constants(args.beta)
-            asym = math.log(cont.prefactor) + cont.g_dstar * args.t
+            log_ratio = res.log_value - math.log(cont.prefactor) - cont.g_dstar * args.t
+            if not log_ratio < 709.0:
+                raise DomainError(f"ratio_to_asymptote = exp({log_ratio:.6g}) overflows")
             _write_json(out / "partition_continuous.json", {
                 "beta": args.beta, "t": args.t,
                 "use_exact_radius": args.exact_radius,
                 "value": res.value, "log_value": res.log_value,
                 "abs_error_estimate": res.abs_error_estimate,
                 "nodes": res.nodes, "domain": list(res.domain),
-                "ratio_to_asymptote": math.exp(res.log_value - asym),
+                "ratio_to_asymptote": math.exp(log_ratio),
             })
         elif kind == "range-clt":
             tails = range_second_order_cdf(args.beta, args.t, cgrid,

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError, check_grid, check_positive
-from .roots import RootResult
+from .roots import RootResult, bisect_newton
 
 __all__ = [
     "ContinuousConstants",
@@ -100,49 +100,27 @@ def continuous_constants(beta: float, d: int = 1) -> ContinuousConstants:
 
 
 def positive_cubic_root(beta: float, theta: float = 0.0) -> RootResult:
-    """Unique positive root of 4 r^3 - 2 theta r^2 - beta = 0.
+    """Unique positive root of p(r) = 4 r^3 - 2 theta r^2 - beta = 0.
 
-    Newton iteration from r0 = max(theta, (beta/4)^(1/3)).  The polynomial is
-    increasing and convex on r > theta/3 and the root exceeds theta/2, so the
-    first step overshoots past the root and the iterates then decrease
-    monotonically onto it; no bracketing or Cardano branch logic is needed.
+    One ``bisect_newton`` solve on [theta/2, max(theta, beta^(1/3))]:
+    p(theta/2) = -beta, and at the upper end p >= 2 r^3 - beta >= beta, as
+    2 r^2 (2r - theta) >= 2 r^3 for r >= theta.  (The end (beta/2)^(1/3)
+    would also bracket the root, but there p >= 0 holds with no margin, so
+    for theta a few units of the last place below it, rounding picks the
+    sign.)  p increases on r > theta/3.  SolverError unless the residual is
+    at most 1e-12 of the terms 4 r^3 + 2 theta r^2.
     """
     check_positive("beta", beta)
     if theta < 0.0:
         raise DomainError(f"theta must be nonnegative, got {theta!r}")
-
-    def p(r: float) -> float:
-        return ((4.0 * r - 2.0 * theta) * r) * r - beta
-
-    floor = _CBRT(0.25 * beta)
-    if floor == 0.0:
-        raise DomainError(f"beta={beta!r} is too small: (beta/4)^(1/3) underflows to 0")
-    r = max(theta, floor)
-    iters = 0
-    for _ in range(100):
-        iters += 1
-        fr = p(r)
-        d = (12.0 * r - 4.0 * theta) * r
-        step = fr / d
-        r_new = r - step
-        if r_new == r:
-            break
-        r = r_new
-        if abs(step) <= 1e-16 * r:
-            break
-    resid = p(r)
-    scale = max(1.0, beta)
-    if abs(resid) > 1e-11 * scale:
-        raise SolverError(f"cubic root residual {resid!r} at r={r!r} (beta={beta!r}, theta={theta!r})")
-    # certify a tight sign-changing bracket around the converged point
-    lo, hi = r, r
-    width = max(1e-15, 4.0 * abs(r) * 1e-16)
-    for _ in range(60):
-        lo, hi = r - width, r + width
-        if p(lo) < 0.0 < p(hi):
-            break
-        width *= 4.0
-    return RootResult(r, resid, iters, (lo, hi))
+    res = bisect_newton(lambda r: ((4.0 * r - 2.0 * theta) * r) * r - beta,
+                        0.5 * theta, max(theta, _CBRT(beta)),
+                        lambda r: (12.0 * r - 4.0 * theta) * r)
+    r = res.value
+    if not abs(res.residual) <= 1e-12 * (4.0 * r + 2.0 * theta) * r * r:
+        raise SolverError(f"cubic root residual {res.residual!r} at r={r!r} "
+                          f"(beta={beta!r}, theta={theta!r})")
+    return res
 
 
 def ldp_rate_continuous_info(beta: float, thetas) -> list[tuple[float, str, float]]:

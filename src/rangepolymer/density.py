@@ -40,6 +40,7 @@ import numpy as np
 from .continuous import _CBRT
 from .errors import DomainError, ResourceCapError, check_grid, check_positive
 from .gaussian import SQRT2PI
+from .roots import bisect_newton
 
 __all__ = [
     "SeriesEval",
@@ -306,11 +307,15 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
     With b = beta t^(3/2) and a = 2/sqrt(t) (0 for the surrogate radius),
     exp(-beta t^2/rho - r^2/2t) = exp(phi(u)), phi(u) = -u^2/2 - b/(u + a),
     and the centre c** t is b^(1/3) sqrt(t); so the surrogate depends on
-    (beta, t) through b alone.  With c = max(b^(1/3), 0.05) and
-    L = ``_TAIL_NATS``, phi <= phi(c) - L <= max phi - L off the window
+    (beta, t) through b alone.  The peak solves u (u + a)^2 = b: b^(1/3) for
+    the surrogate, and far below it at small t and large beta.  For a > 0, c
+    is the end of the final ``bisect_newton`` bracket, on [max(0, b^(1/3) -
+    a), b^(1/3)] in y = 1 - u/b^(1/3), where u (u + a)^2 >= b: phi'(c) <= 0.
+    With c floored at 0.05 and L = ``_TAIL_NATS``,
+    phi <= phi(c) - L <= max phi - L off the window
     [lo, hi] = [max(0.05, b/(L - phi(c)) - a), c + sqrt(2L)]: right of c,
-    phi'' <= -1 and phi'(c) <= -c + b/c^2 <= 0 give phi(u) <= phi(c) -
-    (u - c)^2/2; left of lo, phi(u) <= -b/(u + a) <= phi(c) - L.
+    phi'' <= -1 and phi'(c) <= 0 give phi(u) <= phi(c) - (u - c)^2/2; left
+    of lo, phi(u) <= -b/(u + a) <= phi(c) - L.
     The integrands are bounded there: S(u) = f_R(r) exp(u^2/2) sqrt(t)/8 <=
     1/sqrt(2 pi), as above sqrt(pi) the alternating series is below its
     first term, and below it the positive dual terms fall 4.5e-5-fold from
@@ -324,8 +329,8 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
     phi(c) is formed exactly from the floats (a Fraction) and split into the
     float ``shift`` and a ``residue``; the tilt exponent is taken in the
     factored form phi(u) - phi(c) = (c - u)((u + c)/2 - b/(u + a)/(c + a)),
-    so no exponent of size |phi(c)| is rounded.  Raises ResourceCapError
-    where the double spacing at c exceeds a 1/8 panel (b = inf included).
+    so no exponent of size |phi(c)| is rounded.  ResourceCapError where the
+    double spacing at max(b^(1/3), 0.05) exceeds a 1/8 panel (b = inf too).
     """
     check_positive("beta", beta)
     check_positive("t", t)
@@ -333,12 +338,16 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
     b = beta * t * st
     a = 2.0 / st if use_exact_radius else 0.0
     centre = _CBRT(b)
-    c = max(centre, DEFAULT_FLOOR)
-    if not math.ulp(c) <= 0.125:
+    if not math.ulp(max(centre, DEFAULT_FLOOR)) <= 0.125:
         raise ResourceCapError(
             f"the window at b = beta t^(3/2) = {b:.3g} is finer than the double "
             f"spacing near its centre: its quadrature nodes exceed the cap of "
             f"{PANEL_NODE_CAP:.0e}")
+    k, y = (a / centre if centre > 0.0 else 0.0), 0.0  # k = 0: the surrogate, or b = 0
+    if k > 0.0:
+        y = bisect_newton(lambda y: (1.0 - y) * (1.0 + k - y) ** 2 - 1.0, 0.0, min(1.0, k),
+                          lambda y: -(1.0 + k - y) * (3.0 + k - 3.0 * y)).bracket[0]
+    c = max(centre * (1.0 - y), DEFAULT_FLOOR)
     # Imported here: fractions loads decimal, ~4 ms of every CLI start-up.
     from fractions import Fraction
 

@@ -7,15 +7,17 @@ function of the repelling strength beta:
     I(x)      = (1+x)/2 log(1+x) + (1-x)/2 log(1-x)   range rate function
     c*(beta)  : root of beta = c^2 I'(c)              endpoint speed
     g*(beta)  = -(beta/c* + I(c*))                    free energy
-              = -c* log((1+c*)/(1-c*)) - log(1-c*^2)/2
+              = -2 c* artanh c* - log(1-c*^2)/2
     sigma*    : 1/sigma*^2 = 2 beta/c*^3 + 1/(1-c*^2) CLT spread
     I^beta    : two-branch rate function of the endpoint velocity under the
                 tilted measure conditioned on a positive endpoint
 
-For large beta the speed approaches 1 like 1 - c* ~ 2 exp(-2 beta), far below
-the double-precision spacing near 1.  All solves therefore run in the gap
-variable u = 1 - c (bisection on log u, then Newton), and every downstream
-formula is evaluated in a form that stays accurate as u -> 0.
+The speed, the branch threshold and the interior LDP roots solve one
+equation, (theta + x)^2 artanh x = target, in ``_logit_root``.  The speed
+runs from c* ~ beta^(1/3) as beta -> 0 to 1 - c* ~ 2 exp(-2 beta), far
+below the double spacing near 1, as beta grows; so the solve works in
+s = logit x, where both ends keep full relative precision, and every
+downstream formula is read off s (``_at_logit``).
 """
 
 from __future__ import annotations
@@ -57,18 +59,6 @@ def _I(x: float) -> float:
     return 0.5 * (1.0 + x) * math.log1p(x) + 0.5 * u * math.log(u)
 
 
-def _I_from_gap(u: float) -> float:
-    """I(1-u) evaluated stably for tiny gaps u."""
-    if u == 0.0:
-        return math.log(2.0)
-    return 0.5 * (2.0 - u) * math.log(2.0 - u) + 0.5 * u * math.log(u)
-
-
-def _L_from_gap(u: float) -> float:
-    """log((1+x)/(1-x)) = 2 I'(x) at x = 1-u."""
-    return math.log(2.0 - u) - math.log(u)
-
-
 def rate_I(x: float) -> float:
     """Rate function of the range of the simple walk, I(x) on [0, 1].
 
@@ -95,95 +85,103 @@ def tilde_c_d(beta: float, d: int = 1) -> float:
     return beta / (beta + math.log(2 * d))
 
 
-def _solve_gap(target_beta: float, scale, scale_prime, u_hi: float) -> tuple[float, RootResult]:
-    """Solve scale(u) * L(u)/2 = target_beta for the gap u in (0, u_hi).
+def _logit(p: float) -> float:  # log(p/(1 - p)): -inf at 0, inf from 1 on
+    return -math.inf if p == 0.0 else math.log(p) - math.log1p(-p) if p < 1.0 else math.inf
 
-    ``scale(u)`` is the positive, decreasing-in-u prefactor multiplying
-    I'(x) = L(u)/2 (c^2 for the speed equation, (theta+x)^2/2 for the
-    auxiliary LDP root).  The left side is strictly decreasing in u, so the
-    root is bracketed by (u_lo, u_hi) once the endpoint signs differ.
-    Works on w = log u to keep relative precision for exponentially small
-    gaps.  At w_lo = w_hi - 16 (1 + beta), L(u) >= 16 (1 + beta), so f(w_lo)
-    > 0 for both scales unless the clamp at w = -700 binds (beta above about
-    350 for the speed, 175 for the interior root at theta = 0); there
-    ``bisect_newton`` finds no sign change and raises SolverError.
+
+def _at_logit(s: float) -> tuple[float, float, float]:
+    """x = sigma(s), artanh x = log1p(2 e^s)/2 and log(1 - x^2) at s = logit x,
+    each to full relative precision as x -> 0 and as 1 - x -> 0: log(1 - x^2)
+    is log1p(-x^2) for x <= 1/2 and log1p(x) - softplus(s) above."""
+    if s > 0.0:
+        e = math.exp(-s)
+        x = 1.0 / (1.0 + e)
+        return x, 0.5 * (s + math.log(2.0 + e)), math.log1p(x) - s - math.log1p(e)
+    e = math.exp(s)
+    x = e / (1.0 + e)
+    return x, 0.5 * math.log1p(2.0 * e), math.log1p(-x * x)
+
+
+def _logit_root(theta: float, target: float) -> tuple[float, float, float, RootResult]:
+    """Root x in (0, 1) of (theta + x)^2 artanh x = target, in s = logit x.
+
+    One equation gives every root of the model: theta = 0 and target beta
+    is the speed c*(beta), target beta/2 the threshold c*(beta/2), and
+    x = 2r - theta at target 2 beta the interior LDP root r.  It is solved
+    on the log residual F(s) = 2 log(theta + x) + log artanh x - log target,
+    which increases in s, and returns (x, artanh x, log(1 - x^2), the solve
+    in s coordinates).  Needs theta = 0 or 4 theta^2 artanh theta < target.
+
+    The bracket's ends are closed forms.  Below, with sigma(s) <= e^s and
+    artanh sigma(s) <= e^s: at s = log(target)/3 - 1, theta <= 2 e^s gives
+    F <= log(9/e^3) < 0, and theta > 2 e^s puts logit(theta/2) above s; at
+    x = theta/2, artanh(theta/2) <= artanh(theta)/2 (convexity) gives a left
+    side at most (9/32) 4 theta^2 artanh theta < target.  Above, with
+    sigma(s)^2 >= 1 - 2 e^-s and artanh sigma(s) >= (s + log 2)/2: at
+    s = 2 target + 1 the left side is at least target + 0.85 - 2 e^(-2 target
+    - 1)(target + 0.85) > target; at x = (2 target)^(1/3) < 1 it is at least
+    x^3 = 2 target.  The solve fails with DomainError only where the upper
+    end overflows (target above ~9e307).
     """
+    log_target = math.log(target)
 
-    def f(w: float) -> float:
-        u = math.exp(w)
-        return scale(u) * 0.5 * _L_from_gap(u) - target_beta
+    def f(s: float) -> float:
+        x, artanh, _ = _at_logit(s)
+        return 2.0 * math.log(theta + x) + math.log(artanh) - log_target
 
-    def fp(w: float) -> float:
-        u = math.exp(w)
-        d_du = scale_prime(u) * 0.5 * _L_from_gap(u) + scale(u) * 0.5 * (
-            -1.0 / (2.0 - u) - 1.0 / u
-        )
-        return d_du * u
+    def fprime(s: float) -> float:  # dx/ds = x (1 - x), d artanh x/ds = x/(1 + x)
+        x, artanh, _ = _at_logit(s)
+        return 2.0 * x * (1.0 - x) / (theta + x) + x / ((1.0 + x) * artanh)
 
-    w_hi = math.log(u_hi)
-    w_lo = max(-700.0, w_hi - 16.0 * (1.0 + target_beta))
-    res = bisect_newton(f, w_lo, w_hi, fp)
-    u = math.exp(res.value)
-    bracket = (math.exp(res.bracket[0]), math.exp(res.bracket[1]))
-    return u, RootResult(u, res.residual, res.iterations, bracket)
+    hi = min(2.0 * target + 1.0, _logit((2.0 * target) ** (1.0 / 3.0)))
+    if hi == math.inf:
+        raise DomainError(f"target {target!r} is too large (beta for the speed, 2 beta "
+                          "for an interior LDP root): logit x, about twice it, overflows")
+    res = bisect_newton(f, max(_logit(0.5 * theta), log_target / 3.0 - 1.0), hi, fprime)
+    return (*_at_logit(res.value), res)
 
 
-def _speed_gap(beta: float) -> tuple[float, RootResult]:
-    """Gap u* = 1 - c*(beta) of the speed equation beta = c^2 I'(c).
-
-    The residual is the speed equation at the returned gap and must be at
-    most 1e-12; the bracket is in u coordinates.
-    """
-    u_hi = 1.0 - tilde_c_d(beta, 1)  # c_tilde < c* < 1, so u* < u_hi
-    if u_hi == 0.0:
-        raise DomainError(
-            f"beta={beta!r} is too large: the threshold beta/(beta + log 2) "
-            "rounds to 1, so the speed gap 1 - c* cannot be bracketed"
-        )
-    scale = lambda u: (1.0 - u) ** 2
-    scale_p = lambda u: -2.0 * (1.0 - u)
-    u, res = _solve_gap(beta, scale, scale_p, u_hi)
-    if abs(res.residual) > 1e-12:
+def _speed(beta: float) -> tuple[float, float, float, RootResult]:
+    """``_logit_root`` at theta = 0 and target beta, the speed equation
+    beta = c^2 I'(c); SolverError unless its log residual is at most 1e-12."""
+    check_positive("beta", beta)
+    solved = _logit_root(0.0, beta)
+    res = solved[3]
+    if not abs(res.residual) <= 1e-12:
         raise SolverError(
-            f"speed solve residual {res.residual!r} above 1e-12 on bracket {res.bracket!r}"
-        )
-    return u, res
+            f"speed solve log residual {res.residual!r} above 1e-12 on bracket "
+            f"{res.bracket!r} in logit c")
+    return solved
 
 
 def speed_c_star(beta: float) -> RootResult:
     """Endpoint speed c*(beta): unique root in (0, 1) of beta = c^2 I'(c).
 
-    The residual is that of ``_speed_gap``; the bracket is in c coordinates.
+    The residual is the log residual log(c^2 artanh c / beta); the bracket is
+    in c coordinates.
     """
-    check_positive("beta", beta)
-    u, res = _speed_gap(beta)
-    c = 1.0 - u
-    return RootResult(c, res.residual, res.iterations, (1.0 - res.bracket[1], 1.0 - res.bracket[0]))
-
-
-def _constants_from_gap(beta: float, u: float) -> PolymerConstants:
-    c = 1.0 - u
-    L = _L_from_gap(u)
-    log_one_minus_c2 = math.log(u) + math.log(2.0 - u)  # log(1 - c^2)
-    g_closed = -c * L - 0.5 * log_one_minus_c2
-    inv_sigma2 = 2.0 * beta / c**3 + 1.0 / (u * (2.0 - u))
-    return PolymerConstants(
-        beta=beta,
-        c_star=c,
-        g_star=g_closed,
-        sigma_star=1.0 / math.sqrt(inv_sigma2),
-    )
+    c, _, _, res = _speed(beta)
+    return RootResult(c, res.residual, res.iterations,
+                      (_at_logit(res.bracket[0])[0], _at_logit(res.bracket[1])[0]))
 
 
 def free_energy_g_star(beta: float) -> PolymerConstants:
     """All one-beta constants of the discrete model.
 
-    ``g_star`` is the closed form -c* log((1+c*)/(1-c*)) - log(1-c*^2)/2 of
-    the variational free energy -(beta/c* + I(c*)).
+    ``g_star`` is the closed form -2 c* artanh c* - log(1 - c*^2)/2 of the
+    variational free energy -(beta/c* + I(c*)); ``sigma_star`` is
+    sqrt((1 - c*^2)/(1 + q)), q = 2 beta (1 - c*^2)/c*^3, formed as one exp
+    of logs, so it underflows to 0 from beta ~ 745 on where 1/(1 - c*^2)
+    would overflow.
     """
-    check_positive("beta", beta)
-    u, _ = _speed_gap(beta)
-    return _constants_from_gap(beta, u)
+    c, artanh, log_1mc2, _ = _speed(beta)
+    q = 2.0 * beta * math.exp(log_1mc2) / c**3
+    return PolymerConstants(
+        beta=beta,
+        c_star=c,
+        g_star=-2.0 * c * artanh - 0.5 * log_1mc2,
+        sigma_star=math.exp(0.5 * (log_1mc2 - math.log1p(q))),
+    )
 
 
 def ldp_rate_discrete_info(beta: float, thetas) -> list[tuple[float, str, float]]:
@@ -209,17 +207,15 @@ def ldp_rate_discrete_info(beta: float, thetas) -> list[tuple[float, str, float]
     if 0.5 * beta == 0.0:
         raise DomainError(f"beta={beta!r} is too small: beta/2 underflows to 0")
     g = free_energy_g_star(beta).g_star
-    threshold = 1.0 - _speed_gap(0.5 * beta)[0]  # c*(beta/2)
+    threshold = _logit_root(0.0, 0.5 * beta)[0]  # c*(beta/2)
     out = []
     for theta in thetas:
         if theta >= threshold:
             out.append((beta / theta + _I(theta) + g, "boundary", theta))
             continue
-        # interior branch: beta = 2 r^2 I'(2r - theta) with x = 2r - theta in (0, 1);
-        # at u = 1 - x -> 1 the target tends to -beta < 0, so the full gap range brackets
-        scale = lambda u: 0.5 * (1.0 + theta - u) ** 2  # 2 r^2 at x = 1 - u
-        scale_p = lambda u: -(1.0 + theta - u)
-        u, _ = _solve_gap(beta, scale, scale_p, 1.0 - 1e-16)
-        r = 0.5 * (theta + (1.0 - u))
-        out.append((beta / r + _I_from_gap(u) + g, "interior", r))
+        # interior branch: beta = 2 r^2 I'(2r - theta), x = 2r - theta in (0, 1),
+        # and I(x) = x artanh x + log(1 - x^2)/2
+        x, artanh, log_1mx2, _ = _logit_root(theta, 2.0 * beta)
+        r = 0.5 * (theta + x)
+        out.append((beta / r + (x * artanh + 0.5 * log_1mx2) + g, "interior", r))
     return out

@@ -253,7 +253,8 @@ def clt_check(law: PolymerLaw) -> float:
     """KS distance of the normalized conditional endpoint law from the normal.
 
     For beta > 0 the endpoint given S_n > 0 is centered at c*(beta) n and
-    scaled by sigma*(beta) sqrt(n).  beta = 0 is the plain-walk sanity case:
+    scaled by sigma*(beta) sqrt(n), a DomainError where sigma* underflows to
+    0 (from beta ~ 745).  beta = 0 is the plain-walk sanity case:
     unconditioned, centered at 0 with unit diffusive scale.  The distance is
     the supremum over both one-sided limits of the right-continuous CDF.
 
@@ -269,6 +270,8 @@ def clt_check(law: PolymerLaw) -> float:
         probs = np.array([marg[int(a)] for a in atoms])
         return _ks_distance(atoms, probs, 0.0, math.sqrt(n))
     consts = free_energy_g_star(law.beta)
+    if consts.sigma_star == 0.0:
+        raise DomainError(f"beta={law.beta!r} is too large: sigma*(beta) underflows to 0")
     atoms, probs = law.endpoint_conditional_positive()
     return _ks_distance(
         atoms.astype(float), probs, consts.c_star * n,
@@ -284,11 +287,21 @@ def _window_site(theta: float, n: int) -> int:
     return max(int(x0), lowest)
 
 
+def _log_conditional_mass(law: PolymerLaw, x0: int) -> float:
+    """log P(S_n = x0 | S_n > 0), tilted in log space from the untilted law."""
+    base = _exact_law_cached(law.n)
+    pos = base.xs > 0
+    logw = np.log(base.ps[pos]) - law.beta * float(law.n) ** 2 / base.rs[pos]
+    return float(np.logaddexp.reduce(logw[base.xs[pos] == x0]) - np.logaddexp.reduce(logw))
+
+
 def ldp_empirical(law: PolymerLaw, theta_grid) -> list[tuple[float, float]]:
     """Empirical decay rates -(1/n) log P(S_n in window(theta) | S_n > 0).
 
     Windows are single parity-consistent lattice sites (width 2/n on the
-    velocity scale).  Empty windows report an infinite rate.
+    velocity scale).  Every such site is reachable, so every rate is finite:
+    where its tilted probability underflows (n = 50, theta = 0 from beta =
+    18 on), ``_log_conditional_mass`` takes its log directly.
     """
     n = law.n
     atoms, probs = law.endpoint_conditional_positive()
@@ -298,7 +311,6 @@ def ldp_empirical(law: PolymerLaw, theta_grid) -> list[tuple[float, float]]:
         if not 0.0 <= theta <= 1.0:
             raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
         x0 = _window_site(float(theta), n)
-        p = table.get(x0, 0.0)
-        rate = math.inf if p == 0.0 else -math.log(p) / n
-        out.append((float(theta), rate))
+        p = table[x0]
+        out.append((float(theta), -(math.log(p) if p > 0.0 else _log_conditional_mass(law, x0)) / n))
     return out

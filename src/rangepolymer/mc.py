@@ -169,9 +169,12 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
 
 
 def _default_drift(beta: float) -> float:
-    """c*(beta), the proposal drift the tilted measure concentrates on; 0 at
-    beta = 0, where the tilt is trivial."""
-    return 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
+    """c*(beta), the proposal drift the tilted measure concentrates on (0 at
+    beta = 0); DomainError from beta ~ 18.4, where c* rounds to 1."""
+    c = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
+    if c == 1.0:
+        raise DomainError(f"beta={beta!r} is too large: c*(beta) rounds to 1")
+    return c
 
 
 def _ratio_estimate(w, f, samples, ess, indicator=None) -> McEstimate:

@@ -1,10 +1,10 @@
 """Bracketed root finding for strictly monotone targets.
 
-The solver is bisection with a Newton polish: bisection guarantees
-convergence on a sign-changing bracket of a monotone function, Newton
-finishes to the residual tolerance in a handful of steps.  All speed and
-auxiliary-root equations in this package are strictly monotone on their
-brackets, so no safeguarding beyond the bracket itself is needed.
+Every root in the package (the discrete speed, threshold and interior LDP
+roots, the continuous cubic, the exact-radius tilt's peak) comes from
+``bisect_newton`` on a bracket whose ends are closed forms.  Bisection
+guarantees convergence, Newton finishes in a handful of steps, and with no
+tolerance it runs to the last bit; each caller checks its own residual.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ def bisect_newton(
 
     Starts at the midpoint.  Each step shrinks the bracket to the side that
     keeps the sign change, then takes the Newton step, or bisects where that
-    step is undefined or would leave the bracket.  Stops when
-    ``|f(x)| <= 1e-13``, after 200 steps, or when the bracket is at
-    floating-point resolution; the achieved residual is reported either way.
+    step is undefined or would leave the bracket.  Stops at f(x) = 0, at a
+    Newton step that no longer moves x, at a bracket at float resolution, or
+    after 200 steps; the achieved residual is reported either way.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -59,21 +59,20 @@ def bisect_newton(
     x = 0.5 * (a + b)
     fx = f(x)
     iters = 0
-    while iters < 200:
+    while iters < 200 and fx != 0.0:
         iters += 1
         if (fx > 0.0) == increasing:
             b = x
         else:
             a = x
-        if abs(fx) <= 1e-13:
-            break
         d = fprime(x)
         nxt = x - fx / d if d != 0.0 else 0.5 * (a + b)
+        if nxt == x:  # a Newton step below the spacing of x
+            break
         if not a < nxt < b:
             nxt = 0.5 * (a + b)
-        if nxt == x or not (a < nxt < b):
-            # bracket exhausted at float resolution
-            break
+            if not a < nxt < b:  # the bracket at float resolution
+                break
         x = nxt
         fx = f(x)
     return RootResult(x, fx, iters, (a, b))

@@ -8,7 +8,11 @@ None of these is on a CLI or library path; each recomputes a quantity that
   * ``reflection_min_max_endpoint`` - four-corridor reflection count of
                                P(min, max, endpoint)
   * ``endpoint_variance_conditional`` - exact Var(S_n | S_n > 0) of a tilted law
-  * ``g_star_infimum``       - the variational free energy -(beta/c* + I(c*))
+  * ``g_star_infimum``       - the variational free energy -(beta/c* + I(c*)),
+                               by golden-section minimization
+  * ``speed_reference``      - c*, log(1 - c*), g* and sigma* at 80 digits
+  * ``logit_root_reference`` - the root x of (theta + x)^2 artanh x = target
+                               at 80 digits, the interior LDP roots among them
 
 The joint-law routes build the same (endpoint, range) table as
 ``joint_law_exact`` with the same range convention: the law is built at
@@ -19,7 +23,6 @@ import math
 
 import numpy as np
 
-from rangepolymer.discrete import _I_from_gap, _speed_gap
 from rangepolymer.errors import DomainError, ResourceCapError
 from rangepolymer.exact import JointEndpointRangeLaw, PolymerLaw
 
@@ -157,11 +160,68 @@ def endpoint_variance_conditional(law: PolymerLaw) -> float:
 
 
 def g_star_infimum(beta: float) -> float:
-    """Variational form -(beta/c* + I(c*)) of the free energy g*(beta).
+    """Variational form -inf_c (beta/c + I(c)) of the free energy g*(beta).
 
-    It agrees with ``free_energy_g_star(beta).g_star``, the closed form, up
-    to (residual of the speed solve)/c*.
+    The infimum is found by golden section on c in (0, 1), where beta/c +
+    I(c) is strictly convex: 200 steps shrink the bracket to the double
+    spacing, and the minimum value is then off by about psi'' (c - c*)^2/2,
+    far below the spacing of the value.  It agrees with
+    ``free_energy_g_star(beta).g_star``, the closed form at the solved speed,
+    to a few units of the last place.
     """
-    u, _ = _speed_gap(beta)
-    c = 1.0 - u
-    return -(beta / c + _I_from_gap(u))
+    def psi(c):
+        return beta / c + 0.5 * ((1.0 + c) * math.log1p(c) + (1.0 - c) * math.log1p(-c))
+
+    a, b = 0.0, 1.0
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(200):
+        m1, m2 = b - golden * (b - a), a + golden * (b - a)
+        if psi(m1) < psi(m2):
+            b = m2
+        else:
+            a = m1
+    return -psi(0.5 * (a + b))
+
+
+def logit_root_reference(theta, target, dps: int = 80):
+    """Root x of (theta + x)^2 artanh x = target at ``dps`` digits, as
+    (x, log(1 - x)) mpmath numbers.
+
+    Plain bisection in s = logit x on [log(target)/3 - 2, 3 target + 2], with
+    artanh x = log1p(2 e^s)/2 formed at the working precision, until the
+    bracket is within 2^-(prec - 8) of s: a few hundred halvings, with no
+    derivative and no stop on the residual.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        theta, target = mp.mpf(theta), mp.mpf(target)
+
+        def f(s):
+            x = 1 / (1 + mp.exp(-s))
+            return (theta + x) ** 2 * mp.log1p(2 * mp.exp(s)) / 2 - target
+
+        lo, hi = mp.log(target) / 3 - 2, 3 * target + 2
+        assert f(lo) < 0 < f(hi), (theta, target)
+        while hi - lo > max(abs(lo), abs(hi)) * mp.mpf(2) ** (8 - mp.mp.prec):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+        s = (lo + hi) / 2
+        return 1 / (1 + mp.exp(-s)), -mp.log1p(mp.exp(s))
+
+
+def speed_reference(beta, dps: int = 80):
+    """(c*, log(1 - c*), g*, sigma*) at ``dps`` digits, from the speed root
+    of ``logit_root_reference``, g* = -(beta/c* + I(c*)) with I(c) =
+    c artanh c + log(1 - c^2)/2 (no cancellation at either end), and 1/sigma*^2
+    = 2 beta/c*^3 + 1/(1 - c*^2)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        beta = mp.mpf(beta)
+        c, log_1mc = logit_root_reference(0, beta, dps)
+        # log(1 - c^2) without cancellation: c rounds to 1 at 80 digits past beta ~ 90
+        log_1mc2 = mp.log1p(-c * c) if c < 0.5 else log_1mc + mp.log1p(c)
+        rate = c * (mp.log1p(c) - log_1mc) / 2 + log_1mc2 / 2
+        inv_var = 2 * beta / c**3 + mp.exp(-log_1mc2)
+        return c, log_1mc, -(beta / c + rate), 1 / mp.sqrt(inv_var)

@@ -37,21 +37,21 @@ _BROWNIAN_FILES = {
 # command id -> (argv, {file name: sha256 prefix})
 ARTIFACTS = {
     "constants": (["constants", *_BETA], {
-        "constants.csv": "bd9d9b760c3f3412",
+        "constants.csv": "82e6fb4ce68274ca",
         "manifest.json": "c877b2d51931b130",
     }),
     "readme-rate-curves": (
         ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:101"], {
             "manifest.json": "2b5ad647fd354aa8",
-            "rate_curve_discrete.csv": "c6b9bc8314e0da55",
+            "rate_curve_discrete.csv": "b3f77c8e7cc9e1f9",
         }),
     "readme-exact": (
         ["exact", *_BETA, "--n", "400", "--outputs", "law,Z,free-energy,clt,ldp",
          "--grid", "0.3,0.5,0.7,0.95", "--n-grid", "100,200,400"], {
             "clt.json": "ceb94e8f3c16d216",
-            "free_energy.csv": "9267bee9dbf0c921",
+            "free_energy.csv": "f8913bd5a6de689a",
             "law.csv": "3a45bea1f429ff87",
-            "ldp.csv": "a6513e33db2fd1d8",
+            "ldp.csv": "8f3b5d7702ad2e9f",
             "manifest.json": "6064d793b1f428c8",
             "partition.json": "e8b0d811e6bec50e",
         }),
@@ -65,20 +65,20 @@ ARTIFACTS = {
     "bench-rate-curves-discrete": (
         ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:2001"], {
             "manifest.json": "564b8a1e52525904",
-            "rate_curve_discrete.csv": "f276159263b0e441",
+            "rate_curve_discrete.csv": "c62adebf7953d1c3",
         }),
     "bench-rate-curves-continuous": (
         ["rate-curves", *_BETA, "--model", "continuous", "--grid", "0:1:2001"], {
             "manifest.json": "312d5642a93f876e",
-            "rate_curve_continuous.csv": "9a13a4e237d8f55d",
+            "rate_curve_continuous.csv": "debc625136eacded",
         }),
     "bench-exact": (
         ["exact", *_BETA, "--n", "600", "--outputs", "law,Z,free-energy,clt,ldp",
          "--n-grid", "150,300,450,600"], {
             "clt.json": "d6aaa9510c616ce0",
-            "free_energy.csv": "285c587bda2f5a52",
+            "free_energy.csv": "58d31f693a75db4d",
             "law.csv": "6472a7abcf7c5830",
-            "ldp.csv": "b0fa3eac8d8ea421",
+            "ldp.csv": "ee4e8dce76d80358",
             "manifest.json": "1ebb55680dcb62f4",
             "partition.json": "6995c9daae53e3b6",
         }),
@@ -86,7 +86,7 @@ ARTIFACTS = {
         ["exact", *_BETA, "--n", "1000", "--cap-override", "1000",
          "--outputs", "Z,clt,ldp"], {
             "clt.json": "7f3b63175fc8809e",
-            "ldp.csv": "8dfd231fd79eb165",
+            "ldp.csv": "e09b5ce9d5cfdca0",
             "manifest.json": "36d6f31ff5cf7bbd",
             "partition.json": "28fe125b0eff62a1",
         }),

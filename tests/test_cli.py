@@ -17,6 +17,8 @@ import rangepolymer
 from rangepolymer import cli, joint_law_exact
 from rangepolymer.cli import main
 
+from oracles import logit_root_reference, speed_reference
+
 
 def _read(path):
     return path.read_text(encoding="utf-8")
@@ -198,19 +200,18 @@ def test_exit_codes(tmp_path):
     assert not gone.exists()
 
 
+# Keyed by their place in the list before the speed was solved in logit c,
+# when every one of them exited 2.
 @pytest.mark.parametrize("argv", [
-    ["constants", "--beta", "500"],
-    ["constants", "--beta", "800"],
-    ["constants", "--beta", "1e16"],
-    ["constants", "--beta", "1e300"],
-    ["rate-curves", "--model", "discrete", "--beta", "1e300"],
-    ["rate-curves", "--model", "discrete", "--beta", "1e-300", "--grid", "0:1:5"],
-    ["exact", "--beta", "800", "--n", "10", "--outputs", "Z,clt"],
-    ["rate-curves", "--model", "continuous", "--beta", "5e-324", "--grid", "0:1:3"],
-    ["rate-curves", "--model", "discrete", "--beta", "5e-324", "--grid", "0:1:3"],
+    pytest.param(["exact", "--beta", "800", "--n", "10", "--outputs", "Z,clt"], id="argv6"),
+    pytest.param(["rate-curves", "--model", "continuous", "--beta", "5e-324",
+                  "--grid", "0:1:3"], id="argv7"),
+    pytest.param(["rate-curves", "--model", "discrete", "--beta", "5e-324",
+                  "--grid", "0:1:3"], id="argv8"),
 ])
 def test_extreme_beta_exits_2_without_artifacts(tmp_path, capsys, argv):
-    """Betas past what the solvers can resolve stop with one error line."""
+    """Betas past what the solvers can resolve stop with one error line: at
+    beta = 800 sigma* underflows to 0, and at 5e-324 beta/2 does."""
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -218,6 +219,99 @@ def test_extreme_beta_exits_2_without_artifacts(tmp_path, capsys, argv):
     if "5e-324" in argv:  # beta/2 underflows: the error names the beta passed
         assert "beta=5e-324" in err
     _assert_published(out, 2)
+
+
+def _csv_rows(path):
+    lines = _read(path).strip().splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def _rate_reference(beta, theta):
+    """I^beta(theta) at 80 digits from the 80-digit roots."""
+    import mpmath as mp
+
+    with mp.workdps(80):
+        beta, theta = mp.mpf(beta), mp.mpf(theta)
+        g = mp.mpf(speed_reference(beta)[2])
+        c_half, _ = logit_root_reference(0, beta / 2)
+        x, r = theta, theta
+        if theta < c_half:
+            x, _ = logit_root_reference(theta, 2 * beta)
+            r = (theta + x) / 2
+        rate_i = x * mp.atanh(x) + mp.log1p(-x * x) / 2 if x < 1 else mp.log(2)
+        return beta / r + rate_i + g
+
+
+# The betas that exited 2 while the speed was solved in 1 - c with a clamp
+# at log(1 - c) = -700, keyed by their place in that list.
+@pytest.mark.parametrize("argv", [
+    pytest.param(["constants", "--beta", "500"], id="argv0"),
+    pytest.param(["constants", "--beta", "800"], id="argv1"),
+    pytest.param(["constants", "--beta", "1e16"], id="argv2"),
+    pytest.param(["constants", "--beta", "1e300"], id="argv3"),
+    pytest.param(["rate-curves", "--model", "discrete", "--beta", "1e300"], id="argv4"),
+    pytest.param(["rate-curves", "--model", "discrete", "--beta", "1e-300",
+                  "--grid", "0:1:5"], id="argv5"),
+])
+def test_extreme_beta_exits_0_with_reference_values(tmp_path, argv):
+    """Each artifact holds finite values equal to the 80-digit reference."""
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    _assert_published(out, 0)
+    beta = float(argv[argv.index("--beta") + 1])
+    if argv[0] == "constants":
+        row, = _csv_rows(out / "constants.csv")
+        c, _, g, sigma = (float(v) for v in speed_reference(beta))
+        assert float(row["c_star"]) == pytest.approx(c, rel=1e-13)
+        assert float(row["g_star"]) == pytest.approx(g, rel=1e-13)
+        # sigma* ~ 2 e^(-beta) underflows to 0 from beta ~ 745
+        assert float(row["sigma_star"]) == pytest.approx(sigma, rel=1e-13 * beta)
+        return
+    rows = _csv_rows(out / "rate_curve_discrete.csv")
+    assert len(rows) == (5 if beta < 1.0 else 21)
+    for row in rows:
+        theta, rate = float(row["theta"]), float(row["rate"])
+        if beta > 1.0:
+            # x rounds to 1: r = (1 + theta)/2, I(x) = log 2, g* = -beta - log 2
+            assert rate == pytest.approx(beta * (1 - theta) / (1 + theta), abs=1e-13 * beta)
+            assert float(row["aux_root"]) == (1.0 + theta) / 2
+        else:
+            assert rate == pytest.approx(float(_rate_reference(beta, theta)), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta, t", [("1.25e11", "4e-4"), ("1e15", "1e-6")])
+def test_exact_radius_at_small_t_writes_no_nan(tmp_path, capsys, beta, t):
+    """The exact-radius tilt peaks far below b^(1/3) here: the CLTs are
+    finite, and Z's ratio to the surrogate asymptote overflows, so a run
+    asking for Z exits 2 with one error line."""
+    argv = ["continuous", "--beta", beta, "--t", t, "--exact-radius"]
+    out = tmp_path / "clt"
+    assert main([*argv, "--outputs", "range-clt,endpoint-clt", "--out", str(out)]) == 0
+    _assert_published(out, 0)
+    out = tmp_path / "z"
+    assert main([*argv, "--outputs", "Z,range-clt,endpoint-clt", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ratio_to_asymptote") and err.count("\n") == 1
+    _assert_published(out, 2)
+
+
+@pytest.mark.parametrize("beta", ["20", "1e4"])
+def test_mc_tilted_where_the_speed_rounds_to_one_exits_2(tmp_path, capsys, beta):
+    out = tmp_path / "run"
+    assert main(["mc", "tilted", "--beta", beta, "--n", "50", "--seed", "1",
+                 "--samples", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: beta={float(beta)!r}") and "Traceback" not in err
+    _assert_published(out, 2)
+
+
+def test_exact_ldp_rates_stay_finite_where_the_tilt_underflows(tmp_path):
+    out = tmp_path / "run"
+    assert main(["exact", "--beta", "500", "--n", "50", "--outputs", "Z,free-energy,clt,ldp",
+                 "--out", str(out)]) == 0
+    _assert_published(out, 0)
+    rows = _csv_rows(out / "ldp.csv")
+    assert all(float(row["empirical_rate"]) > 0.0 for row in rows)
 
 
 @pytest.mark.parametrize("grid", ["nan", "0,inf", "-inf:0:3", "1e308:-1e308:3"])

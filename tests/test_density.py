@@ -344,6 +344,19 @@ class TestPartitionFunction:
         fine, _ = _z_at(monkeypatch, 1.0, 30.0, 16)
         assert abs(base - fine) <= 10.0 * base_err + 1e-30
 
+    # log Z_t from ``_mp_partition_function`` (40 digits; about 16 s each, so
+    # frozen here).  The exact-radius tilt peaks far below b^(1/3) at these
+    # (beta, t); a window centred at b^(1/3) made Z NaN there.
+    @pytest.mark.parametrize("beta, t, log_z", [(1.25e11, 4e-4, -7905.2273917382453874),
+                                                (1e15, 1e-6, -499.5940848757811068)])
+    def test_exact_radius_peak_far_below_the_centre(self, beta, t, log_z):
+        res = partition_function_continuous(beta, t, use_exact_radius=True)
+        assert res.log_value == pytest.approx(log_z, rel=1e-13)
+        assert math.isfinite(res.abs_error_estimate)
+        for cdf in (*endpoint_clt_continuous(beta, t, [-1.0, 0.0, 1.0], True),
+                    *range_second_order_cdf(beta, t, [-1.0, 0.0, 1.0], True)):
+            assert 0.0 <= cdf <= 1.0
+
     def test_exact_radius_free_energy_gap_shrinks(self):
         # Z with rho = r + 2 exceeds the surrogate by about exp(2 beta^{1/3});
         # on the free-energy scale the gap is 2 beta^{1/3}/t -> 0

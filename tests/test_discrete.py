@@ -25,7 +25,7 @@ from rangepolymer import (
 )
 from rangepolymer.roots import RootResult, bisect_newton
 
-from oracles import g_star_infimum
+from oracles import g_star_infimum, logit_root_reference, speed_reference
 
 
 def _rate(beta, theta):
@@ -139,11 +139,75 @@ class TestSpeed:
         values = [speed_c_star(b).value for b in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_log_gap_strictly_decreasing_from_1e_300_to_1e4(self):
+        # c* rounds to 1 from beta ~ 18.4 on; log(1 - c*) keeps resolving it
+        grid = [10.0 ** (k / 10) for k in range(-3000, 41)]
+        logs = [_log_gap(b) for b in grid]
+        assert all(a > b for a, b in zip(logs, logs[1:]))
+
+    @pytest.mark.parametrize("beta", [1e-9, 1e-3, 0.1, 1.0, 3.0])
+    def test_slope_is_sigma_over_c_squared(self, beta):
+        # d beta/dc = 2 beta/c + c^2/(1 - c^2) = c^2/sigma*^2, so dc*/dbeta = sigma*^2/c*^2
+        h = 1e-4 * beta
+        slope = (speed_c_star(beta + h).value - speed_c_star(beta - h).value) / (2 * h)
+        pc = free_energy_g_star(beta)
+        assert slope == pytest.approx((pc.sigma_star / pc.c_star) ** 2, rel=1e-7)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             speed_c_star(0.0)
         with pytest.raises(DomainError):
             speed_c_star(-1.0)
+
+
+def _log_gap(beta):
+    """log(1 - c*(beta)), read off the solve's log(1 - c*^2)."""
+    c, _, log_1mc2, _ = discrete._speed(beta)
+    return log_1mc2 - math.log1p(c)
+
+
+REFERENCE_BETAS = [1e-300, 1e-20, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0, 20.0, 100.0,
+                   300.0, 500.0, 800.0, 1e4]
+
+
+class TestAgainstHighPrecision:
+    """c*, log(1 - c*), g* and sigma* against an 80-digit bisection and the
+    two expansions of beta = c^2 artanh c at its ends."""
+
+    @pytest.mark.parametrize("beta", REFERENCE_BETAS)
+    def test_constants_match_80_digit_root(self, beta):
+        c, log_gap, g, sigma = (float(v) for v in speed_reference(beta))
+        pc = free_energy_g_star(beta)
+        assert pc.c_star == pytest.approx(c, rel=1e-13)
+        assert _log_gap(beta) == pytest.approx(log_gap, rel=1e-13)
+        assert pc.g_star == pytest.approx(g, rel=1e-13)
+        if sigma >= 2.2250738585072014e-308:  # a normal double
+            assert pc.sigma_star == pytest.approx(sigma, rel=1e-13 * max(1.0, beta))
+        else:
+            assert pc.sigma_star < 2.2250738585072014e-308
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-20, 1e-12, 1e-9])
+    def test_small_beta_expansion(self, beta):
+        # c* = b (1 - b^2/9 - 7 b^4/405 + O(b^6)), b = beta^(1/3)
+        b = beta ** (1.0 / 3.0)
+        assert speed_c_star(beta).value == pytest.approx(
+            b * (1.0 - b * b / 9.0 - 7.0 * b**4 / 405.0), rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [20.0, 100.0, 300.0, 500.0, 800.0, 1e4])
+    def test_large_beta_expansion(self, beta):
+        # 1 - c* = 2 exp(-2 beta) (1 + O(beta exp(-2 beta)))
+        assert _log_gap(beta) == pytest.approx(math.log(2.0) - 2.0 * beta, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 175.0, 500.0])
+    def test_interior_roots_match_80_digit_root(self, beta):
+        thetas = [i / 20 for i in range(21)]
+        interior = 0
+        for theta, (_, branch, r) in zip(thetas, ldp_rate_discrete_info(beta, thetas)):
+            if branch == "interior":
+                interior += 1
+                x, _ = logit_root_reference(theta, 2 * beta)
+                assert r == pytest.approx(float((theta + x) / 2), rel=1e-14)
+        assert interior >= 10
 
 
 class TestFreeEnergy:
@@ -254,28 +318,24 @@ class TestLdpRate:
 
 
 # The per-theta evaluator that the grid-valued rate function replaced: it
-# solved g*(beta) and the threshold c*(beta/2) again at every theta.  The
-# curve must reproduce it bit for bit.
+# solved g*(beta) and the threshold c*(beta/2) again at every theta, each
+# through the one kernel ``_logit_root``.  The curve must reproduce it bit
+# for bit.
 def _oracle_ldp_branch(beta, theta):
     g = free_energy_g_star(beta).g_star
-    u_half, _ = discrete._speed_gap(0.5 * beta)
-    threshold = 1.0 - u_half  # c*(beta/2)
+    threshold = discrete._logit_root(0.0, 0.5 * beta)[0]  # c*(beta/2)
     if theta >= threshold:
         return beta / theta + discrete._I(theta) + g, "boundary", theta
-    # interior branch: beta = 2 r^2 I'(2r - theta) with x = 2r - theta in (0, 1);
-    # at u = 1 - x -> 1 the target tends to -beta < 0, so the full gap range brackets
-    scale = lambda u: 0.5 * (1.0 + theta - u) ** 2  # 2 r^2 at x = 1 - u
-    scale_p = lambda u: -(1.0 + theta - u)
-    u, res = discrete._solve_gap(beta, scale, scale_p, 1.0 - 1e-16)
-    x = 1.0 - u
+    # interior branch: (theta + x)^2 artanh x = 2 beta with x = 2r - theta in (0, 1)
+    x, artanh, log_1mx2, _ = discrete._logit_root(theta, 2.0 * beta)
     r = 0.5 * (theta + x)
-    return beta / r + discrete._I_from_gap(u) + g, "interior", r
+    return beta / r + (x * artanh + 0.5 * log_1mx2) + g, "interior", r
 
 
 class TestRateCurve:
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 1.0, 3.0, 30.0])
     def test_matches_per_theta_oracle_bitwise(self, beta):
-        threshold = 1.0 - discrete._speed_gap(0.5 * beta)[0]
+        threshold = discrete._logit_root(0.0, 0.5 * beta)[0]
         thetas = [i / 2000 for i in range(2001)]
         thetas += [threshold, threshold * (1.0 - 1e-13)]
         curve = ldp_rate_discrete_info(beta, thetas)

@@ -428,6 +428,21 @@ class TestLdpEmpirical:
         with pytest.raises(DomainError):
             ldp_empirical(polymer_law(1.0, 20), [1.2])
 
+    def test_underflowed_windows_take_the_log_space_mass(self):
+        # where nothing underflows the log-space route agrees with the table ...
+        from rangepolymer.exact import _log_conditional_mass
+
+        law = polymer_law(1.0, 50)
+        xs, ps = law.endpoint_conditional_positive()
+        for x0 in (2, 20, 50):
+            assert _log_conditional_mass(law, x0) == pytest.approx(
+                math.log(float(ps[xs == x0][0])), rel=1e-13)
+        # ... and from beta = 18 on, where the tilted P(S_50 = 2) underflows,
+        # it keeps the rate finite and continuous in beta
+        rates = [ldp_empirical(polymer_law(beta, 50), [0.0])[0][1] for beta in (17.0, 18.0, 19.0)]
+        assert all(math.isfinite(r) for r in rates)
+        assert rates[1] - rates[0] == pytest.approx(rates[2] - rates[1], rel=1e-2)
+
 
 # The (beta, n) forms that the law-taking checks replaced: each built and
 # tilted its own law.  The law-taking forms must reproduce them bit for bit.
