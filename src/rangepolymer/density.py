@@ -308,9 +308,12 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
     exp(-beta t^2/rho - r^2/2t) = exp(phi(u)), phi(u) = -u^2/2 - b/(u + a),
     and the centre c** t is b^(1/3) sqrt(t); so the surrogate depends on
     (beta, t) through b alone.  The peak solves u (u + a)^2 = b: b^(1/3) for
-    the surrogate, and far below it at small t and large beta.  For a > 0, c
-    is the end of the final ``bisect_newton`` bracket, on [max(0, b^(1/3) -
-    a), b^(1/3)] in y = 1 - u/b^(1/3), where u (u + a)^2 >= b: phi'(c) <= 0.
+    the surrogate, and far below it at small t and large beta.  For a > 0
+    and b^(1/3) > 0.05, c is the end of the final ``bisect_newton`` bracket,
+    on [max(0, b^(1/3) - a), b^(1/3)] in y = 1 - u/b^(1/3), where
+    u (u + a)^2 >= b: phi'(c) <= 0; there k = a/b^(1/3) is below ~5e105, as
+    beta is finite, so (1 + k)^2 cannot overflow.  For b^(1/3) <= 0.05 the
+    floor is c: phi'(0.05) <= -0.05 + b/0.05^2 <= 0 with no solve.
     With c floored at 0.05 and L = ``_TAIL_NATS``,
     phi <= phi(c) - L <= max phi - L off the window
     [lo, hi] = [max(0.05, b/(L - phi(c)) - a), c + sqrt(2L)]: right of c,
@@ -343,8 +346,9 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
             f"the window at b = beta t^(3/2) = {b:.3g} is finer than the double "
             f"spacing near its centre: its quadrature nodes exceed the cap of "
             f"{PANEL_NODE_CAP:.0e}")
-    k, y = (a / centre if centre > 0.0 else 0.0), 0.0  # k = 0: the surrogate, or b = 0
-    if k > 0.0:
+    y = 0.0
+    if a > 0.0 and centre > DEFAULT_FLOOR:
+        k = a / centre
         y = bisect_newton(lambda y: (1.0 - y) * (1.0 + k - y) ** 2 - 1.0, 0.0, min(1.0, k),
                           lambda y: -(1.0 + k - y) * (3.0 + k - 3.0 * y)).bracket[0]
     c = max(centre * (1.0 - y), DEFAULT_FLOOR)

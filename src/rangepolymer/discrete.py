@@ -175,7 +175,7 @@ def free_energy_g_star(beta: float) -> PolymerConstants:
     would overflow.
     """
     c, artanh, log_1mc2, _ = _speed(beta)
-    q = 2.0 * beta * math.exp(log_1mc2) / c**3
+    q = 2.0 * (beta / c) / c / c * math.exp(log_1mc2)  # c^3 is subnormal below beta ~ 1e-308
     return PolymerConstants(
         beta=beta,
         c_star=c,
@@ -184,18 +184,62 @@ def free_energy_g_star(beta: float) -> PolymerConstants:
     )
 
 
+def _minus(a: float, a_gap: float, b: float, b_gap: float) -> float:
+    """a - b, as (1 - b) - (1 - a) where both lie above 1/2."""
+    return b_gap - a_gap if a > 0.5 and b > 0.5 else a - b
+
+
+# (k - 1)/k!, k = 13 .. 2: phi(e^l) = l e^l - e^l + 1 = sum_{k>=2} (k - 1) l^k/k!
+_PHI_SERIES = tuple((k - 1) / math.factorial(k) for k in range(13, 1, -1))
+
+
+def _kl_side(p: float, q: float, log_ratio: float) -> float:
+    """p log(p/q) - p + q >= 0 at l = log(p/q) = log_ratio (0 log 0 = 0).
+
+    It is q phi(e^l).  For |l| < 1/4 the series of phi is summed by Horner's
+    rule, whose partial sums stay positive (each coefficient is at least 3/2
+    the next) and whose first omitted term is below 2^-55 of l^2/2; above,
+    the value is at least 2.6 % of q and is formed as written."""
+    if p == 0.0:
+        return q
+    if abs(log_ratio) >= 0.25:
+        return p * log_ratio - p + q
+    acc = 0.0
+    for a in _PHI_SERIES:
+        acc = a + log_ratio * acc
+    return q * log_ratio * log_ratio * acc
+
+
+def _split_rate(beta: float, theta: tuple, x: tuple, c: tuple) -> float:
+    """beta/r + I(x) + g*, r = (theta + x)/2, from (value, log(1 - value)) of
+    theta, x and c = c*, with its terms of size beta cancelled.
+
+    By g* = -(beta/c + I(c)) and I'(c) = beta/c^2 it is beta/c^2 ((x - theta)/2
+    + (r - c)^2/r) plus the Bregman divergence of I, the sum over +- of
+    (1 +- x)/2 log((1 +- x)/(1 +- c)): nonnegative parts, the last two from
+    ``_kl_side``, with differences above 1/2 taken between gaps (``_minus``).
+    """
+    (t, log_ut), (x, log_ux), (c, log_w) = theta, x, c
+    ut, ux, w = math.exp(log_ut), math.exp(log_ux), math.exp(log_w)
+    r, x_c = 0.5 * (t + x), _minus(x, ux, c, w)
+    log_ux_w = math.log1p(-x_c / w) if abs(x_c) < 0.5 * w else log_ux - log_w
+    return (beta / c / c * (0.5 * _minus(x, ux, t, ut) + _minus(r, 0.5 * (ut + ux), c, w) ** 2 / r)
+            + _kl_side(0.5 * (1.0 + x), 0.5 * (1.0 + c), math.log1p(x_c / (1.0 + c)))
+            + _kl_side(0.5 * ux, 0.5 * w, log_ux_w))
+
+
 def ldp_rate_discrete_info(beta: float, thetas) -> list[tuple[float, str, float]]:
     """Two-branch endpoint-velocity rate I^beta(theta) over a grid of theta in [0, 1].
 
     Returns one (rate, branch id, auxiliary root) per theta, in input order.
-    For theta at or above c*(beta/2) the rate is beta/theta + I(theta) +
-    g*(beta) on the "boundary" branch, with theta as its own root; below,
-    the auxiliary root r of beta = 2 r^2 I'(2r - theta) replaces theta on
-    the "interior" branch.  Nonnegative, with its unique zero at c*(beta).
-    theta = 0 is handled by the interior branch directly (a limit, with
-    beta/r finite since r > 0).  g*(beta) and the threshold are solved once
-    per call, so a curve costs 2 solves plus one per interior theta; a
-    scalar theta raises DomainError.
+    The rate is beta/r + I(x) + g*(beta).  For theta at or above c*(beta/2)
+    it is on the "boundary" branch, with x = r = theta; below, on the
+    "interior" branch, r is the auxiliary root of beta = 2 r^2 I'(2r - theta)
+    and x = 2r - theta; ``_split_rate`` forms it.  Nonnegative, with its
+    unique zero at c*(beta).  theta = 0 is handled by the interior branch
+    directly (a limit, with beta/r finite since r > 0).  c*(beta) and the
+    threshold are solved once per call, so a curve costs 2 solves plus one
+    per interior theta; a scalar theta raises DomainError.
     """
     check_positive("beta", beta)
     thetas = check_grid("theta", thetas)
@@ -206,16 +250,17 @@ def ldp_rate_discrete_info(beta: float, thetas) -> list[tuple[float, str, float]
         return []
     if 0.5 * beta == 0.0:
         raise DomainError(f"beta={beta!r} is too small: beta/2 underflows to 0")
-    g = free_energy_g_star(beta).g_star
+    c, _, log_1mc2, _ = _speed(beta)
+    c = (c, log_1mc2 - math.log1p(c))
     threshold = _logit_root(0.0, 0.5 * beta)[0]  # c*(beta/2)
     out = []
     for theta in thetas:
+        t = (theta, math.log1p(-theta) if theta < 1.0 else -math.inf)
         if theta >= threshold:
-            out.append((beta / theta + _I(theta) + g, "boundary", theta))
-            continue
-        # interior branch: beta = 2 r^2 I'(2r - theta), x = 2r - theta in (0, 1),
-        # and I(x) = x artanh x + log(1 - x^2)/2
-        x, artanh, log_1mx2, _ = _logit_root(theta, 2.0 * beta)
-        r = 0.5 * (theta + x)
-        out.append((beta / r + (x * artanh + 0.5 * log_1mx2) + g, "interior", r))
+            x, branch = t, "boundary"
+        else:
+            # interior branch: beta = 2 r^2 I'(2r - theta), x = 2r - theta in (0, 1)
+            x, _, log_1mx2, _ = _logit_root(theta, 2.0 * beta)
+            x, branch = (x, log_1mx2 - math.log1p(x)), "interior"
+        out.append((_split_rate(beta, t, x, c), branch, 0.5 * (theta + x[0])))
     return out

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -221,6 +222,11 @@ class PolymerLaw:
         return float(np.dot(self.tilted.ps, self.tilted.rs))
 
 
+def _log_tilt(base: JointEndpointRangeLaw, beta: float) -> np.ndarray:
+    """log of each untilted cell's mass times exp(-beta n^2 / r)."""
+    return np.log(base.ps) - beta * float(base.n) * float(base.n) / base.rs
+
+
 def polymer_law(beta: float, n: int, cap: int = EXACT_LAW_CAP) -> PolymerLaw:
     """Tilt the exact joint law by exp(-beta n^2 / r), in log space.
 
@@ -230,7 +236,7 @@ def polymer_law(beta: float, n: int, cap: int = EXACT_LAW_CAP) -> PolymerLaw:
     base = joint_law_exact(n, cap=cap)
     if beta == 0.0:
         return PolymerLaw(beta=0.0, n=n, tilted=base, log_partition=0.0)
-    logw = np.log(base.ps) - beta * float(n) * float(n) / base.rs
+    logw = _log_tilt(base, beta)
     shift = float(logw.max())
     w = np.exp(logw - shift)
     total = float(w.sum())
@@ -287,30 +293,33 @@ def _window_site(theta: float, n: int) -> int:
     return max(int(x0), lowest)
 
 
-def _log_conditional_mass(law: PolymerLaw, x0: int) -> float:
-    """log P(S_n = x0 | S_n > 0), tilted in log space from the untilted law."""
-    base = _exact_law_cached(law.n)
-    pos = base.xs > 0
-    logw = np.log(base.ps[pos]) - law.beta * float(law.n) ** 2 / base.rs[pos]
-    return float(np.logaddexp.reduce(logw[base.xs[pos] == x0]) - np.logaddexp.reduce(logw))
-
-
 def ldp_empirical(law: PolymerLaw, theta_grid) -> list[tuple[float, float]]:
     """Empirical decay rates -(1/n) log P(S_n in window(theta) | S_n > 0).
 
     Windows are single parity-consistent lattice sites (width 2/n on the
     velocity scale).  Every such site is reachable, so every rate is finite:
-    where its tilted probability underflows (n = 50, theta = 0 from beta =
-    18 on), ``_log_conditional_mass`` takes its log directly.
+    where its tilted probability is below the normal doubles (n = 50,
+    theta = 0 from beta ~ 16.7 on), keeping a few bits or none, its log is
+    formed from the log tilt of the untilted law instead.
     """
     n = law.n
     atoms, probs = law.endpoint_conditional_positive()
     table = {int(a): float(p) for a, p in zip(atoms, probs)}
+    logw = None  # log tilted weights of the positive endpoints, formed on first need
     out: list[tuple[float, float]] = []
     for theta in theta_grid:
         if not 0.0 <= theta <= 1.0:
             raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
         x0 = _window_site(float(theta), n)
         p = table[x0]
-        out.append((float(theta), -(math.log(p) if p > 0.0 else _log_conditional_mass(law, x0)) / n))
+        if p >= sys.float_info.min:
+            log_p = math.log(p)
+        else:
+            if logw is None:
+                base = _exact_law_cached(n)
+                pos = base.xs > 0
+                xs, logw = base.xs[pos], _log_tilt(base, law.beta)[pos]
+                log_total = np.logaddexp.reduce(logw)
+            log_p = float(np.logaddexp.reduce(logw[xs == x0]) - log_total)
+        out.append((float(theta), -log_p / n))
     return out

@@ -13,6 +13,9 @@ None of these is on a CLI or library path; each recomputes a quantity that
   * ``speed_reference``      - c*, log(1 - c*), g* and sigma* at 80 digits
   * ``logit_root_reference`` - the root x of (theta + x)^2 artanh x = target
                                at 80 digits, the interior LDP roots among them
+  * ``rate_reference``       - the discrete LDP rate I^beta(theta) at 80
+                               digits, as written and with its beta-size
+                               terms cancelled
 
 The joint-law routes build the same (endpoint, range) table as
 ``joint_law_exact`` with the same range convention: the law is built at
@@ -225,3 +228,45 @@ def speed_reference(beta, dps: int = 80):
         rate = c * (mp.log1p(c) - log_1mc) / 2 + log_1mc2 / 2
         inv_var = 2 * beta / c**3 + mp.exp(-log_1mc2)
         return c, log_1mc, -(beta / c + rate), 1 / mp.sqrt(inv_var)
+
+
+def rate_reference(beta, theta, dps: int = 80):
+    """I^beta(theta) at ``dps`` digits from the roots of
+    ``logit_root_reference``, in two forms: (direct, split).
+
+    direct = beta/r + I(x) + g* as the rate is defined, with x = r = theta
+    on the boundary branch (theta >= c*(beta/2)) and the interior root r,
+    x = 2r - theta, below; its terms of size beta cancel, so it keeps only
+    about dps - log10(beta/rate) digits.  split = beta/c^2 ((x - theta)/2 +
+    (r - c)^2/r) + KL(x | c) at c = c*(beta), the same value by
+    I'(c) = beta/c^2, with every difference of two values above 1/2 taken
+    between their gaps 1 - x, 1 - c and 1 - theta.  Its KL is second order
+    in x - c ~ beta^(1/3) as beta -> 0, so the work carries a third of
+    -log10(beta) digits beyond ``dps``.
+    """
+    import mpmath as mp
+
+    dps += max(0, -math.floor(math.log10(beta)) // 3)
+    with mp.workdps(dps):
+        beta, theta = mp.mpf(beta), mp.mpf(theta)
+        c, log_gc = logit_root_reference(0, beta, dps)
+        g = speed_reference(beta, dps)[2]
+        c_half, _ = logit_root_reference(0, beta / 2, dps)
+        x, gt = theta, 1 - theta
+        gx, log_gx = gt, (mp.log(gt) if gt > 0 else -mp.inf)
+        if theta < c_half:
+            x, log_gx = logit_root_reference(theta, 2 * beta, dps)
+            gx = mp.exp(log_gx)
+        r, gr, gc = (theta + x) / 2, (gt + gx) / 2, mp.exp(log_gc)
+
+        def minus(a, ga, b, gb):
+            return gb - ga if min(a, b) > 0.5 else a - b
+
+        # I(x) with its (1 - x) log(1 - x) part from the gap: no cancellation near 1
+        rate_i = ((1 + x) * mp.log1p(x) + (gx * log_gx if gx > 0 else 0)) / 2
+        direct = beta / r + rate_i + g
+        kl = (1 + x) / 2 * mp.log1p(minus(x, gx, c, gc) / (1 + c))
+        if gx > 0:
+            kl += gx / 2 * (log_gx - log_gc)
+        split = beta / c**2 * (minus(x, gx, theta, gt) / 2 + minus(r, gr, c, gc) ** 2 / r) + kl
+        return direct, split

@@ -37,13 +37,13 @@ _BROWNIAN_FILES = {
 # command id -> (argv, {file name: sha256 prefix})
 ARTIFACTS = {
     "constants": (["constants", *_BETA], {
-        "constants.csv": "82e6fb4ce68274ca",
+        "constants.csv": "b53f19256574aec3",
         "manifest.json": "c877b2d51931b130",
     }),
     "readme-rate-curves": (
         ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:101"], {
             "manifest.json": "2b5ad647fd354aa8",
-            "rate_curve_discrete.csv": "b3f77c8e7cc9e1f9",
+            "rate_curve_discrete.csv": "15443de582d8123c",
         }),
     "readme-exact": (
         ["exact", *_BETA, "--n", "400", "--outputs", "law,Z,free-energy,clt,ldp",
@@ -51,7 +51,7 @@ ARTIFACTS = {
             "clt.json": "ceb94e8f3c16d216",
             "free_energy.csv": "f8913bd5a6de689a",
             "law.csv": "3a45bea1f429ff87",
-            "ldp.csv": "8f3b5d7702ad2e9f",
+            "ldp.csv": "d22dc7f4317b578e",
             "manifest.json": "6064d793b1f428c8",
             "partition.json": "e8b0d811e6bec50e",
         }),
@@ -65,7 +65,7 @@ ARTIFACTS = {
     "bench-rate-curves-discrete": (
         ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:2001"], {
             "manifest.json": "564b8a1e52525904",
-            "rate_curve_discrete.csv": "c62adebf7953d1c3",
+            "rate_curve_discrete.csv": "0c75a181509e329b",
         }),
     "bench-rate-curves-continuous": (
         ["rate-curves", *_BETA, "--model", "continuous", "--grid", "0:1:2001"], {
@@ -78,7 +78,7 @@ ARTIFACTS = {
             "clt.json": "d6aaa9510c616ce0",
             "free_energy.csv": "58d31f693a75db4d",
             "law.csv": "6472a7abcf7c5830",
-            "ldp.csv": "ee4e8dce76d80358",
+            "ldp.csv": "476c8358ac635ec4",
             "manifest.json": "1ebb55680dcb62f4",
             "partition.json": "6995c9daae53e3b6",
         }),
@@ -86,7 +86,7 @@ ARTIFACTS = {
         ["exact", *_BETA, "--n", "1000", "--cap-override", "1000",
          "--outputs", "Z,clt,ldp"], {
             "clt.json": "7f3b63175fc8809e",
-            "ldp.csv": "e09b5ce9d5cfdca0",
+            "ldp.csv": "ebe14958bf9375bf",
             "manifest.json": "36d6f31ff5cf7bbd",
             "partition.json": "28fe125b0eff62a1",
         }),

@@ -17,7 +17,7 @@ import rangepolymer
 from rangepolymer import cli, joint_law_exact
 from rangepolymer.cli import main
 
-from oracles import logit_root_reference, speed_reference
+from oracles import rate_reference, speed_reference
 
 
 def _read(path):
@@ -226,22 +226,6 @@ def _csv_rows(path):
     return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
 
 
-def _rate_reference(beta, theta):
-    """I^beta(theta) at 80 digits from the 80-digit roots."""
-    import mpmath as mp
-
-    with mp.workdps(80):
-        beta, theta = mp.mpf(beta), mp.mpf(theta)
-        g = mp.mpf(speed_reference(beta)[2])
-        c_half, _ = logit_root_reference(0, beta / 2)
-        x, r = theta, theta
-        if theta < c_half:
-            x, _ = logit_root_reference(theta, 2 * beta)
-            r = (theta + x) / 2
-        rate_i = x * mp.atanh(x) + mp.log1p(-x * x) / 2 if x < 1 else mp.log(2)
-        return beta / r + rate_i + g
-
-
 # The betas that exited 2 while the speed was solved in 1 - c with a clamp
 # at log(1 - c) = -700, keyed by their place in that list.
 @pytest.mark.parametrize("argv", [
@@ -271,12 +255,12 @@ def test_extreme_beta_exits_0_with_reference_values(tmp_path, argv):
     assert len(rows) == (5 if beta < 1.0 else 21)
     for row in rows:
         theta, rate = float(row["theta"]), float(row["rate"])
-        if beta > 1.0:
+        assert rate >= 0.0
+        assert rate == pytest.approx(float(rate_reference(beta, theta)[1]), rel=1e-12)
+        if beta > 1.0 and theta < 1.0:
             # x rounds to 1: r = (1 + theta)/2, I(x) = log 2, g* = -beta - log 2
-            assert rate == pytest.approx(beta * (1 - theta) / (1 + theta), abs=1e-13 * beta)
+            assert rate == pytest.approx(beta * (1 - theta) / (1 + theta), rel=1e-12)
             assert float(row["aux_root"]) == (1.0 + theta) / 2
-        else:
-            assert rate == pytest.approx(float(_rate_reference(beta, theta)), rel=1e-12)
 
 
 @pytest.mark.parametrize("beta, t", [("1.25e11", "4e-4"), ("1e15", "1e-6")])
@@ -533,6 +517,10 @@ _HUGE_D = str(10**400)
       "--samples", "2"], 3),
     # the cap's message formed samples * t/dt as a float: OverflowError
     (["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "1", "--samples", _HUGE_D], 3),
+    # the exact-radius peak solve squared k = 2/(beta^(1/3) t), 2e160 and 2e200
+    # here: OverflowError
+    (["continuous", "--beta", "1", "--t", "1e-160", "--exact-radius"], 0),
+    (["continuous", "--beta", "1e300", "--t", "1e-300", "--exact-radius"], 0),
 ])
 def test_extreme_input_exits_cleanly_and_at_once(tmp_path, capsys, args, code):
     out = tmp_path / "run"

@@ -25,7 +25,7 @@ from rangepolymer import (
 )
 from rangepolymer.roots import RootResult, bisect_newton
 
-from oracles import g_star_infimum, logit_root_reference, speed_reference
+from oracles import g_star_infimum, logit_root_reference, rate_reference, speed_reference
 
 
 def _rate(beta, theta):
@@ -166,7 +166,7 @@ def _log_gap(beta):
     return log_1mc2 - math.log1p(c)
 
 
-REFERENCE_BETAS = [1e-300, 1e-20, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0, 20.0, 100.0,
+REFERENCE_BETAS = [1e-320, 1e-300, 1e-20, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0, 20.0, 100.0,
                    300.0, 500.0, 800.0, 1e4]
 
 
@@ -208,6 +208,24 @@ class TestAgainstHighPrecision:
                 x, _ = logit_root_reference(theta, 2 * beta)
                 assert r == pytest.approx(float((theta + x) / 2), rel=1e-14)
         assert interior >= 10
+
+    @pytest.mark.parametrize("beta", [1e-6, 1.0, 30.0])
+    def test_split_rate_is_the_rate_as_written(self, beta):
+        # where beta/r + I(x) + g* keeps its digits, the form that cancels its
+        # terms of size beta agrees with it to far below double precision
+        for theta in [i / 10 for i in range(11)]:
+            direct, split = rate_reference(beta, theta)
+            assert abs(direct - split) <= 1e-60 * abs(split) + 1e-70
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-20, 1e-6, 0.5, 1.0, 3.0, 30.0, 175.0, 500.0,
+                                      1e8, 1e300])
+    def test_rates_match_80_digit_reference(self, beta):
+        # the terms of size beta cancel at large beta, and the KL is second
+        # order in x - c* ~ beta^(1/3) at small beta: no rate is negative
+        thetas = [i / 10 for i in range(11)]
+        for theta, (rate, _, _) in zip(thetas, ldp_rate_discrete_info(beta, thetas)):
+            assert rate >= 0.0
+            assert rate == pytest.approx(float(rate_reference(beta, theta)[1]), rel=1e-12)
 
 
 class TestFreeEnergy:
@@ -318,18 +336,18 @@ class TestLdpRate:
 
 
 # The per-theta evaluator that the grid-valued rate function replaced: it
-# solved g*(beta) and the threshold c*(beta/2) again at every theta, each
+# solved c*(beta) and the threshold c*(beta/2) again at every theta, each
 # through the one kernel ``_logit_root``.  The curve must reproduce it bit
 # for bit.
 def _oracle_ldp_branch(beta, theta):
-    g = free_energy_g_star(beta).g_star
+    c, _, log_1mc2, _ = discrete._logit_root(0.0, beta)
     threshold = discrete._logit_root(0.0, 0.5 * beta)[0]  # c*(beta/2)
+    c, t = (c, log_1mc2 - math.log1p(c)), (theta, math.log1p(-theta) if theta < 1.0 else -math.inf)
     if theta >= threshold:
-        return beta / theta + discrete._I(theta) + g, "boundary", theta
+        return discrete._split_rate(beta, t, t, c), "boundary", theta
     # interior branch: (theta + x)^2 artanh x = 2 beta with x = 2r - theta in (0, 1)
-    x, artanh, log_1mx2, _ = discrete._logit_root(theta, 2.0 * beta)
-    r = 0.5 * (theta + x)
-    return beta / r + (x * artanh + 0.5 * log_1mx2) + g, "interior", r
+    x, _, log_1mx2, _ = discrete._logit_root(theta, 2.0 * beta)
+    return discrete._split_rate(beta, t, (x, log_1mx2 - math.log1p(x)), c), "interior", 0.5 * (theta + x)
 
 
 class TestRateCurve:

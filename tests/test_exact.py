@@ -428,20 +428,21 @@ class TestLdpEmpirical:
         with pytest.raises(DomainError):
             ldp_empirical(polymer_law(1.0, 20), [1.2])
 
-    def test_underflowed_windows_take_the_log_space_mass(self):
-        # where nothing underflows the log-space route agrees with the table ...
-        from rangepolymer.exact import _log_conditional_mass
+    @pytest.mark.parametrize("beta", [1.0, 17.0, 17.5, 19.0])
+    def test_windows_below_the_normal_doubles_take_the_log_space_mass(self, beta):
+        # the tilted P(S_50 = 2 | S_50 > 0) is a normal double at beta = 1,
+        # subnormal at 17 and 17.5 (33 significant bits and 2) and 0 at 19
+        import mpmath as mp
 
-        law = polymer_law(1.0, 50)
-        xs, ps = law.endpoint_conditional_positive()
-        for x0 in (2, 20, 50):
-            assert _log_conditional_mass(law, x0) == pytest.approx(
-                math.log(float(ps[xs == x0][0])), rel=1e-13)
-        # ... and from beta = 18 on, where the tilted P(S_50 = 2) underflows,
-        # it keeps the rate finite and continuous in beta
-        rates = [ldp_empirical(polymer_law(beta, 50), [0.0])[0][1] for beta in (17.0, 18.0, 19.0)]
-        assert all(math.isfinite(r) for r in rates)
-        assert rates[1] - rates[0] == pytest.approx(rates[2] - rates[1], rel=1e-2)
+        base = joint_law_exact(50)
+        pos = base.xs > 0
+        with mp.workdps(40):
+            w = [mp.mpf(float(p)) * mp.exp(-mp.mpf(beta) * 2500 / int(r))
+                 for p, r in zip(base.ps[pos], base.rs[pos])]
+            at_2 = mp.fsum(wi for wi, x in zip(w, base.xs[pos]) if x == 2)
+            ref = -mp.log(at_2 / mp.fsum(w)) / 50
+        rate = ldp_empirical(polymer_law(beta, 50), [0.0])[0][1]
+        assert rate == pytest.approx(float(ref), rel=1e-13)
 
 
 # The (beta, n) forms that the law-taking checks replaced: each built and
