@@ -192,10 +192,8 @@ def _cmd_continuous(args, out: Path) -> tuple[str, dict]:
         [0.05 * st_ + (6.0 - 0.05) * st_ * i / 120 for i in range(121)]
     for kind in outputs:
         if kind == "density":
-            rows = []
-            for r in rs:
-                se = range_density(args.t, r)
-                rows.append([r, se.value, se.truncation_bound])
+            se = range_density(args.t, rs)
+            rows = zip(rs, se.value.tolist(), se.truncation_bound.tolist())
             _write_csv(out / "range_density.csv", ["argument", "value", "error_bound"], rows)
         elif kind == "Z":
             res = partition_function_continuous(

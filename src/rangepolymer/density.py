@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,8 +56,18 @@ __all__ = [
 
 DEFAULT_FLOOR = 0.05
 
-# Gauss-Legendre nodes per panel of every production quadrature.
-_ORDER = 16
+# The 16 Gauss-Legendre nodes and weights on [-1, 1] of every quadrature
+# here: bitwise np.polynomial.legendre.leggauss(16).
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
 
 # Most nodes one composite Gauss-Legendre layout may hold.  The quadratures
 # here use at most a few thousand per layout at the documented sizes.
@@ -66,10 +75,11 @@ PANEL_NODE_CAP = 10**6
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """Series value with a rigorous truncation bound and the term count."""
+    """Series value with a rigorous truncation bound and the term count;
+    value and bound are arrays when the series is evaluated at an array."""
 
-    value: float
-    truncation_bound: float
+    value: float | np.ndarray
+    truncation_bound: float | np.ndarray
     terms_used: int
 
 
@@ -98,29 +108,35 @@ def _check_floor(t: float, r: float) -> None:
         )
 
 
-def range_density(t: float, r: float) -> SeriesEval:
+def range_density(t: float, r) -> SeriesEval:
     """Density of the Brownian range at r, with a truncation bound.
 
-    A one-point call of ``_range_series_scaled``, so it is bitwise
-    ``range_density_grid`` at r; the bound is the kernel's, scaled alike.
-    Where the Gaussian factor exp(-u^2/2) is already 0.0 the density and its
-    bound are returned as 0.0 at once, before u^2 can overflow.
+    ``r`` is a scalar or an array: every point is checked against the floor
+    in input order, and the points are summed in one ``_range_series_scaled``
+    call, so each value and bound is bitwise a one-point call's.  A scalar r
+    gives float fields, an array r arrays of its shape; ``terms_used`` is the
+    call's term count.  Where the Gaussian factor exp(-u^2/2) is already 0.0
+    the density and its bound are 0.0, set before u^2 can overflow.
     """
-    _check_floor(t, r)
+    shape, points = np.shape(r), [float(x) for x in np.ravel(r)]
+    for x in points:
+        _check_floor(t, x)
     sqrt_t = math.sqrt(t)
-    u = r / sqrt_t
-    if math.exp(-0.5 * u * u) == 0.0:
-        return SeriesEval(value=0.0, truncation_bound=0.0, terms_used=1)
-    us = np.array([r]) / sqrt_t
-    series, bound, terms = _range_series_scaled(us)
-    damp = (8.0 / sqrt_t * np.exp(-0.5 * np.square(us)))[0]
-    return SeriesEval(value=float(damp * series[0]), truncation_bound=float(damp * bound),
-                      terms_used=terms)
+    us = [x / sqrt_t for x in points]
+    live = np.array([math.exp(-0.5 * u * u) != 0.0 for u in us], dtype=bool)
+    u = np.array(us)[live]
+    series, bound, terms = _range_series_scaled(u)
+    damp = 8.0 / sqrt_t * np.exp(-0.5 * np.square(u))
+    value, error = np.zeros(len(points)), np.zeros(len(points))
+    value[live], error[live] = damp * series, damp * bound
+    if shape == ():
+        return SeriesEval(float(value[0]), float(error[0]), max(terms, 1))
+    return SeriesEval(value.reshape(shape), error.reshape(shape), max(terms, 1))
 
 
-def _range_series_scaled(u: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """S(u) = f_R(r) * exp(r^2 / 2t) * sqrt(t) / 8 at u = r/sqrt(t), a
-    truncation bound, terms used.
+def _range_series_scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """S(u) = f_R(r) * exp(r^2 / 2t) * sqrt(t) / 8 at u = r/sqrt(t), each
+    point's truncation bound, terms used.
 
     With q = u^2/2 (formed from u, so q cannot underflow while u is in
     range), term k of Feller's alternating series is
@@ -130,10 +146,11 @@ def _range_series_scaled(u: np.ndarray) -> tuple[np.ndarray, float, int]:
     summed instead: term j = 1, 3, 5, ... is (j^2 pi^2/u^2 - 1) u^-3
     exp(q - j^2 pi^2/4q), every one positive.  On its own side of sqrt(pi)
     every exponent is <= 0 and each term is at most 0.036 (primal) or
-    4.5e-5 (dual) of the one before, so the remainder is at most the last
-    term added times 0.036 (alternating) or 4.5e-5/(1 - 4.5e-5) (a
-    geometric tail); the bound returned is the largest of those over r.
-    A point stops once its term is at most 1e-13 of max(1, |partial sum|).
+    4.5e-5 (dual) of the one before, so a point's remainder is at most its
+    last term added times 0.036 (alternating) or 4.5e-5/(1 - 4.5e-5) (a
+    geometric tail).  A point stops once its term is at most 1e-13 of
+    max(1, |partial sum|); a stopped point adds nothing more, so each
+    point's sum and bound do not depend on the other points.
     """
     q = 0.5 * np.square(np.asarray(u, dtype=float))
     dual = q < 0.5 * math.pi
@@ -157,13 +174,12 @@ def _range_series_scaled(u: np.ndarray) -> tuple[np.ndarray, float, int]:
         last[active] = term[active]
         active &= ~(term <= 1e-13 * np.maximum(1.0, np.abs(total)))
     last *= np.where(dual, 4.5e-5 / (1.0 - 4.5e-5), 0.036)
-    return total, float(last.max(initial=0.0)), k
+    return total, last, k
 
 
 def range_density_grid(t: float, r: np.ndarray) -> np.ndarray:
-    """Vectorized range density; caller is responsible for the domain floor."""
-    u = np.asarray(r, dtype=float) / math.sqrt(t)
-    return 8.0 / math.sqrt(t) * np.exp(-0.5 * np.square(u)) * _range_series_scaled(u)[0]
+    """The values of ``range_density`` at an array r."""
+    return range_density(t, r).value
 
 
 def _joint_blocks(t: float, x: np.ndarray, r: np.ndarray):
@@ -260,17 +276,13 @@ def joint_density_grid(t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return val * np.exp(-0.5 * np.square(np.asarray(r, dtype=float) / math.sqrt(t)))
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _panels(a: float, b: float, max_width: float, order: int):
-    """Composite Gauss-Legendre nodes and weights on [a, b].
+def _panels(a: float, b: float, max_width: float):
+    """Composite 16-node Gauss-Legendre nodes and weights on [a, b], on the
+    fewest equal panels no wider than ``max_width``.
 
     Raises ResourceCapError when the layout would pass PANEL_NODE_CAP nodes.
     """
-    xs, ws = _leggauss(order)
+    order = len(_GL_NODES)
     panels = (b - a) / max(max_width, 1e-300)
     if not panels <= PANEL_NODE_CAP // order:  # NaN and +inf fail too
         raise ResourceCapError(
@@ -280,8 +292,8 @@ def _panels(a: float, b: float, max_width: float, order: int):
     edges = np.linspace(a, b, count + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    return (half[:, None] * xs[None, :] + mid[:, None]).ravel(), \
-        (half[:, None] * ws[None, :]).ravel()
+    return (half[:, None] * _GL_NODES[None, :] + mid[:, None]).ravel(), \
+        (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
 
 # Nats below its peak that the tilt lies everywhere outside the window.
@@ -329,9 +341,11 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
     e^(-s^2/2)/s at s = sqrt(2L); below u = 0.05, S < e^(-1950), which adds
     under e^(-1900) to Z_t.
 
-    phi(c) is formed exactly from the floats (a Fraction) and split into the
-    float ``shift`` and a ``residue``; the tilt exponent is taken in the
-    factored form phi(u) - phi(c) = (c - u)((u + c)/2 - b/(u + a)/(c + a)),
+    phi(c) = num/den is formed exactly in integers, from the floats'
+    ``as_integer_ratio``, and split into the float ``shift`` and a
+    ``residue``, each an int true division and so correctly rounded; the
+    tilt exponent is taken in the factored form
+    phi(u) - phi(c) = (c - u)((u + c)/2 - b/(u + a)/(c + a)),
     so no exponent of size |phi(c)| is rounded.  ResourceCapError where the
     double spacing at max(b^(1/3), 0.05) exceeds a 1/8 panel (b = inf too).
     """
@@ -352,23 +366,24 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
         y = bisect_newton(lambda y: (1.0 - y) * (1.0 + k - y) ** 2 - 1.0, 0.0, min(1.0, k),
                           lambda y: -(1.0 + k - y) * (3.0 + k - 3.0 * y)).bracket[0]
     c = max(centre * (1.0 - y), DEFAULT_FLOOR)
-    # Imported here: fractions loads decimal, ~4 ms of every CLI start-up.
-    from fractions import Fraction
-
-    peak = -Fraction(c) ** 2 / 2 - Fraction(b) / (Fraction(c) + Fraction(a))
-    shift = float(peak)
+    (nc, dc), (nb, db), (na, da) = c.as_integer_ratio(), b.as_integer_ratio(), \
+        a.as_integer_ratio()
+    s = nc * da + na * dc  # (c + a) dc da
+    num, den = -(nc * nc * db * s + 2 * nb * dc ** 3 * da), 2 * dc * dc * db * s
+    shift = num / den
+    ns, ds = shift.as_integer_ratio()
     lo = max(DEFAULT_FLOOR, b / (_TAIL_NATS - shift) - a)
     return _Window(b, a, centre, c, lo, c + math.sqrt(2.0 * _TAIL_NATS), shift,
-                   float(peak - Fraction(shift)))
+                   (num * ds - ns * den) / (den * ds))
 
 
 def _tilted_mass(win: _Window, width: float, lo: float, hi: float,
                  f=None) -> tuple[float, int]:
-    """Integral of f(u) exp(phi(u) - shift) over [lo, hi] on ``_ORDER``-node
-    Gauss-Legendre panels of width ``width``, the one tilted u-quadrature,
-    and its node count.  f defaults to the scaled range kernel S(u).
+    """Integral of f(u) exp(phi(u) - shift) over [lo, hi] on ``_panels`` of
+    width ``width``, the one tilted u-quadrature, and its node count.  f
+    defaults to the scaled range kernel S(u).
     """
-    U, W = _panels(lo, hi, width, _ORDER)
+    U, W = _panels(lo, hi, width)
     vals = _range_series_scaled(U)[0] if f is None else f(U)
     b, a, c = win.b, win.a, win.c
     tilt = np.exp((c - U) * (0.5 * (U + c) - b / (U + a) / (c + a)) + win.residue)

@@ -16,6 +16,10 @@ None of these is on a CLI or library path; each recomputes a quantity that
   * ``rate_reference``       - the discrete LDP rate I^beta(theta) at 80
                                digits, as written and with its beta-size
                                terms cancelled
+  * ``gauss_legendre_panels`` - composite Gauss-Legendre nodes and weights
+                               at any order, from numpy's ``leggauss``
+  * ``window_by_fractions``  - the quadrature window of ``density._window``
+                               with its peak formed as a ``Fraction``
 
 The joint-law routes build the same (endpoint, range) table as
 ``joint_law_exact`` with the same range convention: the law is built at
@@ -23,11 +27,15 @@ time m = n - 1 and convolved with one final +-1 step.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from rangepolymer.errors import DomainError, ResourceCapError
+from rangepolymer.continuous import _CBRT
+from rangepolymer.density import DEFAULT_FLOOR, PANEL_NODE_CAP, _TAIL_NATS, _Window
+from rangepolymer.errors import DomainError, ResourceCapError, check_positive
 from rangepolymer.exact import JointEndpointRangeLaw, PolymerLaw
+from rangepolymer.roots import bisect_newton
 
 ENUMERATION_CAP = 24
 
@@ -270,3 +278,49 @@ def rate_reference(beta, theta, dps: int = 80):
             kl += gx / 2 * (log_gx - log_gc)
         split = beta / c**2 * (minus(x, gx, theta, gt) / 2 + minus(r, gr, c, gc) ** 2 / r) + kl
         return direct, split
+
+
+def gauss_legendre_panels(a: float, b: float, max_width: float, order: int):
+    """Composite ``order``-node Gauss-Legendre nodes and weights on [a, b],
+    laid out as ``density._panels`` lays out its 16 nodes, with the nodes
+    solved by ``np.polynomial.legendre.leggauss``.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    panels = (b - a) / max(max_width, 1e-300)
+    if not panels <= PANEL_NODE_CAP // order:
+        raise ResourceCapError(f"{panels * order:.3g} quadrature nodes exceed the cap")
+    count = max(1, int(math.ceil(panels)))
+    edges = np.linspace(a, b, count + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (half[:, None] * xs[None, :] + mid[:, None]).ravel(), \
+        (half[:, None] * ws[None, :]).ravel()
+
+
+def window_by_fractions(beta: float, t: float, use_exact_radius: bool) -> _Window:
+    """``density._window`` with the peak phi(c) = -c^2/2 - b/(c + a) formed
+    as a ``Fraction`` of the floats, ``shift`` its float and ``residue`` the
+    float of the rest: each is correctly rounded by ``Fraction.__float__``.
+    """
+    check_positive("beta", beta)
+    check_positive("t", t)
+    st = math.sqrt(t)
+    b = beta * t * st
+    a = 2.0 / st if use_exact_radius else 0.0
+    centre = _CBRT(b)
+    if not math.ulp(max(centre, DEFAULT_FLOOR)) <= 0.125:
+        raise ResourceCapError(
+            f"the window at b = beta t^(3/2) = {b:.3g} is finer than the double "
+            f"spacing near its centre: its quadrature nodes exceed the cap of "
+            f"{PANEL_NODE_CAP:.0e}")
+    y = 0.0
+    if a > 0.0 and centre > DEFAULT_FLOOR:
+        k = a / centre
+        y = bisect_newton(lambda y: (1.0 - y) * (1.0 + k - y) ** 2 - 1.0, 0.0, min(1.0, k),
+                          lambda y: -(1.0 + k - y) * (3.0 + k - 3.0 * y)).bracket[0]
+    c = max(centre * (1.0 - y), DEFAULT_FLOOR)
+    peak = -Fraction(c) ** 2 / 2 - Fraction(b) / (Fraction(c) + Fraction(a))
+    shift = float(peak)
+    lo = max(DEFAULT_FLOOR, b / (_TAIL_NATS - shift) - a)
+    return _Window(b, a, centre, c, lo, c + math.sqrt(2.0 * _TAIL_NATS), shift,
+                   float(peak - Fraction(shift)))

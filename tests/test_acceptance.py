@@ -53,7 +53,7 @@ from rangepolymer import (
 )
 from rangepolymer.density import joint_density_grid, range_density_grid, _panels
 
-from oracles import enumerate_joint_law, g_star_infimum
+from oracles import enumerate_joint_law, g_star_infimum, gauss_legendre_panels
 
 PREFACTOR = 8.0 / math.sqrt(3.0)
 
@@ -297,14 +297,14 @@ def test_criterion_07b_endpoint_clt_window():
 
 def test_criterion_08_density_normalizations():
     started = time.monotonic()
-    X, W = _panels(0.05, 20.0, 0.25, 20)
+    X, W = gauss_legendre_panels(0.05, 20.0, 0.25, 20)
     total = float(np.dot(W, range_density_grid(1.0, X)))
     ok_range_norm = abs(total - 1.0) <= 1e-6
 
     acc = 0.0
-    R, WR = _panels(0.02, 16.0, 0.2, 16)
+    R, WR = _panels(0.02, 16.0, 0.2)
     for r, w in zip(R, WR):
-        XX, WX = _panels(0.0, float(r), 0.2, 16)
+        XX, WX = _panels(0.0, float(r), 0.2)
         acc += w * float(np.dot(WX, joint_density_grid(1.0, XX, float(r))))
     ok_joint_norm = abs(acc - 0.5) <= 1e-4
 
@@ -314,7 +314,7 @@ def test_criterion_08_density_normalizations():
     for i, (lo, hi) in enumerate(zip(h.range_edges[:-1], h.range_edges[1:])):
         if hi <= 0.4 or lo >= 3.6:
             continue
-        XX, WX = _panels(float(lo), float(hi), (hi - lo) / 4.0, 8)
+        XX, WX = gauss_legendre_panels(float(lo), float(hi), (hi - lo) / 4.0, 8)
         model = float(np.dot(WX, range_density_grid(1.0, XX))) / (hi - lo)
         checked += 1
         if abs(h.range_density[i] - model) > 3.0 * h.range_se[i] + 0.02:
@@ -329,8 +329,8 @@ def test_criterion_08_density_normalizations():
                 continue
             if xlo >= rhi:  # bin entirely in the empty x > r corner
                 continue
-            XX, WX = _panels(float(xlo), float(xhi), (xhi - xlo) / 2.0, 6)
-            RR, WR2 = _panels(float(rlo), float(rhi), (rhi - rlo) / 2.0, 6)
+            XX, WX = gauss_legendre_panels(float(xlo), float(xhi), (xhi - xlo) / 2.0, 6)
+            RR, WR2 = gauss_legendre_panels(float(rlo), float(rhi), (rhi - rlo) / 2.0, 6)
             mass = 0.0
             for rv, wv in zip(RR, WR2):
                 inside = XX < rv

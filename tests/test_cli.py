@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -682,3 +683,21 @@ def test_every_exported_name_resolves():
                                 for layer in layers)]:
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert missing == [], mod.__name__
+
+
+def test_continuous_run_imports_neither_fractions_nor_the_gauss_solver(tmp_path):
+    """The README continuous run reads its Gauss nodes from a table and forms
+    the window's exact peak in ints: importing ``numpy.polynomial`` and
+    ``fractions``/``decimal`` took about 4 ms of every such run."""
+    code = ("import sys\n"
+            "from rangepolymer.cli import main\n"
+            "code = main(['continuous', '--beta', '1', '--t', '40', '--outputs',\n"
+            "             'density,Z,range-clt,endpoint-clt', '--out', sys.argv[1]])\n"
+            "print(code, [m for m in ('fractions', 'decimal', 'numpy.polynomial')\n"
+            "             if m in sys.modules])\n")
+    src = str(Path(rangepolymer.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["0", "[]"]

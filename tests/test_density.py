@@ -35,16 +35,20 @@ from rangepolymer.density import (
     range_density_grid,
     _joint_cdf_series_scaled,
     _joint_series_scaled,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _panels,
     _range_series_scaled,
     _window,
 )
 
+from oracles import gauss_legendre_panels, window_by_fractions
+
 PREFACTOR = 8.0 / math.sqrt(3.0)
 
 
 def _integrate(fn, a, b, width, order=20):
-    xs, ws = _panels(a, b, width, order)
+    xs, ws = gauss_legendre_panels(a, b, width, order)
     return float(np.dot(ws, fn(xs)))
 
 
@@ -118,12 +122,32 @@ class TestRangeDensity:
         assert lhs == range_density(1.0, u).value
 
     def test_scalar_matches_grid(self):
-        """Bitwise over the CLI's whole default r-grid, dual rows included."""
-        for t in (1.7, 40.0):
+        """One array call is bitwise a per-point loop, in value and bound,
+        over the CLI's whole default r-grid, dual rows included."""
+        for t in (1e-4, 1.7, 40.0, 1e4):
             rs = _default_r_grid(t)
+            curve = range_density(t, rs)
             grid = range_density_grid(t, np.array(rs))
-            for r, v in zip(rs, grid):
-                assert range_density(t, r).value.hex() == float(v).hex()
+            loop = [range_density(t, r) for r in rs]
+            assert curve.value.tobytes() == grid.tobytes()
+            assert [v.hex() for v in curve.value.tolist()] == [se.value.hex() for se in loop]
+            assert [b.hex() for b in curve.truncation_bound.tolist()] == \
+                [se.truncation_bound.hex() for se in loop]
+            assert curve.terms_used == max(se.terms_used for se in loop)
+
+    def test_far_tail_curve_matches_a_per_point_loop(self, tmp_path, capfd):
+        """The CLI's one call, far-tail rows included, writes what a loop of
+        scalar calls gives, and nothing reaches stderr."""
+        rs = [0.4, 1.0, 5.0, 100.0, 1e3, 1e200]
+        out = tmp_path / "run"
+        assert main(["continuous", "--beta", "1", "--t", "40", "--outputs", "density",
+                     "--r-grid", "0.4,1,5,100,1e3,1e200", "--out", str(out)]) == 0
+        assert capfd.readouterr().err == ""
+        lines = (out / "range_density.csv").read_text().strip().splitlines()[1:]
+        want = [range_density(40.0, r) for r in rs]
+        assert lines == [f"{r:.17g},{se.value:.17g},{se.truncation_bound:.17g}"
+                         for r, se in zip(rs, want)]
+        assert [se.value for se in want[-2:]] == [0.0, 0.0]
 
     @pytest.mark.parametrize("u", [0.05, 0.1, 0.149, 0.3, 0.5, 1.0,
                                    math.sqrt(math.pi) - 1e-9, math.sqrt(math.pi) + 1e-9,
@@ -193,16 +217,16 @@ class TestRangeDensity:
 class TestJointDensity:
     def test_wedge_mass_is_half(self):
         acc = 0.0
-        R, WR = _panels(0.02, 16.0, 0.2, 16)
+        R, WR = _panels(0.02, 16.0, 0.2)
         for r, w in zip(R, WR):
-            X, WX = _panels(0.0, float(r), 0.2, 16)
+            X, WX = _panels(0.0, float(r), 0.2)
             acc += w * float(np.dot(WX, joint_density_grid(1.0, X, float(r))))
         assert acc == pytest.approx(0.5, abs=1e-4)
 
     def test_marginal_consistency_with_range_density(self):
         # integrate x out and double: must reproduce the range density
         for r in (0.8, 1.2, 2.0, 3.5):
-            X, WX = _panels(0.0, r, 0.02, 16)
+            X, WX = _panels(0.0, r, 0.02)
             marg = 2.0 * float(np.dot(WX, joint_density_grid(1.0, X, r)))
             assert marg == pytest.approx(range_density(1.0, r).value, abs=1e-6)
 
@@ -242,11 +266,37 @@ class TestJointDensity:
 
 def test_panels_refuse_layouts_past_the_node_cap():
     order = 16
-    xs, ws = _panels(0.0, PANEL_NODE_CAP // order, 1.0, order)
+    xs, ws = _panels(0.0, PANEL_NODE_CAP // order, 1.0)
     assert len(xs) == len(ws) == PANEL_NODE_CAP
     for b in (PANEL_NODE_CAP // order + 1.0, 1e300, math.inf, math.nan):
         with pytest.raises(ResourceCapError, match="exceed the cap"):
-            _panels(0.0, b, 1.0, order)
+            _panels(0.0, b, 1.0)
+
+
+def test_the_16_node_table_is_leggauss_16():
+    """Bitwise, and so is every panel layout built on it."""
+    xs, ws = np.polynomial.legendre.leggauss(16)
+    assert _GL_NODES.tobytes() == xs.tobytes() and _GL_WEIGHTS.tobytes() == ws.tobytes()
+    for a, b, width in [(0.05, 20.0, 0.25), (0.3, 9.1, 0.125), (-1.0, 1.0, 5.0)]:
+        for got, want in zip(_panels(a, b, width), gauss_legendre_panels(a, b, width, 16)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("exact_radius", [False, True])
+@pytest.mark.parametrize("t", [1e-4, 4.0, 40.0, 1e4])
+@pytest.mark.parametrize("beta", [1e-300, 1e-4, 1.0, 1e3, 1e16])
+def test_window_peak_matches_the_fraction_route(beta, t, exact_radius):
+    """The integer-ratio peak rounds as ``Fraction.__float__`` does."""
+    def window(route):
+        try:
+            return route(beta, t, exact_radius)
+        except Exception as exc:  # the routes must raise alike
+            return type(exc), str(exc)
+
+    got, want = window(_window), window(window_by_fractions)
+    assert got == want
+    if hasattr(got, "shift"):
+        assert (got.shift.hex(), got.residue.hex()) == (want.shift.hex(), want.residue.hex())
 
 
 @pytest.mark.parametrize("call", [
@@ -274,9 +324,15 @@ def test_joint_overflow_raises_without_a_warning(args):
             joint_density(*args)
 
 
+def _at_order(monkeypatch, order):
+    """Make every quadrature of ``density`` run at ``order`` nodes per panel."""
+    monkeypatch.setattr(density, "_panels",
+                        lambda a, b, width: gauss_legendre_panels(a, b, width, order))
+
+
 def _z_at(monkeypatch, beta, t, order):
     """Z_t and its error estimate at any panel order (16 in production)."""
-    monkeypatch.setattr(density, "_ORDER", order)
+    _at_order(monkeypatch, order)
     res = partition_function_continuous(beta, t)
     return res.value, res.abs_error_estimate
 
@@ -541,14 +597,14 @@ def _oracle_endpoint_clt_continuous(beta, t, C, use_exact_radius=False):
     num = [0.0] * len(x_cuts)
     den = 0.0
     for a, b in zip(r_edges, r_edges[1:]):
-        R, WR = _panels(a, b, 0.25 * st_, 16)
+        R, WR = _panels(a, b, 0.25 * st_)
         weights = WR * np.exp(_oracle_tilt_exponent(beta, t, R, use_exact_radius))
         for r_val, weight in zip(R, weights):
             s_max = min(r_val, 30.0 * t / r_val + 4.0 * st_)
             s_edges = sorted({0.0, s_max,
                               *(r_val - x for x in x_cuts if 0.0 < r_val - x < s_max)})
             for s0, s1 in zip(s_edges, s_edges[1:]):
-                S, WS = _panels(s0, s1, 0.5 * min(t / r_val, st_), 16)
+                S, WS = _panels(s0, s1, 0.5 * min(t / r_val, st_))
                 h, _, _ = _oracle_joint_series_scaled(t, r_val - S, np.float64(r_val))
                 part = weight * float(np.dot(WS, h))
                 den += part
@@ -597,12 +653,12 @@ class TestJointSeriesMatchesOracle:
         r_lo = 0.5 * c * t
         # the weight exp(-beta t^2/r - r^2/2t - g t) is 0.0 once r^2/2t > ~745
         r_top = max(4.0 * c * t, 1.25 * math.sqrt(1500.0 * t))
-        R, _ = _panels(r_lo, r_top, 0.25 * math.sqrt(t), 16)
+        R, _ = _panels(r_lo, r_top, 0.25 * math.sqrt(t))
         seen = {"dead_block": 0, "subnormal": 0, "zero_weight": 0}
         for r_val in R[::max(1, len(R) // 60)]:
             gap_scale = min(t / r_val, math.sqrt(t))
             s_max = min(r_val, 30.0 * t / r_val + 4.0 * math.sqrt(t))
-            S, _ = _panels(0.0, s_max, 0.5 * gap_scale, 16)
+            S, _ = _panels(0.0, s_max, 0.5 * gap_scale)
             xk = (r_val - S)[r_val - S > 0.0]
             terms = _assert_same_series((t, xk, np.float64(r_val)))[2]
             args = [a for k in range(1, terms + 1) for a in _block_args(t, xk, r_val, k)]
@@ -751,7 +807,7 @@ def test_joint_cdf_differences_integrate_the_joint_density(t, u):
     st_ = math.sqrt(t)
     r = u * st_
     for a, b in [(0.0, r), (0.3 * r, 0.9 * r), (0.9 * r, r), (0.0, 0.5 * r)]:
-        X, W = _panels(a, b, 0.25 * min(t / r, st_), 32)
+        X, W = gauss_legendre_panels(a, b, 0.25 * min(t / r, st_), 32)
         want = math.fsum(W * joint_density_grid(t, X, r))
         ends = _joint_cdf_series_scaled(t, np.array([b, a]), np.float64(r))
         got = (ends[0] - ends[1]) * math.exp(-r * r / (2.0 * t))
@@ -787,7 +843,7 @@ def test_endpoint_cdf_is_converged_in_the_order(fn, t, monkeypatch):
     """Both CLTs; their one window has no kink inside a panel."""
     levels = [-2.0, -1.0, 0.0, 1.0, 2.0]
     at_16 = fn(1.0, t, levels)
-    monkeypatch.setattr(density, "_ORDER", 32)
+    _at_order(monkeypatch, 32)
     at_32 = fn(1.0, t, levels)
     np.testing.assert_allclose(at_32, at_16, rtol=0.0, atol=1e-12)
 
