@@ -109,7 +109,7 @@ def _check_floor(t: float, r: float) -> None:
 
 
 def range_density(t: float, r) -> SeriesEval:
-    """Density of the Brownian range at r, with a truncation bound.
+    """Density of the Brownian range at r, with an error bound.
 
     ``r`` is a scalar or an array: every point is checked against the floor
     in input order, and the points are summed in one ``_range_series_scaled``
@@ -117,6 +117,15 @@ def range_density(t: float, r) -> SeriesEval:
     gives float fields, an array r arrays of its shape; ``terms_used`` is the
     call's term count.  Where the Gaussian factor exp(-u^2/2) is already 0.0
     the density and its bound are 0.0, set before u^2 can overflow.
+
+    The bound is the kernel's truncation bound plus 2^-52 (16 + 5X) |f| for
+    rounding, where X = max(u^2/2, pi^2/2u^2) is the size of the exponent
+    summed: exp(-u^2/2) and Feller's terms above u = sqrt(pi), the first
+    dual term's net exp(-pi^2/2u^2) below it.  u = r/sqrt(t) and u^2/2
+    carry at most about 5 units of 2^-53, and pi^2/4q about 9, so an
+    exponent of size X is off by at most 4.5X units of 2^-52; the exps,
+    prefactors, products and sum add under 16.  It holds where no term
+    underflows to a subnormal.
     """
     shape, points = np.shape(r), [float(x) for x in np.ravel(r)]
     for x in points:
@@ -128,7 +137,9 @@ def range_density(t: float, r) -> SeriesEval:
     series, bound, terms = _range_series_scaled(u)
     damp = 8.0 / sqrt_t * np.exp(-0.5 * np.square(u))
     value, error = np.zeros(len(points)), np.zeros(len(points))
-    value[live], error[live] = damp * series, damp * bound
+    value[live] = damp * series
+    size = np.maximum(0.5 * np.square(u), math.pi ** 2 / np.square(u) / 2.0)
+    error[live] = damp * bound + 2.0 ** -52 * (16.0 + 5.0 * size) * np.abs(value[live])
     if shape == ():
         return SeriesEval(float(value[0]), float(error[0]), max(terms, 1))
     return SeriesEval(value.reshape(shape), error.reshape(shape), max(terms, 1))

@@ -25,7 +25,7 @@ _CONTINUOUS_40_FILES = {
     "manifest.json": "f538919a1a256074",
     "partition_continuous.json": "19c649f3edfc260a",
     "range_clt.csv": "ab8a1fc523abc507",
-    "range_density.csv": "dc0713fa6e43aadc",
+    "range_density.csv": "5e6cdafbba19ae21",
 }
 _BROWNIAN = ["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "42",
              "--samples", "8192"]
