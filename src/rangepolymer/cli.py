@@ -35,12 +35,7 @@ from .density import (
 )
 from .discrete import free_energy_g_star, ldp_rate_discrete_info
 from .errors import DomainError, ResourceCapError, SolverError, check_positive
-from .exact import (
-    EXACT_LAW_CAP,
-    clt_check,
-    ldp_empirical,
-    polymer_law,
-)
+from .exact import clt_check, ldp_empirical, polymer_law
 from .gaussian import norm_cdf
 from .mc import (
     brownian_range_mc,
@@ -50,6 +45,7 @@ from .mc import (
 
 _F = "{:.17g}".format
 GRID_POINT_CAP = 10**6  # most points an 'a:b:k' grid may ask for
+EXACT_LAW_CAP = 600  # largest n 'exact' builds unless --cap-override raises it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +135,15 @@ def _cmd_exact(args, out: Path) -> tuple[str, dict]:
     cap = EXACT_LAW_CAP if args.cap_override is None else args.cap_override
     if cap < 1:
         raise DomainError(f"--cap-override must be at least 1, got {cap}")
-    law = polymer_law(args.beta, args.n, cap=cap)
+    check_positive("beta", args.beta, allow_zero=True)  # reported before the cap
+
+    def law_at(m: int):
+        if m > cap:
+            raise ResourceCapError(f"n={m} exceeds the exact-law cap ({cap}); "
+                                   "raise the cap (--cap-override) to override")
+        return polymer_law(args.beta, m)
+
+    law = law_at(args.n)
     consts = free_energy_g_star(args.beta) if args.beta > 0 else None
     for kind in outputs:
         if kind == "law":
@@ -153,7 +157,7 @@ def _cmd_exact(args, out: Path) -> tuple[str, dict]:
             })
         elif kind == "free-energy":
             ref = consts.g_star if consts else 0.0
-            fes = [(m, polymer_law(args.beta, m, cap=cap).log_partition / m) for m in ns]
+            fes = [(m, law_at(m).log_partition / m) for m in ns]
             _write_csv(out / "free_energy.csv", ["n", "free_energy", "g_star", "error"],
                        [[m, fe, ref, fe - ref] for m, fe in fes])
         elif kind == "clt":
@@ -285,7 +289,7 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("RANGE_POLYMER_THREADS", "1")))
+                       default=os.environ.get("RANGE_POLYMER_THREADS", "1"))
 
     p = sub.add_parser("constants", help="speed/free-energy/spread table")
     p.add_argument("--beta", type=float, required=True)
@@ -370,7 +374,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path that cannot be made
+        sys.stderr.write(f"error: cannot use --out {args.out!r}: {exc.strerror}\n")
+        return 1
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
         stage = Path(staging)
         try:

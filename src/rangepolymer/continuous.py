@@ -11,7 +11,8 @@ the unit sausage volume R + 2).  Every constant is explicit:
     beta~_d     = (beta / w_{d-1})^(1/3) / 2    small-range cutoff, w = unit-ball volume
 
 plus the two-branch endpoint-velocity rate function J^beta, whose auxiliary
-root solves the cubic 4 r^3 - 2 theta r^2 = beta.
+root solves the cubic 4 r^3 - 2 theta r^2 = beta.  Every cube root is
+``math.cbrt`` (Python 3.11+), as is ``density``'s window centre.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ __all__ = [
     "positive_cubic_root",
     "ldp_rate_continuous_info",
 ]
-
-_CBRT = getattr(math, "cbrt", lambda v: v ** (1.0 / 3.0))
-
 
 @dataclass(frozen=True)
 class ContinuousConstants:
@@ -81,10 +79,10 @@ def continuous_constants(beta: float, d: int = 1) -> ContinuousConstants:
     check_positive("beta", beta)
     if d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
-    c = _CBRT(beta)
+    c = math.cbrt(beta)
     w = unit_ball_volume(d - 1)
     scaled = beta / w if w > 0.0 else math.inf
-    ratio = _CBRT(scaled)
+    ratio = math.cbrt(scaled)
     consts = ContinuousConstants(
         beta=beta,
         c_dstar=c,
@@ -114,7 +112,7 @@ def positive_cubic_root(beta: float, theta: float = 0.0) -> RootResult:
     if theta < 0.0:
         raise DomainError(f"theta must be nonnegative, got {theta!r}")
     res = bisect_newton(lambda r: ((4.0 * r - 2.0 * theta) * r) * r - beta,
-                        0.5 * theta, max(theta, _CBRT(beta)),
+                        0.5 * theta, max(theta, math.cbrt(beta)),
                         lambda r: (12.0 * r - 4.0 * theta) * r)
     r = res.value
     if not abs(res.residual) <= 1e-12 * (4.0 * r + 2.0 * theta) * r * r:
@@ -141,7 +139,7 @@ def ldp_rate_continuous_info(beta: float, thetas) -> list[tuple[float, str, floa
     if not thetas:
         return []
     g = continuous_constants(beta).g_dstar
-    threshold = _CBRT(0.5 * beta)
+    threshold = math.cbrt(0.5 * beta)
     if threshold == 0.0:
         raise DomainError(f"beta={beta!r} is too small: (beta/2)^(1/3) underflows to 0")
     out = []

@@ -36,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .continuous import _CBRT
 from .errors import DomainError, ResourceCapError, check_grid, check_positive
 from .gaussian import SQRT2PI
 from .roots import bisect_newton
@@ -46,7 +45,6 @@ __all__ = [
     "QuadratureResult",
     "DEFAULT_FLOOR",
     "range_density",
-    "range_density_grid",
     "joint_density",
     "joint_density_grid",
     "partition_function_continuous",
@@ -186,11 +184,6 @@ def _range_series_scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         active &= ~(term <= 1e-13 * np.maximum(1.0, np.abs(total)))
     last *= np.where(dual, 4.5e-5 / (1.0 - 4.5e-5), 0.036)
     return total, last, k
-
-
-def range_density_grid(t: float, r: np.ndarray) -> np.ndarray:
-    """The values of ``range_density`` at an array r."""
-    return range_density(t, r).value
 
 
 def _joint_blocks(t: float, x: np.ndarray, r: np.ndarray):
@@ -365,7 +358,7 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
     st = math.sqrt(t)
     b = beta * t * st
     a = 2.0 / st if use_exact_radius else 0.0
-    centre = _CBRT(b)
+    centre = math.cbrt(b)
     if not math.ulp(max(centre, DEFAULT_FLOOR)) <= 0.125:
         raise ResourceCapError(
             f"the window at b = beta t^(3/2) = {b:.3g} is finer than the double "

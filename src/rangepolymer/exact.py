@@ -22,7 +22,7 @@ is converted to correctly rounded doubles at once and mirrored to x < 0 as
 doubles, so the alternating reflection series suffers no cancellation and
 no big-integer table is held.  Above n = 1033 a count exceeds the double
 range; from n = 1045 on a counting bound proves that before any build, and
-``joint_law_exact`` fails at once.
+``joint_law_exact`` fails at once.  The ``exact`` command's cap is in ``cli``.
 """
 
 from __future__ import annotations
@@ -46,10 +46,7 @@ __all__ = [
     "polymer_law",
     "clt_check",
     "ldp_empirical",
-    "EXACT_LAW_CAP",
 ]
-
-EXACT_LAW_CAP = 600
 
 
 @dataclass(frozen=True)
@@ -106,6 +103,14 @@ def _past_double_range(n: int) -> ResourceCapError:
     )
 
 
+def _check_size(n: int) -> None:
+    """The checks on n that ``joint_law_exact`` runs before any build."""
+    if n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if n - (n * (n + 1)).bit_length() >= 1024:
+        raise _past_double_range(n)
+
+
 @lru_cache(maxsize=12)
 def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
     """Stream the range rows r = 1 .. n of the law over half endpoint rows.
@@ -160,27 +165,19 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
     return JointEndpointRangeLaw(n=n, xs=2 * hx - n, rs=ri + 1, ps=pt[hx, ri])
 
 
-def joint_law_exact(n: int, cap: int = EXACT_LAW_CAP) -> JointEndpointRangeLaw:
+def joint_law_exact(n: int) -> JointEndpointRangeLaw:
     """Exact joint law of (S_n, R_n), streamed one range row at a time.
 
     About n^2 / 4 exact-integer row operations on numpy object rows over the
     X >= 0 half, each done once per +-X pair; only a few half rows of ints
     and the float64 (x, r) table (8 MB at n = 1000) are held.  Raises
-    ResourceCapError above the cap and when a count exceeds the double range
-    (first at n = 1034).  From n = 1045 on the overflow is certain before any
-    build: the 2^n paths fall into at most n (n + 1) cells (x, r), so some
-    count exceeds 2^(n - L) with L the bit length of n (n + 1), and n - L
-    reaches 1024 there.  Results are cached per n.
+    ResourceCapError when a count exceeds the double range (first at
+    n = 1034).  From n = 1045 on the overflow is certain before any build:
+    the 2^n paths fall into at most n (n + 1) cells (x, r), so some count
+    exceeds 2^(n - L) with L the bit length of n (n + 1), and n - L reaches
+    1024 there.  Results are cached per n.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n > cap:
-        raise ResourceCapError(
-            f"n={n} exceeds the exact-law cap ({cap}); raise the cap "
-            "(--cap-override) to override"
-        )
-    if n - (n * (n + 1)).bit_length() >= 1024:
-        raise _past_double_range(n)
+    _check_size(n)
     return _exact_law_cached(n)
 
 
@@ -227,13 +224,18 @@ def _log_tilt(base: JointEndpointRangeLaw, beta: float) -> np.ndarray:
     return np.log(base.ps) - beta * float(base.n) * float(base.n) / base.rs
 
 
-def polymer_law(beta: float, n: int, cap: int = EXACT_LAW_CAP) -> PolymerLaw:
+def polymer_law(beta: float, n: int) -> PolymerLaw:
     """Tilt the exact joint law by exp(-beta n^2 / r), in log space.
 
-    beta = 0 returns the untilted law bit-for-bit with Z = 1.
+    beta = 0 returns the untilted law bit-for-bit with Z = 1.  A beta n^2
+    past the double range, which makes every log-weight -inf, is a
+    DomainError after the checks on n and before any build.
     """
     check_positive("beta", beta, allow_zero=True)
-    base = joint_law_exact(n, cap=cap)
+    _check_size(n)
+    if not math.isfinite(beta * float(n) * float(n)):
+        raise DomainError(f"beta * n^2 overflows the double range: beta={beta!r}, n={n}")
+    base = joint_law_exact(n)
     if beta == 0.0:
         return PolymerLaw(beta=0.0, n=n, tilted=base, log_partition=0.0)
     logw = _log_tilt(base, beta)
@@ -316,7 +318,7 @@ def ldp_empirical(law: PolymerLaw, theta_grid) -> list[tuple[float, float]]:
             log_p = math.log(p)
         else:
             if logw is None:
-                base = _exact_law_cached(n)
+                base = joint_law_exact(n)
                 pos = base.xs > 0
                 xs, logw = base.xs[pos], _log_tilt(base, law.beta)[pos]
                 log_total = np.logaddexp.reduce(logw)

@@ -140,6 +140,8 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
     endpoints are S_n in d = 1 and |S_n| otherwise, joined in block order.
     The weights are exp(-beta n^2 / R_n) over the drift's likelihood ratio,
     self-normalized: this is the one place where walk log-weights are formed.
+    A beta n^2 past the double range (every log-weight -inf) is a
+    DomainError before any draw.
     """
     if n < 1:
         raise DomainError(f"need walk length n >= 1, got {n!r}")
@@ -149,6 +151,8 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
     if samples * (n * d + 8) > WALK_STEP_CAP:
         raise ResourceCapError(f"samples * (n d + 8) = {samples} * {n * d + 8} walk "
                                f"steps exceeds the cap of {WALK_STEP_CAP:.1e}")
+    if not math.isfinite(beta * float(n) * float(n)):
+        raise DomainError(f"beta * n^2 overflows the double range: beta={beta!r}, n={n}")
     kernel, arg = (_walk_block_1d, drift) if d == 1 else (_walk_block_nd, d)
     nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
 
@@ -166,15 +170,6 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
     w = np.exp(logw - float(logw.max()))
     w /= w.sum()
     return f, r, w, 1.0 / float(np.sum(np.square(w)))
-
-
-def _default_drift(beta: float) -> float:
-    """c*(beta), the proposal drift the tilted measure concentrates on (0 at
-    beta = 0); DomainError from beta ~ 18.4, where c* rounds to 1."""
-    c = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
-    if c == 1.0:
-        raise DomainError(f"beta={beta!r} is too large: c*(beta) rounds to 1")
-    return c
 
 
 def _ratio_estimate(w, f, samples, ess, indicator=None) -> McEstimate:
@@ -206,16 +201,20 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
       "range_mean"              E[R_n/n]
       "endpoint_cdf"            P((S_n - c* n)/(sigma* sqrt(n)) <= c_point | S_n > 0)
 
-    The proposal drift is c*(beta); at beta = 0 it is 0, the tilt is trivial
-    and the estimator reduces to plain Monte Carlo.
+    The proposal drift is c*(beta), solved once; at beta = 0 it is 0 and the
+    estimator is plain Monte Carlo.  From beta ~ 18.4 c* rounds to 1, a
+    DomainError.
     """
     check_positive("beta", beta, allow_zero=True)
     if n < 1 or samples < 2:
         raise DomainError(f"need n >= 1 and samples >= 2, got {n!r}, {samples!r}")
     if not math.isfinite(c_point):
         raise DomainError(f"c_point must be finite, got {c_point!r}")
-    e, r, w, ess = _weighted_walks(beta, n, 1, seed, samples, _default_drift(beta),
-                                   threads)
+    consts = free_energy_g_star(beta) if beta > 0.0 else None
+    c = consts.c_star if consts else 0.0
+    if c == 1.0:
+        raise DomainError(f"beta={beta!r} is too large: c*(beta) rounds to 1")
+    e, r, w, ess = _weighted_walks(beta, n, 1, seed, samples, c, threads)
     if observable == "endpoint_mean":
         return _ratio_estimate(w, e / n, samples, ess)
     if observable == "endpoint_mean_positive":
@@ -223,11 +222,10 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
     if observable == "range_mean":
         return _ratio_estimate(w, r / n, samples, ess)
     if observable == "endpoint_cdf":
-        if beta == 0.0:
+        if consts is None:
             z = e / math.sqrt(n)
         else:
-            consts = free_energy_g_star(beta)
-            z = (e - consts.c_star * n) / (consts.sigma_star * math.sqrt(n))
+            z = (e - c * n) / (consts.sigma_star * math.sqrt(n))
         return _ratio_estimate(w, (z <= c_point).astype(float), samples, ess,
                                (e > 0).astype(float))
     raise DomainError(f"unknown observable {observable!r}")

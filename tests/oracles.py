@@ -31,7 +31,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from rangepolymer.continuous import _CBRT
 from rangepolymer.density import DEFAULT_FLOOR, PANEL_NODE_CAP, _TAIL_NATS, _Window
 from rangepolymer.errors import DomainError, ResourceCapError, check_positive
 from rangepolymer.exact import JointEndpointRangeLaw, PolymerLaw
@@ -307,7 +306,7 @@ def window_by_fractions(beta: float, t: float, use_exact_radius: bool) -> _Windo
     st = math.sqrt(t)
     b = beta * t * st
     a = 2.0 / st if use_exact_radius else 0.0
-    centre = _CBRT(b)
+    centre = math.cbrt(b)
     if not math.ulp(max(centre, DEFAULT_FLOOR)) <= 0.125:
         raise ResourceCapError(
             f"the window at b = beta t^(3/2) = {b:.3g} is finer than the double "

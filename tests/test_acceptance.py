@@ -51,7 +51,7 @@ from rangepolymer import (
     speed_c_star,
     brownian_range_mc,
 )
-from rangepolymer.density import joint_density_grid, range_density_grid, _panels
+from rangepolymer.density import joint_density_grid, _panels
 
 from oracles import enumerate_joint_law, g_star_infimum, gauss_legendre_panels
 
@@ -298,7 +298,7 @@ def test_criterion_07b_endpoint_clt_window():
 def test_criterion_08_density_normalizations():
     started = time.monotonic()
     X, W = gauss_legendre_panels(0.05, 20.0, 0.25, 20)
-    total = float(np.dot(W, range_density_grid(1.0, X)))
+    total = float(np.dot(W, range_density(1.0, X).value))
     ok_range_norm = abs(total - 1.0) <= 1e-6
 
     acc = 0.0
@@ -315,7 +315,7 @@ def test_criterion_08_density_normalizations():
         if hi <= 0.4 or lo >= 3.6:
             continue
         XX, WX = gauss_legendre_panels(float(lo), float(hi), (hi - lo) / 4.0, 8)
-        model = float(np.dot(WX, range_density_grid(1.0, XX))) / (hi - lo)
+        model = float(np.dot(WX, range_density(1.0, XX).value)) / (hi - lo)
         checked += 1
         if abs(h.range_density[i] - model) > 3.0 * h.range_se[i] + 0.02:
             bad_bins += 1

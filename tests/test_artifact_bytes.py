@@ -3,12 +3,16 @@
 Each command runs in-process and every file it writes, ``manifest.json``
 included, must hash to the recorded sha256 prefix (first 16 hex digits).
 A change that moves artifact bytes on purpose updates this table and says
-so in CHANGES.md.  No artifact sum goes through BLAS, whose dot kernel is
-picked per CPU: the weighted sums of ``mc tilted`` and of the continuous
-quadratures use ``math.fsum``, which is correctly rounded, so no dot kernel
-picks their last bits.  The samples of ``mc brownian`` do not depend on the
-thread count: only the manifest, which echoes ``--threads``, differs
-between the one- and two-thread runs.
+so in CHANGES.md.  The bytes repeat for one numpy build and CPU dispatch:
+numpy picks its ``np.exp`` kernel per CPU, and with AVX-512 dispatch off
+(``NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR"``, numpy 2.4.6)
+the two exact ``law.csv`` pins and the t = 40 ``range_density.csv`` pin
+move (ROADMAP item 23).  No artifact sum goes through BLAS, whose dot
+kernel is picked per CPU: the weighted sums of ``mc tilted`` and of the
+continuous quadratures use ``math.fsum``, which is correctly rounded, so no
+dot kernel picks their last bits.  The samples of ``mc brownian`` do not
+depend on the thread count: only the manifest, which echoes ``--threads``,
+differs between the one- and two-thread runs.
 """
 
 import hashlib

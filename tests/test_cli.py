@@ -337,6 +337,10 @@ def test_cap_override_allows_larger_n(tmp_path):
     (["--n", "610", "--outputs", "law,Z", "--cap-override=-1"], 2),
     # a non-integral size used to be truncated: 10.5 ran as n = 10
     (["--outputs", "law,free-energy", "--n-grid", "10.5,20.9"], 2),
+    # each size meets the cap just before its law is built, after the beta check
+    (["--beta", "nan", "--n", "700"], 2),
+    (["--n", "601"], 3),
+    (["--outputs", "free-energy", "--n-grid", "10,700"], 3),
 ])
 def test_exact_failure_writes_no_artifact(tmp_path, capsys, extra, code):
     out = tmp_path / "run"
@@ -367,6 +371,29 @@ def test_exact_certain_overflow_exits_3_at_once(tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert "double range" in err and "Traceback" not in err
     _assert_published(out, code)
+
+
+def test_bad_threads_variable_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RANGE_POLYMER_THREADS", "abc")
+    argv = ["mc", "tilted", "--beta", "1", "--n", "20", "--seed", "1", "--samples", "100"]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == \
+        ["error: argument --threads: invalid int value: 'abc'"]
+    assert not out.exists()
+    # an explicit --threads overrides the variable
+    assert main([*argv, "--threads", "2", "--out", str(out)]) == 0
+    assert json.loads(_read(out / "manifest.json"))["parameters"]["threads"] == 2
+
+
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "file"
+    path.write_text("keep\n")
+    assert main(["constants", "--beta", "1", "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert _read(path) == "keep\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -428,6 +455,12 @@ def test_continuous_failure_writes_no_artifact(tmp_path, capsys, extra):
     ["rate-curves", "--beta", "nan", "--model", "discrete", "--grid", ","],
     ["rate-curves", "--beta", "nan", "--model", "continuous", "--grid", ","],
     ["continuous", "--beta", "nan", "--t", "4", "--outputs", "density"],
+    # beta n^2 past the double range made every log-weight -inf: NaN
+    # artifacts from exact, a traceback from mc corollary
+    ["exact", "--beta", "2e304", "--n", "400", "--outputs", "Z"],
+    ["exact", "--beta", "1e307", "--n", "10", "--outputs", "free-energy"],
+    ["mc", "corollary", "--beta", "1e307", "--d", "2", "--n", "10", "--seed", "1",
+     "--samples", "10"],
 ])
 def test_non_finite_parameter_exits_2_without_artifacts(tmp_path, capsys, args):
     out = tmp_path / "run"
@@ -582,7 +615,7 @@ def test_manifest_lists_each_output_once(tmp_path):
 # Ordinary values half the time; otherwise NaN, infinities, signs, zero and
 # magnitudes far past what any solver can handle.
 _REALS = st.sampled_from(["0.5", "1", "2"]) | st.sampled_from(
-    ["nan", "inf", "-inf", "-1", "0", "1e-300", "800", "1e300"])
+    ["nan", "inf", "-inf", "-1", "0", "1e-300", "800", "1e300", "1e307"])
 _GRIDS = st.one_of(
     st.sampled_from(["0:1:5", "0:1:x", "0:1", "0:1:0", "nan", "0,inf", ",", "x"]),
     st.lists(st.floats(-1e300, 1e300) | _REALS.map(float), max_size=3)

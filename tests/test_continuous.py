@@ -14,7 +14,6 @@ from rangepolymer import (
     rate_J,
     unit_ball_volume,
 )
-from rangepolymer.continuous import _CBRT
 from rangepolymer.errors import check_positive
 
 
@@ -30,7 +29,7 @@ def _oracle_ldp_rate_continuous_info(beta, theta):
     if theta < 0.0:
         raise DomainError(f"theta must be nonnegative, got {theta!r}")
     g = continuous_constants(beta).g_dstar
-    threshold = _CBRT(0.5 * beta)
+    threshold = math.cbrt(0.5 * beta)
     if theta >= threshold:
         return beta / theta + 0.5 * theta * theta + g, "boundary", float(theta)
     r = positive_cubic_root(beta, theta).value
@@ -139,7 +138,7 @@ class TestLdpRateContinuous:
 class TestRateCurve:
     @pytest.mark.parametrize("beta", [1e-6, 0.1, 1.0, 3.0, 30.0])
     def test_matches_per_theta_oracle_bitwise(self, beta):
-        threshold = _CBRT(0.5 * beta)
+        threshold = math.cbrt(0.5 * beta)
         thetas = [i / 2000 for i in range(2001)]
         thetas += [threshold, threshold * (1.0 - 1e-13)]
         curve = ldp_rate_continuous_info(beta, thetas)

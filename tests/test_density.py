@@ -33,7 +33,6 @@ from rangepolymer.density import (
     DEFAULT_FLOOR,
     PANEL_NODE_CAP,
     joint_density_grid,
-    range_density_grid,
     _joint_cdf_series_scaled,
     _joint_series_scaled,
     _GL_NODES,
@@ -98,12 +97,12 @@ def _assert_matches_reference(t, r, value):
 
 class TestRangeDensity:
     def test_normalizes_to_one(self):
-        total = _integrate(lambda r: range_density_grid(1.0, r), 0.05, 20.0, 0.25)
+        total = _integrate(lambda r: range_density(1.0, r).value, 0.05, 20.0, 0.25)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_matches_known_value(self):
         # E[R_1] = 2 sqrt(2/pi); quadrature against the series should nail it
-        mean = _integrate(lambda r: r * range_density_grid(1.0, r), 0.05, 20.0, 0.25)
+        mean = _integrate(lambda r: r * range_density(1.0, r).value, 0.05, 20.0, 0.25)
         assert mean == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=1e-8)
 
     @given(st.floats(min_value=0.25, max_value=16.0),
@@ -128,7 +127,7 @@ class TestRangeDensity:
         for t in (1e-4, 1.7, 40.0, 1e4):
             rs = _default_r_grid(t)
             curve = range_density(t, rs)
-            grid = range_density_grid(t, np.array(rs))
+            grid = range_density(t, np.array(rs)).value
             loop = [range_density(t, r) for r in rs]
             assert curve.value.tobytes() == grid.tobytes()
             assert [v.hex() for v in curve.value.tolist()] == [se.value.hex() for se in loop]
@@ -463,7 +462,7 @@ def test_exact_law_converges_to_the_continuous_z(b):
     log Z_1(b) of the Brownian path, with an O(1/n) gap; Richardson in 1/n
     from n = 400 and 800 cancels it.  The cutoff window left gaps of 1.04e-3
     (b = 8) and 2.0e-4 (b = 27), the mass it dropped."""
-    log_z = {n: polymer_law(b * n ** -1.5, n, cap=800).log_partition for n in (400, 800)}
+    log_z = {n: polymer_law(b * n ** -1.5, n).log_partition for n in (400, 800)}
     richardson = 2.0 * log_z[800] - log_z[400]
     assert abs(richardson - partition_function_continuous(b, 1.0).log_value) <= 1e-4
 
@@ -476,7 +475,7 @@ def test_exact_range_marginal_converges_to_the_feller_density(n):
     n = 100, 200, 400 and 1000: O(1/n).  Against f_R(r - 1) it is the unit
     shift, 2.44 to 2.48 of peak/sqrt(n).  A 1% error in t reads 6.0 to 6.4
     of peak/n at n = 400, where the f_R(r - 1) gap still passes."""
-    marginal = joint_law_exact(n, cap=n).range_marginal()
+    marginal = joint_law_exact(n).range_marginal()
     rs = np.array(sorted(marginal), dtype=float)
     ps = np.array([marginal[r] for r in sorted(marginal)])
     keep = rs - 1.0 >= DEFAULT_FLOOR * math.sqrt(n)  # holds all but 1e-300 of the mass
@@ -851,7 +850,7 @@ def test_joint_cdf_over_the_wedge_is_half_the_range_density(t):
     r = np.linspace(1.0, 9.0, 81) * math.sqrt(t)
     half = (_joint_cdf_series_scaled(t, r, r) - _joint_cdf_series_scaled(t, 0.0, r)) \
         * np.exp(-np.square(r) / (2.0 * t))
-    np.testing.assert_allclose(half, range_density_grid(t, r) / 2.0, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(half, range_density(t, r).value / 2.0, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("t", [4.0, 10.0, 40.0, 160.0])

@@ -170,8 +170,8 @@ class TestJointLawExact:
             assert p == pytest.approx(marg[-x], abs=1e-16)
 
     def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            joint_law_exact(601)
+        # the size cap is the exact command's input check, not the library's
+        assert joint_law_exact(601).n == 601
         with pytest.raises(DomainError):
             joint_law_exact(0)
 
@@ -285,13 +285,13 @@ class TestRowBuilderMatchesDictOracle:
         (1033, "c6d62499a7e33080496faf8cdb5dcbc872058799af25b4c86607c939a38e2daf"),
     ])
     def test_large_tables_keep_their_bytes(self, n, digest):
-        law = joint_law_exact(n, cap=n)
+        law = joint_law_exact(n)
         blob = law.xs.tobytes() + law.rs.tobytes() + law.ps.tobytes()
         assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_overflow_past_double_range_is_a_cap_error(self):
         with pytest.raises(ResourceCapError, match="double range"):
-            joint_law_exact(1034, cap=2000)
+            joint_law_exact(1034)
 
     def test_certain_overflow_fails_before_any_build(self, monkeypatch):
         # 2^n paths in at most n (n + 1) cells: some count passes 2^1024
@@ -302,12 +302,28 @@ class TestRowBuilderMatchesDictOracle:
         monkeypatch.setattr("rangepolymer.exact._exact_law_cached", no_build)
         for n in (1045, 20000, 10**9):
             with pytest.raises(ResourceCapError, match="double range"):
-                joint_law_exact(n, cap=n)
+                joint_law_exact(n)
         with pytest.raises(AssertionError, match="built n=1044"):
-            joint_law_exact(1044, cap=2000)
+            joint_law_exact(1044)
 
 
 class TestPolymerLaw:
+    def test_overflowing_beta_n_squared_fails_before_any_build(self, monkeypatch):
+        # beta n^2 = inf would make every log-weight -inf and Z NaN
+        def no_build(n):
+            raise AssertionError(f"built n={n}")
+
+        monkeypatch.setattr("rangepolymer.exact._exact_law_cached", no_build)
+        for beta, n in ((2e304, 400), (1e307, 10), (1e307, 5), (1.7e308, 2)):
+            with pytest.raises(DomainError, match="overflows"):
+                polymer_law(beta, n)
+
+    def test_finite_beta_n_squared_near_the_edge_still_tilts(self):
+        # 1e307 * 3^2 is finite: all the mass sits at r = n, with finite log Z
+        law = polymer_law(1e307, 3)
+        assert math.isfinite(law.log_partition)
+        assert set(law.tilted.rs[law.tilted.ps > 0].tolist()) == {3}
+
     def test_zero_beta_reproduces_base_law_exactly(self):
         base = joint_law_exact(12)
         tilted = polymer_law(0.0, 12).tilted

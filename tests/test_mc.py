@@ -161,9 +161,8 @@ class TestSampleWalk:
         assert abs(mean - exact) <= 3.0 * se
 
     def test_d1_mean_range_at_n1000(self):
-        # full-scale variant: the exact law needs the cap override here
-        n, samples = 1000, 100000
-        law = joint_law_exact(n, cap=1200)
+        n, samples = 1000, 100000  # full-scale variant
+        law = joint_law_exact(n)
         exact = math.fsum(r * p for _, r, p in law.entries()) / n
         _, r, _, _ = _weighted_walks(0.0, n, 1, seed=101, samples=samples, drift=0.0,
                                      threads=2)
@@ -477,6 +476,22 @@ class TestEstimatorsMatchPipelineOracle:
         h = brownian_range_mc(1.0, 1e-4, seed=6, samples=1100, threads=2)
         got = (h.joint_x_edges, h.joint_r_edges, h.joint_density, h.joint_se)
         assert _bits(got) == _bits(_brownian_joint_oracle(1.0, 1e-4, 6, 1100))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_overflowing_beta_n_squared_fails_before_any_draw(monkeypatch, d):
+    from rangepolymer import mc
+
+    def no_draw(*args):
+        raise AssertionError("drew walks")
+
+    monkeypatch.setattr(mc, "_walk_block_1d", no_draw)
+    monkeypatch.setattr(mc, "_walk_block_nd", no_draw)
+    with pytest.raises(DomainError, match="overflows"):
+        _weighted_walks(1e307, 10, d, seed=1, samples=10, drift=0.0, threads=1)
+    if d == 2:
+        with pytest.raises(DomainError, match="overflows"):
+            corollary_bound_check(1e307, 2, 10, 1, 10)
 
 
 def test_non_finite_log_weight_trips_the_check_in_every_dimension(monkeypatch):
