@@ -10,88 +10,15 @@ route; the routes that only the tests need live in ``tests/oracles.py``.
 
 __version__ = "0.1.0"
 
-from .continuous import (
-    ContinuousConstants,
-    continuous_constants,
-    ldp_rate_continuous_info,
-    positive_cubic_root,
-    rate_J,
-    unit_ball_volume,
-)
-from .density import (
-    QuadratureResult,
-    SeriesEval,
-    endpoint_clt_continuous,
-    joint_density,
-    partition_function_continuous,
-    range_density,
-    range_second_order_cdf,
-)
-from .discrete import (
-    PolymerConstants,
-    free_energy_g_star,
-    ldp_rate_discrete_info,
-    rate_I,
-    rate_I_prime,
-    speed_c_star,
-    tilde_c_d,
-)
-from .errors import DomainError, RangePolymerError, ResourceCapError, SolverError
-from .exact import (
-    JointEndpointRangeLaw,
-    PolymerLaw,
-    clt_check,
-    joint_law_exact,
-    ldp_empirical,
-    polymer_law,
-)
-from .mc import (
-    BrownianRangeHistograms,
-    CorollaryBoundReport,
-    McEstimate,
-    brownian_range_mc,
-    corollary_bound_check,
-    polymer_estimate_tilted,
-)
+from . import continuous, density, discrete, errors, exact, mc
+from .continuous import *
+from .density import *
+from .discrete import *
+from .errors import *
+from .exact import *
+from .mc import *
 from .roots import RootResult
 
-__all__ = [
-    "__version__",
-    "BrownianRangeHistograms",
-    "ContinuousConstants",
-    "CorollaryBoundReport",
-    "DomainError",
-    "JointEndpointRangeLaw",
-    "McEstimate",
-    "PolymerConstants",
-    "PolymerLaw",
-    "QuadratureResult",
-    "RangePolymerError",
-    "ResourceCapError",
-    "RootResult",
-    "SeriesEval",
-    "SolverError",
-    "brownian_range_mc",
-    "clt_check",
-    "continuous_constants",
-    "corollary_bound_check",
-    "endpoint_clt_continuous",
-    "free_energy_g_star",
-    "joint_density",
-    "joint_law_exact",
-    "ldp_empirical",
-    "ldp_rate_continuous_info",
-    "ldp_rate_discrete_info",
-    "partition_function_continuous",
-    "polymer_estimate_tilted",
-    "polymer_law",
-    "positive_cubic_root",
-    "range_density",
-    "range_second_order_cdf",
-    "rate_I",
-    "rate_I_prime",
-    "rate_J",
-    "speed_c_star",
-    "tilde_c_d",
-    "unit_ball_volume",
-]
+__all__ = ["__version__", "RootResult",
+           *(name for mod in (continuous, density, discrete, errors, exact, mc)
+             for name in mod.__all__)]

@@ -28,12 +28,13 @@ from pathlib import Path
 from . import __version__
 from .continuous import continuous_constants, ldp_rate_continuous_info
 from .density import (
+    DEFAULT_FLOOR,
     endpoint_clt_continuous,
     partition_function_continuous,
     range_density,
     range_second_order_cdf,
 )
-from .discrete import free_energy_g_star, ldp_rate_discrete_info
+from .discrete import free_energy_g_star, ldp_rate_discrete_info, rate_I, tilde_c_d
 from .errors import DomainError, ResourceCapError, SolverError, check_positive
 from .exact import clt_check, ldp_empirical, polymer_law
 from .gaussian import norm_cdf
@@ -98,7 +99,6 @@ def _cmd_constants(args, out: Path) -> tuple[str, dict]:
     cont = continuous_constants(args.beta, args.d)
     hdr = ["beta", "d", "c_star", "g_star", "sigma_star", "c_tilde_d",
            "c_dstar", "g_dstar", "sigma_dstar", "beta_tilde_d", "prefactor"]
-    from .discrete import tilde_c_d
     row = [args.beta, args.d, disc.c_star, disc.g_star, disc.sigma_star,
            tilde_c_d(args.beta, args.d), cont.c_dstar, cont.g_dstar,
            cont.sigma_dstar, cont.beta_tilde_d, cont.prefactor]
@@ -169,7 +169,7 @@ def _cmd_exact(args, out: Path) -> tuple[str, dict]:
         else:  # ldp
             empirical = ldp_empirical(law, thetas)
             analytic = [row[0] for row in ldp_rate_discrete_info(args.beta, thetas)] \
-                if args.beta > 0 else [math.nan] * len(thetas)
+                if args.beta > 0 else [rate_I(theta) for theta in thetas]
             rows = [[theta, rate, a, rate - a] for (theta, rate), a in zip(empirical, analytic)]
             _write_csv(out / "ldp.csv",
                        ["theta", "empirical_rate", "analytic_rate", "difference"], rows)
@@ -193,7 +193,7 @@ def _cmd_continuous(args, out: Path) -> tuple[str, dict]:
     cgrid = _parse_grid(args.grid) if args.grid else [-2.0, -1.0, 0.0, 1.0, 2.0]
     st_ = math.sqrt(args.t)
     rs = _parse_grid(args.r_grid) if args.r_grid else \
-        [0.05 * st_ + (6.0 - 0.05) * st_ * i / 120 for i in range(121)]
+        [DEFAULT_FLOOR * st_ + (6.0 - DEFAULT_FLOOR) * st_ * i / 120 for i in range(121)]
     for kind in outputs:
         if kind == "density":
             se = range_density(args.t, rs)

@@ -111,9 +111,9 @@ def positive_cubic_root(beta: float, theta: float = 0.0) -> RootResult:
     check_positive("beta", beta)
     if theta < 0.0:
         raise DomainError(f"theta must be nonnegative, got {theta!r}")
-    res = bisect_newton(lambda r: ((4.0 * r - 2.0 * theta) * r) * r - beta,
-                        0.5 * theta, max(theta, math.cbrt(beta)),
-                        lambda r: (12.0 * r - 4.0 * theta) * r)
+    res = bisect_newton(lambda r: (((4.0 * r - 2.0 * theta) * r) * r - beta,
+                                   (12.0 * r - 4.0 * theta) * r),
+                        0.5 * theta, max(theta, math.cbrt(beta)))
     r = res.value
     if not abs(res.residual) <= 1e-12 * (4.0 * r + 2.0 * theta) * r * r:
         raise SolverError(f"cubic root residual {res.residual!r} at r={r!r} "
@@ -129,7 +129,8 @@ def ldp_rate_continuous_info(beta: float, thetas) -> list[tuple[float, str, floa
     "boundary" branch; below the threshold the positive cubic root r of
     beta = 2 r^2 (2r - theta) replaces theta on the "interior" branch,
     giving beta/r + J(2r - theta) + g**(beta).  Zero exactly at the speed
-    beta^(1/3).  A scalar theta raises DomainError.
+    beta^(1/3).  A scalar theta raises DomainError, as does a theta whose
+    rate overflows (theta^2/2 does from theta ~ 1.9e154).
     """
     check_positive("beta", beta)
     thetas = check_grid("theta", thetas)
@@ -145,9 +146,13 @@ def ldp_rate_continuous_info(beta: float, thetas) -> list[tuple[float, str, floa
     out = []
     for theta in thetas:
         if theta >= threshold:
-            out.append((beta / theta + 0.5 * theta * theta + g, "boundary", theta))
-            continue
-        r = positive_cubic_root(beta, theta).value
-        x = 2.0 * r - theta
-        out.append((beta / r + 0.5 * x * x + g, "interior", r))
+            row = (beta / theta + 0.5 * theta * theta + g, "boundary", theta)
+        else:
+            r = positive_cubic_root(beta, theta).value
+            x = 2.0 * r - theta
+            row = (beta / r + 0.5 * x * x + g, "interior", r)
+        if not math.isfinite(row[0]):
+            raise DomainError(f"the rate at theta={theta!r} overflows the double range "
+                              f"(beta={beta!r})")
+        out.append(row)
     return out

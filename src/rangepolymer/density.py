@@ -43,10 +43,8 @@ from .roots import bisect_newton
 __all__ = [
     "SeriesEval",
     "QuadratureResult",
-    "DEFAULT_FLOOR",
     "range_density",
     "joint_density",
-    "joint_density_grid",
     "partition_function_continuous",
     "range_second_order_cdf",
     "endpoint_clt_continuous",
@@ -367,8 +365,9 @@ def _window(beta: float, t: float, use_exact_radius: bool) -> _Window:
     y = 0.0
     if a > 0.0 and centre > DEFAULT_FLOOR:
         k = a / centre
-        y = bisect_newton(lambda y: (1.0 - y) * (1.0 + k - y) ** 2 - 1.0, 0.0, min(1.0, k),
-                          lambda y: -(1.0 + k - y) * (3.0 + k - 3.0 * y)).bracket[0]
+        y = bisect_newton(lambda y: ((1.0 - y) * (1.0 + k - y) ** 2 - 1.0,
+                                     -(1.0 + k - y) * (3.0 + k - 3.0 * y)),
+                          0.0, min(1.0, k)).bracket[0]
     c = max(centre * (1.0 - y), DEFAULT_FLOOR)
     (nc, dc), (nb, db), (na, da) = c.as_integer_ratio(), b.as_integer_ratio(), \
         a.as_integer_ratio()

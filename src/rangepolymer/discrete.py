@@ -125,19 +125,16 @@ def _logit_root(theta: float, target: float) -> tuple[float, float, float, RootR
     """
     log_target = math.log(target)
 
-    def f(s: float) -> float:
+    def f(s: float) -> tuple[float, float]:  # dx/ds = x (1 - x), d artanh x/ds = x/(1 + x)
         x, artanh, _ = _at_logit(s)
-        return 2.0 * math.log(theta + x) + math.log(artanh) - log_target
-
-    def fprime(s: float) -> float:  # dx/ds = x (1 - x), d artanh x/ds = x/(1 + x)
-        x, artanh, _ = _at_logit(s)
-        return 2.0 * x * (1.0 - x) / (theta + x) + x / ((1.0 + x) * artanh)
+        return (2.0 * math.log(theta + x) + math.log(artanh) - log_target,
+                2.0 * x * (1.0 - x) / (theta + x) + x / ((1.0 + x) * artanh))
 
     hi = min(2.0 * target + 1.0, _logit((2.0 * target) ** (1.0 / 3.0)))
     if hi == math.inf:
         raise DomainError(f"target {target!r} is too large (beta for the speed, 2 beta "
                           "for an interior LDP root): logit x, about twice it, overflows")
-    res = bisect_newton(f, max(_logit(0.5 * theta), log_target / 3.0 - 1.0), hi, fprime)
+    res = bisect_newton(f, max(_logit(0.5 * theta), log_target / 3.0 - 1.0), hi)
     return (*_at_logit(res.value), res)
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+__all__ = ["RangePolymerError", "DomainError", "SolverError", "ResourceCapError"]
+
 
 class RangePolymerError(Exception):
     """Base class for errors raised by this package."""
@@ -30,6 +32,17 @@ def check_positive(name: str, value: float, allow_zero: bool = False) -> None:
     if not ((value >= 0.0 if allow_zero else value > 0.0) and value < math.inf):
         sign = "nonnegative" if allow_zero else "positive"
         raise DomainError(f"{name} must be finite and {sign}, got {value!r}")
+
+
+def check_range_energy(beta: float, n: int) -> None:
+    """Raise DomainError where beta n^2 overflows the double range.
+
+    Both walk laws, exact and sampled, weight by exp(-beta n^2 / R_n); past
+    the double range every log-weight is -inf, so they call this before any
+    build or draw.
+    """
+    if not math.isfinite(beta * float(n) * float(n)):
+        raise DomainError(f"beta * n^2 overflows the double range: beta={beta!r}, n={n}")
 
 
 def check_grid(name: str, values) -> list[float]:

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .discrete import free_energy_g_star
-from .errors import DomainError, ResourceCapError, check_positive
+from .errors import DomainError, ResourceCapError, check_positive, check_range_energy
 from .gaussian import norm_cdf
 
 __all__ = [
@@ -233,8 +233,7 @@ def polymer_law(beta: float, n: int) -> PolymerLaw:
     """
     check_positive("beta", beta, allow_zero=True)
     _check_size(n)
-    if not math.isfinite(beta * float(n) * float(n)):
-        raise DomainError(f"beta * n^2 overflows the double range: beta={beta!r}, n={n}")
+    check_range_energy(beta, n)
     base = joint_law_exact(n)
     if beta == 0.0:
         return PolymerLaw(beta=0.0, n=n, tilted=base, log_partition=0.0)

@@ -22,15 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import free_energy_g_star, tilde_c_d
-from .errors import DomainError, ResourceCapError, check_positive
+from .errors import DomainError, ResourceCapError, check_positive, check_range_energy
 
 __all__ = [
     "McEstimate",
     "CorollaryBoundReport",
     "BrownianRangeHistograms",
-    "WALK_BLOCK",
-    "PATH_BLOCK",
-    "TIME_CHUNK",
     "polymer_estimate_tilted",
     "corollary_bound_check",
     "brownian_range_mc",
@@ -151,8 +148,7 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
     if samples * (n * d + 8) > WALK_STEP_CAP:
         raise ResourceCapError(f"samples * (n d + 8) = {samples} * {n * d + 8} walk "
                                f"steps exceeds the cap of {WALK_STEP_CAP:.1e}")
-    if not math.isfinite(beta * float(n) * float(n)):
-        raise DomainError(f"beta * n^2 overflows the double range: beta={beta!r}, n={n}")
+    check_range_energy(beta, n)
     kernel, arg = (_walk_block_1d, drift) if d == 1 else (_walk_block_nd, d)
     nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
 

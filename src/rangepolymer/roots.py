@@ -2,9 +2,11 @@
 
 Every root in the package (the discrete speed, threshold and interior LDP
 roots, the continuous cubic, the exact-radius tilt's peak) comes from
-``bisect_newton`` on a bracket whose ends are closed forms.  Bisection
-guarantees convergence, Newton finishes in a handful of steps, and with no
-tolerance it runs to the last bit; each caller checks its own residual.
+``bisect_newton`` on a bracket whose ends are closed forms.  The target is
+one callable that returns its value and slope at a point, so each point is
+evaluated once.  Bisection guarantees convergence, Newton finishes in a
+handful of steps, and with no tolerance it runs to the last bit; each
+caller checks its own residual.
 """
 
 from __future__ import annotations
@@ -31,21 +33,19 @@ class RootResult:
     bracket: tuple[float, float]
 
 
-def bisect_newton(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    fprime: Callable[[float], float],
-) -> RootResult:
-    """Root of a strictly monotone ``f`` with a sign change on ``[lo, hi]``.
+def bisect_newton(f: Callable[[float], tuple[float, float]], lo: float,
+                  hi: float) -> RootResult:
+    """Root of a strictly monotone target with a sign change on ``[lo, hi]``.
 
-    Starts at the midpoint.  Each step shrinks the bracket to the side that
-    keeps the sign change, then takes the Newton step, or bisects where that
-    step is undefined or would leave the bracket.  Stops at f(x) = 0, at a
+    ``f(x)`` returns the target's (value, slope) at x and is called once per
+    point: both ends, the midpoint and each new iterate.  Starts at the
+    midpoint.  Each step shrinks the bracket to the side that keeps the sign
+    change, then takes the Newton step, or bisects where that step is
+    undefined or would leave the bracket.  Stops at a zero value, at a
     Newton step that no longer moves x, at a bracket at float resolution, or
     after 200 steps; the achieved residual is reported either way.
     """
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = f(lo)[0], f(hi)[0]
     if flo == 0.0:
         return RootResult(lo, 0.0, 0, (lo, hi))
     if fhi == 0.0:
@@ -57,7 +57,7 @@ def bisect_newton(
     increasing = fhi > 0.0
     a, b = lo, hi
     x = 0.5 * (a + b)
-    fx = f(x)
+    fx, d = f(x)
     iters = 0
     while iters < 200 and fx != 0.0:
         iters += 1
@@ -65,7 +65,6 @@ def bisect_newton(
             b = x
         else:
             a = x
-        d = fprime(x)
         nxt = x - fx / d if d != 0.0 else 0.5 * (a + b)
         if nxt == x:  # a Newton step below the spacing of x
             break
@@ -74,5 +73,5 @@ def bisect_newton(
             if not a < nxt < b:  # the bracket at float resolution
                 break
         x = nxt
-        fx = f(x)
+        fx, d = f(x)
     return RootResult(x, fx, iters, (a, b))

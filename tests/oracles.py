@@ -315,8 +315,9 @@ def window_by_fractions(beta: float, t: float, use_exact_radius: bool) -> _Windo
     y = 0.0
     if a > 0.0 and centre > DEFAULT_FLOOR:
         k = a / centre
-        y = bisect_newton(lambda y: (1.0 - y) * (1.0 + k - y) ** 2 - 1.0, 0.0, min(1.0, k),
-                          lambda y: -(1.0 + k - y) * (3.0 + k - 3.0 * y)).bracket[0]
+        y = bisect_newton(lambda y: ((1.0 - y) * (1.0 + k - y) ** 2 - 1.0,
+                                     -(1.0 + k - y) * (3.0 + k - 3.0 * y)),
+                          0.0, min(1.0, k)).bracket[0]
     c = max(centre * (1.0 - y), DEFAULT_FLOOR)
     peak = -Fraction(c) ** 2 / 2 - Fraction(b) / (Fraction(c) + Fraction(a))
     shift = float(peak)

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, manifests, determinism, file contents."""
 
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -12,10 +13,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 import rangepolymer
-from rangepolymer import cli, joint_law_exact
+from rangepolymer import cli, joint_law_exact, ldp_rate_discrete_info, rate_I
 from rangepolymer.cli import main
 
 from oracles import rate_reference, speed_reference
@@ -104,6 +105,20 @@ def test_exact_zero_beta_law_is_plain_walk(tmp_path):
         parsed[(int(x), int(r))] = float(p)
     base = {(x, r): p for x, r, p in joint_law_exact(6).entries()}
     assert parsed == base
+
+
+def test_exact_zero_beta_ldp_reads_the_walk_rate(tmp_path):
+    # the plain walk's rate I(theta), the beta -> 0+ limit of I^beta
+    out = tmp_path / "run"
+    assert main(["exact", "--beta", "0", "--n", "50", "--outputs", "ldp",
+                 "--out", str(out)]) == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in _read(out / "ldp.csv").strip().splitlines()[1:]]
+    thetas = [row[0] for row in rows]
+    assert [row[2] for row in rows] == [rate_I(theta) for theta in thetas]
+    assert [row[2] for row in rows] == pytest.approx(
+        [row[0] for row in ldp_rate_discrete_info(1e-12, thetas)], abs=1e-7)
+    assert [row[3] for row in rows] == [row[1] - row[2] for row in rows]
 
 
 def test_exact_clt_and_ldp_outputs(tmp_path):
@@ -683,8 +698,12 @@ _COMMANDS = st.one_of(
 @settings(max_examples=600, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_COMMANDS)
+# the beta = 0 analytic rate, and a continuous rate past theta ~ 1.9e154
+@example(argv=["exact", "--beta=0", "--n=50", "--outputs=ldp"])
+@example(argv=["rate-curves", "--beta=1", "--model=continuous", "--grid=1e300"])
 def test_any_invocation_publishes_all_or_nothing(argv):
-    """main returns a documented exit code, and --out holds the whole run or nothing."""
+    """main returns a documented exit code, and --out holds the whole run or
+    nothing; a whole run holds no nan or inf."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         code = main([*argv, "--out", str(out)])
@@ -694,6 +713,7 @@ def test_any_invocation_publishes_all_or_nothing(argv):
             manifest = json.loads(_read(out / "manifest.json"))
             assert found == sorted([*manifest["outputs"], "manifest.json"])
             assert manifest["outputs"]
+            _assert_published(out, code)
         else:
             assert code in (1, 2, 3)
             assert found == []
@@ -716,6 +736,19 @@ def test_every_exported_name_resolves():
                                 for layer in layers)]:
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert missing == [], mod.__name__
+
+
+def test_traced_spans_name_wrapped_functions():
+    """The tracer wraps the functions named in each layer's ``__all__``; a
+    span or hook naming any other function would leave its metric at 0."""
+    path = Path(__file__).resolve().parent.parent / "clibench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for span in [*(span for span, _ in tracing.SPAN_TIMES.values()), *tracing.HOOKS]:
+        layer, name = span.split(".", 1)
+        mod = importlib.import_module(f"rangepolymer.{layer}")
+        assert name in dict(tracing._public_functions(mod)), span
 
 
 def test_continuous_run_imports_neither_fractions_nor_the_gauss_solver(tmp_path):

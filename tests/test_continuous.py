@@ -1,6 +1,7 @@
 """Tests for the continuous-model constants, cubic root and rate curve."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,6 +149,13 @@ class TestRateCurve:
             assert row[1] == branch
             assert (row[0], row[2]) == (rate, root)
             assert math.copysign(1.0, row[0]) == math.copysign(1.0, rate)
+
+    def test_overflowing_rate_is_refused(self):
+        # theta^2/2 overflows from theta ~ 1.9e154 on the boundary branch
+        assert math.isfinite(ldp_rate_continuous_info(1.0, [1.8e154])[0][0])
+        for theta in (1.9e154, 1e300):
+            with pytest.raises(DomainError, match=re.escape(f"theta={theta!r}")):
+                ldp_rate_continuous_info(1.0, [0.5, theta])
 
     def test_checks_every_theta_before_solving(self, monkeypatch):
         def refuse(*args):

@@ -377,6 +377,30 @@ class TestRateCurve:
         assert 0 < interior < len(curve)
         assert len(calls) == 2 + interior
 
+    def test_logit_root_reads_each_point_once(self, monkeypatch):
+        # value and slope share one _at_logit per point the solver asks for;
+        # the root's own x, artanh x and log(1 - x^2) take one more
+        at_logit, calls, points = discrete._at_logit, [], []
+
+        def counted(s):
+            calls.append(s)
+            return at_logit(s)
+
+        def solve(f, lo, hi):
+            def recorded(s):
+                points.append(s)
+                return f(s)
+            return bisect_newton(recorded, lo, hi)
+
+        monkeypatch.setattr(discrete, "_at_logit", counted)
+        monkeypatch.setattr(discrete, "bisect_newton", solve)
+        for theta, target in [(0.0, 1.0), (0.0, 1e-300), (0.3, 2.0)]:
+            calls.clear()
+            points.clear()
+            res = discrete._logit_root(theta, target)[3]
+            assert res.iterations > 0
+            assert calls == [*points, res.value]
+
     def test_checks_every_theta_before_solving(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("solved before the theta check")
