@@ -371,6 +371,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"argument --threads: need at least 1, got {args.threads}")
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)
@@ -402,5 +404,9 @@ def main(argv=None) -> int:
     return 0
 
 
-def entrypoint() -> None:  # console-script target
+def entrypoint() -> None:  # console-script and ``python -m`` target
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

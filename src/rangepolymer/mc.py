@@ -39,9 +39,10 @@ TIME_CHUNK = 2048  # Brownian increments drawn per chunk; fixes the stream order
 LOW_ESS_FRACTION = 0.01
 PATH_STEP_CAP = 10**10  # most path steps (samples * t/dt) brownian_range_mc takes
 # Most walk steps _weighted_walks takes, a walk charged n d + 8: a step peaks
-# at ~14 B (d = 1) or ~16 B (d >= 2), a walk's own arrays at ~80 B.  1.1e8
-# admits 1e5 walks of n = 1000; peak RSS was 0.97 GB at n = 1 (1.2e7 walks),
-# 1.5 GB and 1.8 GB at 2 walks of n d = 5.5e7 in d = 1 and d = 2.
+# at ~9 B (d = 1: a float64 uniform and its bool) or ~16 B (d >= 2), a walk's
+# own arrays at ~80 B.  1.1e8 admits 1e5 walks of n = 1000; peak RSS was
+# 0.97 GB at n = 1 (1.2e7 walks), 1.0 GB and 1.8 GB at 2 walks of n d = 5.5e7
+# in d = 1 and d = 2.
 WALK_STEP_CAP = 11 * 10**7
 
 
@@ -60,8 +61,17 @@ class McEstimate:
     low_ess: bool = False
 
 
+def _check_seed(seed: int) -> None:
+    """DomainError unless seed is an integer in [0, 2^64), one Philox key word.
+
+    Reducing it mod 2^64 instead would give distinct seeds one stream.
+    """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
 def _stream(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -84,10 +94,10 @@ def _direction_table(d: int) -> np.ndarray:
 def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
     """(endpoints, ranges) for one block of drifted 1-d walks.
 
-    The range over S_0..S_{n-1} is computed two ways on every sample - the
-    interval identity max - min + 1 and a distinct-site count read off an
-    occupancy table of the 2n + 1 sites the walk can reach - and the two are
-    asserted equal.  Both run in linear time per walk.
+    A nearest-neighbour walk on Z visits every site between its extremes, so
+    the range over S_0..S_{n-1} is max - min + 1, the origin included: one
+    linear pass per walk.  The tests count the distinct sites of sampler
+    blocks by sorting and require them equal.
     """
     rng = _stream(seed, block)
     steps = (rng.random((count, n)) < 0.5 * (1.0 + c)).view(np.int8)
@@ -100,14 +110,7 @@ def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
     prefix = pos[:, : n - 1]
     lo = np.minimum(prefix.min(axis=1), 0)
     hi = np.maximum(prefix.max(axis=1), 0)
-    ranges = (hi - lo + 1).astype(np.int64)
-    width = 2 * n + 1
-    occupied = np.zeros((count, width), dtype=bool)
-    occupied[:, n] = True  # origin
-    occupied.reshape(-1)[prefix + np.arange(n, count * width, width)[:, None]] = True
-    if not np.array_equal(np.count_nonzero(occupied, axis=1), ranges):
-        raise AssertionError("1-d visited-set size disagrees with max - min + 1")
-    return endpoints, ranges
+    return endpoints, (hi - lo + 1).astype(np.int64)
 
 
 def _walk_block_nd(seed: int, block: int, count: int, n: int, d: int):
@@ -137,9 +140,10 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
     endpoints are S_n in d = 1 and |S_n| otherwise, joined in block order.
     The weights are exp(-beta n^2 / R_n) over the drift's likelihood ratio,
     self-normalized: this is the one place where walk log-weights are formed.
-    A beta n^2 past the double range (every log-weight -inf) is a
-    DomainError before any draw.
+    A seed outside [0, 2^64) and a beta n^2 past the double range (every
+    log-weight -inf) are DomainErrors before any draw.
     """
+    _check_seed(seed)
     if n < 1:
         raise DomainError(f"need walk length n >= 1, got {n!r}")
     # 2n + 1 >= 3, so every d >= 62 overflows; below that the power is small
@@ -338,11 +342,12 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
     joint (B_t, R_t) table in 30 x 40 cells on [0, 3 sqrt(t)] x
     [0, 4 sqrt(t)].  Requires dt <= t / 1e4 so the discretization bias stays
     within the documented allowance, and raises ResourceCapError past
-    PATH_STEP_CAP path steps in all.  Per-block Philox streams make the
-    result reproducible for any thread count.
+    PATH_STEP_CAP path steps in all.  Per-block Philox streams, keyed by a
+    seed in [0, 2^64), make the result reproducible for any thread count.
     """
     check_positive("t", t)
     check_positive("dt", dt)
+    _check_seed(seed)
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples!r}")
     if dt > t / 1e4:

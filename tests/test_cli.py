@@ -402,6 +402,60 @@ def test_bad_threads_variable_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert json.loads(_read(out / "manifest.json"))["parameters"]["threads"] == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
+    argv = ["mc", "tilted", "--beta", "1", "--n", "20", "--seed", "1", "--samples", "100"]
+    out = tmp_path / "run"
+    assert main([*argv, f"--threads={threads}", "--out", str(out)]) == 1
+    monkeypatch.setenv("RANGE_POLYMER_THREADS", threads)
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == \
+        [f"error: argument --threads: need at least 1, got {int(threads)}"] * 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["tilted", "--beta", "1", "--n", "50", "--samples", "1000"],
+    ["corollary", "--beta", "1", "--d", "2", "--n", "20", "--samples", "100"],
+    ["brownian", "--t", "1", "--dt", "1e-4", "--samples", "10"],
+])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+def test_seed_outside_64_bits_exits_2_without_artifacts(tmp_path, capsys, command, seed):
+    # reduced mod 2^64, 2^64 wrote seed 0's estimate and -1 that of 2^64 - 1
+    out = tmp_path / "run"
+    assert main(["mc", *command, f"--seed={seed}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be an integer in [0, 2^64), got {seed}\n"
+    _assert_published(out, 2)
+
+
+def test_largest_seed_runs(tmp_path):
+    out = tmp_path / "run"
+    assert main(["mc", "tilted", "--beta", "1", "--n", "50", "--samples", "1000",
+                 f"--seed={2**64 - 1}", "--out", str(out)]) == 0
+    assert json.loads(_read(out / "manifest.json"))["parameters"]["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("module", ["rangepolymer", "rangepolymer.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = str(Path(rangepolymer.__file__).resolve().parent.parent)
+    out = tmp_path / "run"
+    done = subprocess.run([sys.executable, "-m", module, "constants", "--beta", "1",
+                           "--out", str(out)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stderr == ""
+    # the same bytes as a run through main()
+    ref = tmp_path / "ref"
+    assert main(["constants", "--beta", "1", "--out", str(ref)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["constants.csv", "manifest.json"]
+    for name in ("constants.csv", "manifest.json"):
+        assert _read(out / name) == _read(ref / name)
+    assert json.loads(_read(out / "manifest.json"))["outputs"] == ["constants.csv"]
+
+
 def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "file"
     path.write_text("keep\n")
@@ -659,7 +713,9 @@ def _names(choices):
         .map(",".join)
 
 
-_SEED = _flag("--seed", st.integers(0, 2**64 - 1).map(str))
+# Philox keys hold 64 bits; seeds past either end must exit 2, not alias
+_SEED = _flag("--seed", (st.integers(0, 2**64 - 1)
+                         | st.integers(-2**70, -1) | st.integers(2**64, 2**70)).map(str))
 _COMMANDS = st.one_of(
     _argv(st.just(["constants"]), _flag("--beta", _REALS),
           _opt("--d", st.sampled_from(["-1", "0", "1", "2", "3"])),
@@ -703,7 +759,7 @@ _COMMANDS = st.one_of(
 @example(argv=["rate-curves", "--beta=1", "--model=continuous", "--grid=1e300"])
 def test_any_invocation_publishes_all_or_nothing(argv):
     """main returns a documented exit code, and --out holds the whole run or
-    nothing; a whole run holds no nan or inf."""
+    nothing; a whole run holds no nan or inf and echoes a seed in [0, 2^64)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         code = main([*argv, "--out", str(out)])
@@ -713,6 +769,7 @@ def test_any_invocation_publishes_all_or_nothing(argv):
             manifest = json.loads(_read(out / "manifest.json"))
             assert found == sorted([*manifest["outputs"], "manifest.json"])
             assert manifest["outputs"]
+            assert 0 <= manifest["parameters"].get("seed", 0) < 2**64
             _assert_published(out, code)
         else:
             assert code in (1, 2, 3)

@@ -7,6 +7,7 @@ direction-sequence enumeration at n = 12.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -67,23 +68,29 @@ def _exact_d2_range_mean(beta: float, n: int) -> float:
 
 
 def _walk_block_1d_oracle(seed: int, block: int, count: int, n: int, c: float):
-    """The walk kernel before the int8 steps and the occupancy check, verbatim."""
+    """(endpoints, ranges) of a kernel block, redrawn from its stream with
+    int32 steps; the range counts the distinct sites among S_0..S_{n-1} by
+    sorting each walk, which holds in any dimension."""
     rng = _stream(seed, block)
     steps = np.where(rng.random((count, n)) < 0.5 * (1.0 + c), 1, -1).astype(np.int32)
     pos = np.cumsum(steps, axis=1)
-    endpoints = pos[:, -1].astype(np.int64)
-    if n == 1:
-        return endpoints, np.ones(count, dtype=np.int64)
-    prefix = pos[:, : n - 1]
-    lo = np.minimum(prefix.min(axis=1), 0)
-    hi = np.maximum(prefix.max(axis=1), 0)
-    ranges = (hi - lo + 1).astype(np.int64)
-    walked = np.concatenate([np.zeros((count, 1), dtype=np.int32), prefix], axis=1)
+    walked = np.concatenate([np.zeros((count, 1), dtype=np.int32), pos[:, : n - 1]],
+                            axis=1)
     walked.sort(axis=1)
     distinct = 1 + np.count_nonzero(np.diff(walked, axis=1), axis=1)
-    if not np.array_equal(distinct, ranges):
-        raise AssertionError("1-d visited-set size disagrees with max - min + 1")
-    return endpoints, ranges
+    return pos[:, -1].astype(np.int64), distinct.astype(np.int64)
+
+
+def _assert_same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+# c*(18) = 1 - 4.4e-16: nearly every step goes up
+_C_NEAR_ONE = free_energy_g_star(18.0).c_star
+# (seed, block) pairs, the largest Philox key word among them
+_WALK_KEYS = [(11, 3), (0, 0), (9, 1), (2**64 - 1, 24)]
 
 
 def _path_block_oracle(seed, block, count, nsteps, sd, time_chunk):
@@ -106,15 +113,15 @@ def _path_block_oracle(seed, block, count, nsteps, sd, time_chunk):
 
 
 class TestKernelsMatchOracle:
-    @pytest.mark.parametrize("c", [0.0, 0.5, -0.3])
-    @pytest.mark.parametrize("n", [1, 2, 3, 200])
+    @pytest.mark.parametrize("c", [0.0, 0.5, -0.3, 0.8,
+                                   pytest.param(_C_NEAR_ONE, id="cstar18")])
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 1000])
     @pytest.mark.parametrize("count", [WALK_BLOCK, 37])
     def test_walk_block_1d_bitwise(self, n, c, count):
-        got = _walk_block_1d(11, 3, count, n, c)
-        want = _walk_block_1d_oracle(11, 3, count, n, c)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert np.array_equal(a, b)
+        # the kernel's max - min + 1 against a distinct-site count
+        for seed, block in _WALK_KEYS:
+            _assert_same_arrays(_walk_block_1d(seed, block, count, n, c),
+                                _walk_block_1d_oracle(seed, block, count, n, c))
 
     def test_path_block_bitwise(self):
         # 10000 steps in chunks of 2048 leave a last chunk of 1808 steps
@@ -125,11 +132,16 @@ class TestKernelsMatchOracle:
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
-    def test_corrupt_range_trips_the_runtime_check(self, monkeypatch):
+    def test_corrupt_range_fails_the_oracle_comparison(self, monkeypatch):
+        # control for test_walk_block_1d_bitwise: a range off by one is caught
         maximum = np.maximum
-        monkeypatch.setattr(np, "maximum", lambda a, b: maximum(a, b) + 1)
-        with pytest.raises(AssertionError, match="visited-set size"):
-            _walk_block_1d(5, 0, 64, 50, 0.2)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "maximum", lambda a, b: maximum(a, b) + 1)
+            corrupt = _walk_block_1d(5, 0, 64, 50, 0.2)
+        want = _walk_block_1d_oracle(5, 0, 64, 50, 0.2)
+        with pytest.raises(AssertionError):
+            _assert_same_arrays(corrupt, want)
+        _assert_same_arrays(_walk_block_1d(5, 0, 64, 50, 0.2), want)
 
 
 class TestSampleWalk:
@@ -141,14 +153,16 @@ class TestSampleWalk:
     def test_d1_visited_set_is_an_interval(self):
         # the distinct sites among S_0..S_{n-1}, counted with a Python set on
         # walks redrawn from the kernel's stream, fill [min, max]
-        count, n, c = 50, 40, 0.3
-        e, r = _walk_block_1d(9, 1, count, n, c)
-        up = _stream(9, 1).random((count, n)) < 0.5 * (1.0 + c)
-        pos = np.cumsum(np.where(up, 1, -1), axis=1)
-        for k in range(count):
-            visited = [0, *pos[k, : n - 1].tolist()]
-            assert len(set(visited)) == max(visited) - min(visited) + 1 == r[k]
-            assert e[k] == pos[k, -1]
+        count = 50
+        for (seed, block), n, c in itertools.product(
+                _WALK_KEYS, [1, 2, 40, 200, 1000], [0.0, 0.3, 0.8, _C_NEAR_ONE]):
+            e, r = _walk_block_1d(seed, block, count, n, c)
+            up = _stream(seed, block).random((count, n)) < 0.5 * (1.0 + c)
+            pos = np.cumsum(np.where(up, 1, -1), axis=1)
+            for k in range(count):
+                visited = [0, *pos[k, : n - 1].tolist()]
+                assert len(set(visited)) == max(visited) - min(visited) + 1 == r[k]
+                assert e[k] == pos[k, -1]
 
     def test_d1_mean_range_against_exact_law(self):
         n, samples = 300, 20000
@@ -492,6 +506,22 @@ def test_overflowing_beta_n_squared_fails_before_any_draw(monkeypatch, d):
     if d == 2:
         with pytest.raises(DomainError, match="overflows"):
             corollary_bound_check(1e307, 2, 10, 1, 10)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, -2**70, 1.0])
+def test_seed_outside_the_key_word_fails_before_any_draw(monkeypatch, seed):
+    # reduced mod 2^64, 2^64 would draw seed 0's stream and -1 that of 2^64 - 1
+    from rangepolymer import mc
+
+    def no_draw(*args):
+        raise AssertionError("opened a stream")
+
+    monkeypatch.setattr(mc, "_stream", no_draw)
+    for run in (lambda: polymer_estimate_tilted(1.0, 20, "range_mean", seed, 100),
+                lambda: corollary_bound_check(1.0, 2, 20, seed, 100),
+                lambda: brownian_range_mc(1.0, 1e-4, seed, 10)):
+        with pytest.raises(DomainError, match="seed"):
+            run()
 
 
 def test_non_finite_log_weight_trips_the_check_in_every_dimension(monkeypatch):
