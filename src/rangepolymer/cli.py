@@ -2,8 +2,8 @@
 
 Every run writes its artifacts plus a ``manifest.json`` echoing the fully
 resolved configuration and the artifact version.  Outputs carry no
-timestamps and floats are printed with 17 significant digits, so re-running
-a manifest reproduces every byte.
+timestamps, CSV floats have 17 significant digits and JSON floats Python's
+shortest round-trip repr, so re-running a manifest reproduces every byte.
 
 Each handler writes its artifacts into a ``.staging-*`` directory inside
 ``--out`` as soon as it computes them.  Only when the handler returns does
@@ -44,7 +44,6 @@ from .mc import (
     polymer_estimate_tilted,
 )
 
-_F = "{:.17g}".format
 GRID_POINT_CAP = 10**6  # most points an 'a:b:k' grid may ask for
 EXACT_LAW_CAP = 600  # largest n 'exact' builds unless --cap-override raises it
 
@@ -80,11 +79,20 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
+def _parse_outputs(text: str, command: str, choices: tuple[str, ...]) -> list[str]:
+    """The comma list of ``--outputs``; DomainError at the first unknown one."""
+    outputs = [s.strip() for s in text.split(",") if s.strip()]
+    for kind in outputs:
+        if kind not in choices:
+            raise DomainError(f"unknown {command} output {kind!r}")
+    return outputs
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_F(v) if isinstance(v, float) else str(v) for v in row))
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
             fh.write("\n")
 
 
@@ -122,10 +130,7 @@ _EXACT_OUTPUTS = ("law", "Z", "free-energy", "clt", "ldp")
 
 
 def _cmd_exact(args, out: Path) -> tuple[str, dict]:
-    outputs = [s.strip() for s in args.outputs.split(",") if s.strip()]
-    for kind in outputs:
-        if kind not in _EXACT_OUTPUTS:
-            raise DomainError(f"unknown exact output {kind!r}")
+    outputs = _parse_outputs(args.outputs, "exact", _EXACT_OUTPUTS)
     ns = _parse_grid(args.n_grid) if args.n_grid else \
         sorted({max(2, args.n // 4), max(2, args.n // 2), args.n})
     if any(m != int(m) for m in ns):
@@ -184,10 +189,7 @@ _CONTINUOUS_OUTPUTS = ("density", "Z", "range-clt", "endpoint-clt")
 
 
 def _cmd_continuous(args, out: Path) -> tuple[str, dict]:
-    outputs = [s.strip() for s in args.outputs.split(",") if s.strip()]
-    for kind in outputs:
-        if kind not in _CONTINUOUS_OUTPUTS:
-            raise DomainError(f"unknown continuous output {kind!r}")
+    outputs = _parse_outputs(args.outputs, "continuous", _CONTINUOUS_OUTPUTS)
     check_positive("beta", args.beta)
     check_positive("t", args.t)
     cgrid = _parse_grid(args.grid) if args.grid else [-2.0, -1.0, 0.0, 1.0, 2.0]

@@ -94,12 +94,15 @@ class QuadratureResult:
     log_value: float
 
 
-def _check_floor(t: float, r: float) -> None:
+def _check_floor(t: float, r: np.ndarray) -> None:
+    """DomainError at the first r, in input order, not finite or below the floor."""
     check_positive("t", t)
-    check_positive("r", r)
-    if r < DEFAULT_FLOOR * math.sqrt(t):
+    bad = ~((r >= DEFAULT_FLOOR * math.sqrt(t)) & (r < math.inf)).ravel()
+    if bad.any():
+        first = float(r.flat[bad.argmax()])
+        check_positive("r", first)
         raise DomainError(
-            f"r={r!r} below the uniform-convergence floor {DEFAULT_FLOOR!r}*sqrt(t); "
+            f"r={first!r} below the uniform-convergence floor {DEFAULT_FLOOR!r}*sqrt(t); "
             "restrict the integration domain instead of evaluating here"
         )
 
@@ -123,22 +126,21 @@ def range_density(t: float, r) -> SeriesEval:
     prefactors, products and sum add under 16.  It holds where no term
     underflows to a subnormal.
     """
-    shape, points = np.shape(r), [float(x) for x in np.ravel(r)]
-    for x in points:
-        _check_floor(t, x)
+    r = np.asarray(r, dtype=float)
+    _check_floor(t, r)
     sqrt_t = math.sqrt(t)
-    us = [x / sqrt_t for x in points]
-    live = np.array([math.exp(-0.5 * u * u) != 0.0 for u in us], dtype=bool)
-    u = np.array(us)[live]
+    u = r.ravel() / sqrt_t
+    live = np.array([math.exp(-0.5 * x * x) != 0.0 for x in u.tolist()], dtype=bool)
+    value, error = np.zeros(u.size), np.zeros(u.size)
+    u = u[live]
     series, bound, terms = _range_series_scaled(u)
     damp = 8.0 / sqrt_t * np.exp(-0.5 * np.square(u))
-    value, error = np.zeros(len(points)), np.zeros(len(points))
     value[live] = damp * series
     size = np.maximum(0.5 * np.square(u), math.pi ** 2 / np.square(u) / 2.0)
     error[live] = damp * bound + 2.0 ** -52 * (16.0 + 5.0 * size) * np.abs(value[live])
-    if shape == ():
+    if r.ndim == 0:
         return SeriesEval(float(value[0]), float(error[0]), max(terms, 1))
-    return SeriesEval(value.reshape(shape), error.reshape(shape), max(terms, 1))
+    return SeriesEval(value.reshape(r.shape), error.reshape(r.shape), max(terms, 1))
 
 
 def _range_series_scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -195,7 +197,7 @@ def _joint_blocks(t: float, x: np.ndarray, r: np.ndarray):
     st = math.sqrt(t)
     u = np.asarray(r, dtype=float) / st
     v = np.asarray(x, dtype=float) / st
-    a1 = 2.0 * float(np.abs(u).max()) + float(np.abs(v).max())
+    a1 = 2.0 * float(np.abs(u).max(initial=0.0)) + float(np.abs(v).max(initial=0.0))
     if not 4.0 * (a1 * a1 + 1.0) < math.inf:
         raise DomainError(f"joint series overflows at t={t!r}: x or r out of range")
     gap = u - v
@@ -220,12 +222,12 @@ def _joint_series_scaled(t: float, x: np.ndarray, r: np.ndarray):
     for k, gap, zm, zp, em, ep in _joint_blocks(t, x, r):
         s_sym += 4.0 * k * k * ((zm * zm - 1.0) * em + (zp * zp - 1.0) * ep)
         s_asym += (4.0 * k * (k - 1) * zm * em - 4.0 * k * (k + 1) * zp * ep)
-        block_max = float(np.max(4.0 * k * k * (zm * zm + 1.0) * em))
-        if block_max <= 1e-13 * max(1.0, float(np.max(np.abs(s_sym)))):
+        block_max = float(np.max(4.0 * k * k * (zm * zm + 1.0) * em, initial=0.0))
+        if block_max <= 1e-13 * max(1.0, float(np.max(np.abs(s_sym), initial=0.0))):
             break
         if block_max != block_max:
             raise DomainError(f"joint series is NaN at t={t!r}: x or r out of range")
-    bound = 10.0 * (1.0 + float(np.max(np.abs(gap)))) * block_max / t
+    bound = 10.0 * (1.0 + float(np.max(np.abs(gap), initial=0.0))) * block_max / t
     return (gap * s_sym + s_asym) / t, bound, k
 
 
@@ -252,30 +254,32 @@ def _joint_cdf_series_scaled(t: float, x: np.ndarray, r: np.ndarray) -> np.ndarr
     return total
 
 
-def joint_density(t: float, x: float, r: float) -> SeriesEval:
+def joint_density(t: float, x, r) -> SeriesEval:
     """Joint density of (B_t in dx, R_t in dr, B_t > 0) at 0 < x < r.
 
-    The damping exp(-u^2/2) is formed from u = r/sqrt(t).  Below u ~ 0.6 the
-    series cancels: against a 60-digit sum the value is up to 4e-9 off
-    (relative) at u = 0.5, 3e-4 at u = 0.4 and 2e5 at u = 0.3, and it can be
-    negative (-2.8e-11 at u = 0.05, t = 1); the bound exceeded every error seen.
+    x and r are scalars or arrays that broadcast together; a scalar pair
+    gives float fields.  Every point is checked, in input order, for
+    0 < x < r and then the floor before any term is summed, and all are
+    summed in one ``_joint_series_scaled`` call.  Each bound is the call's
+    kernel bound, set by its largest block, times the point's damping
+    exp(-u^2/2), u = r/sqrt(t): an array value agrees with a one-point
+    call's within it, not bitwise.  Below u ~ 0.6 the series cancels:
+    against a 60-digit sum the value is up to 4e-9 off (relative) at
+    u = 0.5, 3e-4 at u = 0.4 and 2e5 at u = 0.3, and it can be negative
+    (-2.8e-11 at u = 0.05, t = 1); the bound exceeded every error seen.
     """
-    if not 0.0 < x < r:
-        raise DomainError(f"need 0 < x < r, got x={x!r}, r={r!r}")
-    _check_floor(t, r)
-    val, bound, terms = _joint_series_scaled(t, np.array([x]), np.array([r]))
-    u = r / math.sqrt(t)
-    damp = math.exp(-0.5 * u * u)
-    return SeriesEval(value=float(val[0]) * damp, truncation_bound=bound * damp,
-                      terms_used=terms)
-
-
-def joint_density_grid(t: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Vectorized joint density (shapes broadcast); the kernel refuses a
-    non-finite x or r, and points off the wedge 0 < x < r are evaluated."""
-    check_positive("t", t)
-    val, _, _ = _joint_series_scaled(t, x, r)
-    return val * np.exp(-0.5 * np.square(np.asarray(r, dtype=float) / math.sqrt(t)))
+    x, r = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(r, dtype=float))
+    off = np.flatnonzero(~((0.0 < x) & (x < r)))  # NaN included
+    first = int(off[0]) if off.size else r.size
+    _check_floor(t, r.ravel()[:first])  # the points before the first off the wedge
+    if first < r.size:
+        raise DomainError(f"need 0 < x < r, got x={float(x.flat[first])!r}, "
+                          f"r={float(r.flat[first])!r}")
+    val, bound, terms = _joint_series_scaled(t, x, r)
+    damp = np.exp(-0.5 * np.square(r / math.sqrt(t)))
+    if damp.ndim == 0:
+        return SeriesEval(float(val * damp), float(bound * damp), terms)
+    return SeriesEval(val * damp, bound * damp, terms)
 
 
 def _panels(a: float, b: float, max_width: float):

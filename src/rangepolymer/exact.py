@@ -272,10 +272,8 @@ def clt_check(law: PolymerLaw) -> float:
     """
     n = law.n
     if law.beta == 0.0:
-        marg = law.tilted.endpoint_marginal()
-        atoms = np.array(sorted(marg), dtype=float)
-        probs = np.array([marg[int(a)] for a in atoms])
-        return _ks_distance(atoms, probs, 0.0, math.sqrt(n))
+        atoms, probs = zip(*law.tilted.endpoint_marginal().items())  # ascending
+        return _ks_distance(np.array(atoms, dtype=float), np.array(probs), 0.0, math.sqrt(n))
     consts = free_energy_g_star(law.beta)
     if consts.sigma_star == 0.0:
         raise DomainError(f"beta={law.beta!r} is too large: sigma*(beta) underflows to 0")

@@ -278,10 +278,6 @@ class BrownianRangeHistograms:
     0.012 at dt = 1e-4), which callers must budget for.
     """
 
-    t: float
-    dt: float
-    seed: int
-    samples: int
     range_edges: np.ndarray
     range_density: np.ndarray
     range_se: np.ndarray
@@ -388,7 +384,6 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
     bd, bse = _density(1, np.diff(endpoint_edges))
     jd, jse = _density(2, np.outer(np.diff(joint_x_edges), np.diff(joint_r_edges)))
     return BrownianRangeHistograms(
-        t=t, dt=dt, seed=seed, samples=samples,
         range_edges=range_edges, range_density=rd, range_se=rse,
         endpoint_edges=endpoint_edges, endpoint_density=bd, endpoint_se=bse,
         joint_x_edges=joint_x_edges, joint_r_edges=joint_r_edges,

@@ -51,7 +51,7 @@ from rangepolymer import (
     speed_c_star,
     brownian_range_mc,
 )
-from rangepolymer.density import joint_density_grid, _panels
+from rangepolymer.density import joint_density, _panels
 
 from oracles import enumerate_joint_law, g_star_infimum, gauss_legendre_panels
 
@@ -302,10 +302,10 @@ def test_criterion_08_density_normalizations():
     ok_range_norm = abs(total - 1.0) <= 1e-6
 
     acc = 0.0
-    R, WR = _panels(0.02, 16.0, 0.2)
+    R, WR = _panels(0.05, 16.0, 0.2)  # from the floor: below it the mass is < e^-1900
     for r, w in zip(R, WR):
         XX, WX = _panels(0.0, float(r), 0.2)
-        acc += w * float(np.dot(WX, joint_density_grid(1.0, XX, float(r))))
+        acc += w * float(np.dot(WX, joint_density(1.0, XX, float(r)).value))
     ok_joint_norm = abs(acc - 0.5) <= 1e-4
 
     h = brownian_range_mc(1.0, 1e-4, seed=20260809, samples=100000)
@@ -336,7 +336,7 @@ def test_criterion_08_density_normalizations():
                 inside = XX < rv
                 if inside.any():
                     mass += wv * float(np.dot(
-                        WX[inside], joint_density_grid(1.0, XX[inside], float(rv))))
+                        WX[inside], joint_density(1.0, XX[inside], float(rv)).value))
             model = mass / ((xhi - xlo) * (rhi - rlo))
             jchecked += 1
             if abs(h.joint_density[i, j] - model) > 3.0 * h.joint_se[i, j] + 0.02:

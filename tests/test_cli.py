@@ -808,6 +808,56 @@ def test_traced_spans_name_wrapped_functions():
         assert name in dict(tracing._public_functions(mod)), span
 
 
+_TRACED_SESSION = """\
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer("session")
+tracing.install(tracer)
+from rangepolymer import cli, density
+codes = [cli.main([*argv, "--out", f"{sys.argv[2]}/{i}"])
+         for i, argv in enumerate(json.loads(sys.argv[3]))]
+print(json.dumps({"codes": codes, "spans": sorted({span[0] for span in tracer.spans}),
+                  "writers": list(tracing.WRITERS),
+                  "kernel_counted": hasattr(density._joint_series_scaled, "__wrapped__")}))
+"""
+
+
+def test_traced_cli_session_reaches_every_writer(tmp_path):
+    """A short CLI session under ``clibench/tracing.install``: every command
+    exits 0, every writer span of ``WRITERS`` is recorded, and the joint
+    kernel the tracer counts is still there.  A renamed writer or kernel
+    would leave the benchmark's traced metrics at 0 without an error."""
+    sessions = [
+        ["exact", "--beta", "1", "--n", "30", "--outputs", "law,Z,free-energy,clt,ldp"],
+        ["exact", "--beta", "1", "--n", "20", "--format", "json"],
+        ["continuous", "--beta", "1", "--t", "4",
+         "--outputs", "density,Z,range-clt,endpoint-clt"],
+        ["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "0", "--samples", "16"],
+    ]
+    tracing_py = Path(__file__).resolve().parent.parent / "clibench" / "tracing.py"
+    src = str(Path(rangepolymer.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _TRACED_SESSION, str(tracing_py),
+                           str(tmp_path), json.dumps(sessions)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0, 0, 0, 0]
+    assert set(report["writers"]) <= set(report["spans"])
+    assert report["kernel_counted"]
+
+
+@pytest.mark.parametrize("command, size", [("exact", "--n"), ("continuous", "--t")])
+def test_unknown_output_is_named(tmp_path, capsys, command, size):
+    out = tmp_path / "run"
+    assert main([command, "--beta", "1", size, "4", "--outputs", "Z, x ,Z",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown {command} output 'x'\n"
+    _assert_published(out, 2)
+
+
 def test_continuous_run_imports_neither_fractions_nor_the_gauss_solver(tmp_path):
     """The README continuous run reads its Gauss nodes from a table and forms
     the window's exact peak in ints: importing ``numpy.polynomial`` and

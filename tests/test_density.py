@@ -32,7 +32,6 @@ from rangepolymer import density
 from rangepolymer.density import (
     DEFAULT_FLOOR,
     PANEL_NODE_CAP,
-    joint_density_grid,
     _joint_cdf_series_scaled,
     _joint_series_scaled,
     _GL_NODES,
@@ -204,6 +203,23 @@ class TestRangeDensity:
         with pytest.raises(DomainError):
             range_density(4.0, math.inf)
 
+    @pytest.mark.parametrize("r, first", [
+        ([1.0, 0.01, -1.0], 1),
+        ([1.0, -1.0, 0.01], 1),
+        ([1.0, math.nan, 0.01], 1),
+        ([1.0, 2.0, math.inf], 2),
+        ([[1.0, 0.2], [0.0, 0.01]], (1, 0)),
+    ])
+    def test_floor_names_the_first_failing_point(self, r, first):
+        """At t = 4 the floor is 0.1; the array check raises the message of
+        the one-point call at the first point, in input order, that fails."""
+        r = np.asarray(r)
+        with pytest.raises(DomainError) as one:
+            range_density(4.0, float(r[first]))
+        with pytest.raises(DomainError) as many:
+            range_density(4.0, r)
+        assert str(many.value) == str(one.value)
+
     def test_scaled_kernel_is_at_most_its_first_term(self):
         """S(u) <= 1/sqrt(2 pi), the bound the quadrature window's tail
         bound rests on; the dual side peaks at 0.385 by u = sqrt(pi)."""
@@ -227,23 +243,22 @@ class TestRangeDensity:
 class TestJointDensity:
     def test_wedge_mass_is_half(self):
         acc = 0.0
-        R, WR = _panels(0.02, 16.0, 0.2)
+        R, WR = _panels(0.05, 16.0, 0.2)  # from the floor: below it the mass is < e^-1900
         for r, w in zip(R, WR):
             X, WX = _panels(0.0, float(r), 0.2)
-            acc += w * float(np.dot(WX, joint_density_grid(1.0, X, float(r))))
+            acc += w * float(np.dot(WX, joint_density(1.0, X, float(r)).value))
         assert acc == pytest.approx(0.5, abs=1e-4)
 
     def test_marginal_consistency_with_range_density(self):
         # integrate x out and double: must reproduce the range density
         for r in (0.8, 1.2, 2.0, 3.5):
             X, WX = _panels(0.0, r, 0.02)
-            marg = 2.0 * float(np.dot(WX, joint_density_grid(1.0, X, r)))
+            marg = 2.0 * float(np.dot(WX, joint_density(1.0, X, r).value))
             assert marg == pytest.approx(range_density(1.0, r).value, abs=1e-6)
 
     def test_vanishes_at_the_diagonal(self):
         for r in (1.0, 2.0):
-            assert joint_density_grid(1.0, np.array([r * (1 - 1e-9)]), r)[0] == \
-                pytest.approx(0.0, abs=1e-6)
+            assert joint_density(1.0, r * (1 - 1e-9), r).value == pytest.approx(0.0, abs=1e-6)
 
     @given(st.floats(min_value=0.5, max_value=9.0))
     @settings(max_examples=20)
@@ -269,9 +284,73 @@ class TestJointDensity:
         (math.inf, 0.5, 1.0),
     ])
     def test_grid_rejects_non_finite_input(self, args):
+        with pytest.raises(DomainError):
+            joint_density(*args)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, [0.5, math.nan], 1.0),
+        (1.0, [0.5, 0.7], [1.0, math.inf]),
+        (1.0, 0.5, math.nan),
+    ])
+    def test_kernel_rejects_non_finite_input(self, args):
         """A NaN used to run the series through all 100000 blocks."""
         with pytest.raises(DomainError):
-            joint_density_grid(*args)
+            _joint_series_scaled(*args)
+
+    @pytest.mark.parametrize("t", [1e-4, 1.0, 40.0])
+    def test_array_matches_one_point_calls_within_the_bound(self, t):
+        """The array call stops on its largest block, so most of its points
+        sum more blocks than a one-point call; each value is within both
+        calls' bounds of the other."""
+        st_ = math.sqrt(t)
+        r = np.array([0.05, 0.3, 0.7, 1.0, 2.5, 6.0, 12.0]) * st_
+        x = np.outer([0.01, 0.3, 0.6, 0.999], r)
+        got = joint_density(t, x, r)
+        terms = set()
+        for (i, j), value in np.ndenumerate(got.value):
+            one = joint_density(t, float(x[i, j]), float(r[j]))
+            terms.add(one.terms_used)
+            assert abs(value - one.value) <= got.truncation_bound[i, j] + one.truncation_bound
+        assert min(terms) < got.terms_used
+
+    @pytest.mark.parametrize("x, r, shape", [
+        (0.5, 1.0, ()),
+        ([0.5], 1.0, (1,)),
+        (0.5, [1.0, 2.0, 3.0], (3,)),
+        ([[0.1], [0.2]], [0.5, 1.0, 2.0], (2, 3)),
+        (np.full((2, 1, 4), 0.3), np.ones((3, 1)), (2, 3, 4)),
+        (np.zeros((0, 2)), 1.0, (0, 2)),
+    ])
+    def test_broadcast_shapes(self, x, r, shape):
+        got = joint_density(1.0, x, r)
+        if shape == ():
+            assert type(got.value) is float and type(got.truncation_bound) is float
+        else:
+            assert got.value.shape == got.truncation_bound.shape == shape
+
+    @pytest.mark.parametrize("x, r, first", [
+        ([0.5, 0.01, 1.5], [1.0, 0.03, 1.2], 1),  # below the floor, then off the wedge
+        ([0.5, 1.5, 0.01], [1.0, 1.2, 0.03], 1),  # off the wedge, then below the floor
+        ([0.5, math.nan, 1.5], [1.0, 1.0, 1.2], 1),
+        ([0.5, 0.5, 0.01], [1.0, math.nan, 0.03], 1),
+        ([0.5, 0.5], [1.0, math.inf], 1),
+        ([[0.5, 0.02], [-0.1, 0.5]], [[1.0, 0.04], [1.0, 1.0]], (0, 1)),
+        ([[0.5, 0.6], [-0.1, 0.5]], [[1.0, 1.0], [1.0, math.inf]], (1, 0)),
+    ])
+    def test_names_the_first_failing_point(self, x, r, first):
+        """Each point is checked for 0 < x < r and then the floor, in input
+        order, before any series term, and the first failing one raises the
+        one-point call's message; a NaN fails the wedge."""
+        x, r = np.asarray(x), np.asarray(r)
+        with pytest.raises(DomainError) as one:
+            joint_density(1.0, float(x[first]), float(r[first]))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_joint_series_scaled", lambda *a: calls.append(a))
+            with pytest.raises(DomainError) as many:
+                joint_density(1.0, x, r)
+        assert str(many.value) == str(one.value)
+        assert calls == []
 
 
 def test_panels_refuse_layouts_past_the_node_cap():
@@ -710,8 +789,10 @@ class TestJointSeriesMatchesOracle:
         # a true 1e-57 and are rounding noise: 2.4e-12 and 3.3e-12 of the
         # scale apart at t = 1 and 10
         _assert_same_series((t, x, r), rel=1e-11)
-        want = _oracle_joint_series_scaled(t, x, r)[0] * np.exp(-np.square(r) / (2.0 * t))
-        np.testing.assert_allclose(joint_density_grid(t, x, r), want, rtol=0.0,
+        X, R = np.broadcast_arrays(x, r)
+        X, R = X[X < R], R[X < R]
+        want = _oracle_joint_series_scaled(t, X, R)[0] * np.exp(-np.square(R) / (2.0 * t))
+        np.testing.assert_allclose(joint_density(t, X, R).value, want, rtol=0.0,
                                    atol=1e-11 * max(1.0, float(np.max(np.abs(want)))))
 
 
@@ -725,7 +806,7 @@ class TestJointSeriesMatchesOracle:
     (1.0, np.array([0.5, 0.7, 39.0]), np.float64(40.0)),  # mostly dead from k = 1
 ])
 def test_joint_series_off_the_wedge_matches_oracle(args):
-    """Outside 0 < x < r (joint_density_grid does not check) the kernel must
+    """Outside 0 < x < r (where joint_density refuses) the kernel must
     match the oracle too.  Where the oracle's t^(3/2) underflows, its
     0 * inf is NaN; u and v stay finite, and the kernel reads 0.0 there."""
     with np.errstate(all="ignore"):
@@ -838,7 +919,7 @@ def test_joint_cdf_differences_integrate_the_joint_density(t, u):
     r = u * st_
     for a, b in [(0.0, r), (0.3 * r, 0.9 * r), (0.9 * r, r), (0.0, 0.5 * r)]:
         X, W = gauss_legendre_panels(a, b, 0.25 * min(t / r, st_), 32)
-        want = math.fsum(W * joint_density_grid(t, X, r))
+        want = math.fsum(W * joint_density(t, X, r).value)
         ends = _joint_cdf_series_scaled(t, np.array([b, a]), np.float64(r))
         got = (ends[0] - ends[1]) * math.exp(-r * r / (2.0 * t))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), (a, b)
