@@ -1,14 +1,16 @@
 """Command-line front end: one subcommand per theorem cluster.
 
-Every run writes its artifacts plus a ``manifest.json`` echoing the fully
-resolved configuration and the artifact version.  Outputs carry no
-timestamps, CSV floats have 17 significant digits and JSON floats Python's
-shortest round-trip repr, so re-running a manifest reproduces every byte.
+Every run writes its artifacts plus a ``manifest.json`` with the artifact
+version, the command and every parsed option but ``--out``, as typed, with
+its default where it was not given.  Outputs carry no timestamps, CSV floats
+have 17 significant digits and JSON floats Python's shortest round-trip
+repr, so re-running a manifest reproduces every byte.
 
 Each handler writes its artifacts into a ``.staging-*`` directory inside
-``--out`` as soon as it computes them.  Only when the handler returns does
-``main`` write the manifest and move every file into ``--out``; on any error
-the staging directory is removed, so a failed run adds no file to ``--out``.
+``--out`` as soon as it computes them and returns nothing.  Only when it
+returns does ``main`` write the manifest from the parsed arguments and move
+every file into ``--out``; on any error the staging directory is removed,
+so a failed run adds no file to ``--out``.
 
 Exit codes: 0 success (possibly with warnings on stderr), 1 usage,
 2 domain/precondition violation or a failed root solve, 3 resource cap
@@ -102,7 +104,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _cmd_constants(args, out: Path) -> tuple[str, dict]:
+def _cmd_constants(args, out: Path) -> None:
     disc = free_energy_g_star(args.beta)
     cont = continuous_constants(args.beta, args.d)
     hdr = ["beta", "d", "c_star", "g_star", "sigma_star", "c_tilde_d",
@@ -114,22 +116,20 @@ def _cmd_constants(args, out: Path) -> tuple[str, dict]:
         _write_csv(out / "constants.csv", hdr, [row])
     else:
         _write_json(out / "constants.json", dict(zip(hdr, row)))
-    return "constants", {"beta": args.beta, "d": args.d, "format": args.format}
 
 
-def _cmd_rate_curves(args, out: Path) -> tuple[str, dict]:
+def _cmd_rate_curves(args, out: Path) -> None:
     thetas = _parse_grid(args.grid)
     info = ldp_rate_discrete_info if args.model == "discrete" else ldp_rate_continuous_info
     rows = [[theta, *row] for theta, row in zip(thetas, info(args.beta, thetas))]
     _write_csv(out / f"rate_curve_{args.model}.csv",
                ["theta", "rate", "branch", "aux_root"], rows)
-    return "rate-curves", {"beta": args.beta, "model": args.model, "grid": thetas}
 
 
 _EXACT_OUTPUTS = ("law", "Z", "free-energy", "clt", "ldp")
 
 
-def _cmd_exact(args, out: Path) -> tuple[str, dict]:
+def _cmd_exact(args, out: Path) -> None:
     outputs = _parse_outputs(args.outputs, "exact", _EXACT_OUTPUTS)
     ns = _parse_grid(args.n_grid) if args.n_grid else \
         sorted({max(2, args.n // 4), max(2, args.n // 2), args.n})
@@ -178,17 +178,12 @@ def _cmd_exact(args, out: Path) -> tuple[str, dict]:
             rows = [[theta, rate, a, rate - a] for (theta, rate), a in zip(empirical, analytic)]
             _write_csv(out / "ldp.csv",
                        ["theta", "empirical_rate", "analytic_rate", "difference"], rows)
-    return "exact", {
-        "beta": args.beta, "n": args.n, "outputs": outputs,
-        "cap": cap, "format": args.format, "grid": args.grid,
-        "n_grid": args.n_grid,
-    }
 
 
 _CONTINUOUS_OUTPUTS = ("density", "Z", "range-clt", "endpoint-clt")
 
 
-def _cmd_continuous(args, out: Path) -> tuple[str, dict]:
+def _cmd_continuous(args, out: Path) -> None:
     outputs = _parse_outputs(args.outputs, "continuous", _CONTINUOUS_OUTPUTS)
     check_positive("beta", args.beta)
     check_positive("t", args.t)
@@ -226,11 +221,6 @@ def _cmd_continuous(args, out: Path) -> tuple[str, dict]:
                                            use_exact_radius=args.exact_radius)
             rows = [[c, cdf, norm_cdf(c)] for c, cdf in zip(cgrid, cdfs)]
             _write_csv(out / "endpoint_clt.csv", ["C", "cdf", "phi"], rows)
-    return "continuous", {
-        "beta": args.beta, "t": args.t, "outputs": outputs,
-        "exact_radius": args.exact_radius, "grid": cgrid,
-        "r_grid": args.r_grid,
-    }
 
 
 def _estimate_payload(est) -> dict:
@@ -242,9 +232,7 @@ def _estimate_payload(est) -> dict:
     }
 
 
-def _cmd_mc(args, out: Path) -> tuple[str, dict]:
-    params: dict = {"seed": args.seed, "samples": args.samples,
-                    "threads": args.threads}
+def _cmd_mc(args, out: Path) -> None:
     warn_low_ess = None
     if args.mc_command == "tilted":
         est = polymer_estimate_tilted(
@@ -254,7 +242,6 @@ def _cmd_mc(args, out: Path) -> tuple[str, dict]:
             "beta": args.beta, "n": args.n, "observable": args.observable,
             **_estimate_payload(est),
         })
-        params.update(beta=args.beta, n=args.n, observable=args.observable)
         warn_low_ess = est.low_ess
     elif args.mc_command == "corollary":
         rep = corollary_bound_check(args.beta, args.d, args.n, args.seed,
@@ -265,7 +252,6 @@ def _cmd_mc(args, out: Path) -> tuple[str, dict]:
             "satisfied": rep.satisfied, "unreliable": rep.unreliable,
             **_estimate_payload(rep.estimate),
         })
-        params.update(beta=args.beta, d=args.d, n=args.n)
         warn_low_ess = rep.unreliable
     else:  # brownian; argparse requires one of the three subcommands
         hist = brownian_range_mc(args.t, args.dt, args.seed, args.samples,
@@ -276,11 +262,9 @@ def _cmd_mc(args, out: Path) -> tuple[str, dict]:
             "positive_fraction": hist.positive_fraction,
             "mean_range": hist.mean_range,
         })
-        params.update(t=args.t, dt=args.dt)
     if warn_low_ess:
         sys.stderr.write("warning: effective sample size below 1%; "
                          "estimates are reported but weakly supported\n")
-    return f"mc {args.mc_command}", params
 
 
 def _build_parser() -> _Parser:
@@ -386,7 +370,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
         stage = Path(staging)
         try:
-            command, params = _HANDLERS[args.command](args, stage)
+            _HANDLERS[args.command](args, stage)
         except ResourceCapError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 3
@@ -394,10 +378,12 @@ def main(argv=None) -> int:
             sys.stderr.write(f"error: {exc}\n")
             return 2
         names = sorted(p.name for p in stage.iterdir())
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("out", "command", "mc_command")}
         _write_json(stage / "manifest.json", {
             "artifact": "rangepolymer",
             "artifact_version": __version__,
-            "command": command,
+            "command": f"mc {args.mc_command}" if args.command == "mc" else args.command,
             "parameters": params,
             "outputs": names,
         })

@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError, check_grid, check_positive
+from .errors import (DomainError, ResourceCapError, as_float_array, check_grid,
+                     check_positive)
 from .gaussian import SQRT2PI
 from .roots import bisect_newton
 
@@ -126,7 +127,7 @@ def range_density(t: float, r) -> SeriesEval:
     prefactors, products and sum add under 16.  It holds where no term
     underflows to a subnormal.
     """
-    r = np.asarray(r, dtype=float)
+    r = as_float_array("r", r)
     _check_floor(t, r)
     sqrt_t = math.sqrt(t)
     u = r.ravel() / sqrt_t
@@ -268,7 +269,12 @@ def joint_density(t: float, x, r) -> SeriesEval:
     u = 0.5, 3e-4 at u = 0.4 and 2e5 at u = 0.3, and it can be negative
     (-2.8e-11 at u = 0.05, t = 1); the bound exceeded every error seen.
     """
-    x, r = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(r, dtype=float))
+    x, r = as_float_array("x", x), as_float_array("r", r)
+    try:
+        x, r = np.broadcast_arrays(x, r)
+    except ValueError:
+        raise DomainError(f"x and r must broadcast together, got shapes "
+                          f"{x.shape} and {r.shape}") from None
     off = np.flatnonzero(~((0.0 < x) & (x < r)))  # NaN included
     first = int(off[0]) if off.size else r.size
     _check_floor(t, r.ravel()[:first])  # the points before the first off the wedge

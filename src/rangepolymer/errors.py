@@ -45,13 +45,23 @@ def check_range_energy(beta: float, n: int) -> None:
         raise DomainError(f"beta * n^2 overflows the double range: beta={beta!r}, n={n}")
 
 
+def as_float_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array; DomainError naming ``name`` where numpy
+    cannot make one (ragged nesting, a string that is not a number)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be numbers in a rectangular array: {exc}") from None
+
+
 def check_grid(name: str, values) -> list[float]:
     """``values`` as a list of floats; DomainError unless 1-D and all finite.
 
     The grid-valued functions (CLT levels, LDP rate curves) call this before
-    they solve anything, so a scalar or a NaN stops at the API boundary.
+    they solve anything, so a scalar, a ragged list or a NaN stops at the API
+    boundary.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = as_float_array(name, values)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be a 1-D sequence, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

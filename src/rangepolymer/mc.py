@@ -161,10 +161,9 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
 
     parts = _map_blocks(job, nblocks, threads)
     f, r = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
-    logw = -beta * float(n) * float(n) / r
-    if drift != 0.0:
-        logw = logw - ((n + f) * 0.5 * math.log1p(drift)
-                       + (n - f) * 0.5 * math.log1p(-drift))
+    # the likelihood-ratio term is exactly 0.0 at drift 0, so logw keeps its bits
+    logw = -beta * float(n) * float(n) / r - ((n + f) * 0.5 * math.log1p(drift)
+                                              + (n - f) * 0.5 * math.log1p(-drift))
     if not np.all(np.isfinite(logw)):
         raise AssertionError("non-finite log-weight on valid inputs")
     w = np.exp(logw - float(logw.max()))
@@ -222,10 +221,8 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
     if observable == "range_mean":
         return _ratio_estimate(w, r / n, samples, ess)
     if observable == "endpoint_cdf":
-        if consts is None:
-            z = e / math.sqrt(n)
-        else:
-            z = (e - c * n) / (consts.sigma_star * math.sqrt(n))
+        sigma = consts.sigma_star if consts else 1.0
+        z = (e - c * n) / (sigma * math.sqrt(n))
         return _ratio_estimate(w, (z <= c_point).astype(float), samples, ess,
                                (e > 0).astype(float))
     raise DomainError(f"unknown observable {observable!r}")

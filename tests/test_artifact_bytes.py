@@ -1,5 +1,8 @@
 """Every artifact of the README and benchmark CLI commands keeps its bytes.
 
+Two more runs pin the drift-free walk paths of ``mc tilted`` at beta = 0 and
+of ``mc corollary`` in d = 2.
+
 Each command runs in-process and every file it writes, ``manifest.json``
 included, must hash to the recorded sha256 prefix (first 16 hex digits).
 A change that moves artifact bytes on purpose updates this table and says
@@ -26,7 +29,7 @@ _CONTINUOUS_40 = ["continuous", *_BETA, "--t", "40",
                   "--outputs", "density,Z,range-clt,endpoint-clt"]
 _CONTINUOUS_40_FILES = {
     "endpoint_clt.csv": "7614b50911624043",
-    "manifest.json": "f538919a1a256074",
+    "manifest.json": "339bb136a585050a",
     "partition_continuous.json": "19c649f3edfc260a",
     "range_clt.csv": "ab8a1fc523abc507",
     "range_density.csv": "5e6cdafbba19ae21",
@@ -42,11 +45,11 @@ _BROWNIAN_FILES = {
 ARTIFACTS = {
     "constants": (["constants", *_BETA], {
         "constants.csv": "b53f19256574aec3",
-        "manifest.json": "c877b2d51931b130",
+        "manifest.json": "89f9778002f008e2",
     }),
     "readme-rate-curves": (
         ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:101"], {
-            "manifest.json": "2b5ad647fd354aa8",
+            "manifest.json": "5ac5a5fc962908b3",
             "rate_curve_discrete.csv": "15443de582d8123c",
         }),
     "readme-exact": (
@@ -56,7 +59,7 @@ ARTIFACTS = {
             "free_energy.csv": "f8913bd5a6de689a",
             "law.csv": "3a45bea1f429ff87",
             "ldp.csv": "d22dc7f4317b578e",
-            "manifest.json": "6064d793b1f428c8",
+            "manifest.json": "f1c0fae51da824d6",
             "partition.json": "e8b0d811e6bec50e",
         }),
     "continuous-t40": (_CONTINUOUS_40, _CONTINUOUS_40_FILES),
@@ -64,16 +67,16 @@ ARTIFACTS = {
         ["mc", "tilted", *_BETA, "--n", "200", "--observable", "endpoint_mean_positive",
          "--seed", "7", "--samples", "100000"], {
             "estimate.json": "c756cc292dad37a2",
-            "manifest.json": "aadac2e8e640e7a6",
+            "manifest.json": "4ea12746eb9d3e25",
         }),
     "bench-rate-curves-discrete": (
         ["rate-curves", *_BETA, "--model", "discrete", "--grid", "0:1:2001"], {
-            "manifest.json": "564b8a1e52525904",
+            "manifest.json": "c3d852c8190dc6c6",
             "rate_curve_discrete.csv": "0c75a181509e329b",
         }),
     "bench-rate-curves-continuous": (
         ["rate-curves", *_BETA, "--model", "continuous", "--grid", "0:1:2001"], {
-            "manifest.json": "312d5642a93f876e",
+            "manifest.json": "4e777f38c2da23d3",
             "rate_curve_continuous.csv": "debc625136eacded",
         }),
     "bench-exact": (
@@ -83,7 +86,7 @@ ARTIFACTS = {
             "free_energy.csv": "58d31f693a75db4d",
             "law.csv": "6472a7abcf7c5830",
             "ldp.csv": "476c8358ac635ec4",
-            "manifest.json": "1ebb55680dcb62f4",
+            "manifest.json": "a452bd3d291fe379",
             "partition.json": "6995c9daae53e3b6",
         }),
     "bench-exact-big": (
@@ -91,16 +94,29 @@ ARTIFACTS = {
          "--outputs", "Z,clt,ldp"], {
             "clt.json": "7f3b63175fc8809e",
             "ldp.csv": "ebe14958bf9375bf",
-            "manifest.json": "36d6f31ff5cf7bbd",
+            "manifest.json": "57c7879b2fe60fef",
             "partition.json": "28fe125b0eff62a1",
         }),
     "bench-continuous-t160": (
         ["continuous", *_BETA, "--t", "160", "--outputs", "Z,range-clt,endpoint-clt",
          "--grid=-1,0,1"], {
             "endpoint_clt.csv": "a71cde0b1a2980e1",
-            "manifest.json": "a95db103f7633e1e",
+            "manifest.json": "99a7a0db3038ff5a",
             "partition_continuous.json": "40cee70cc9231bd8",
             "range_clt.csv": "672f0be15ba7eadb",
+        }),
+    # beta = 0 runs the walk with no drift: plain Monte Carlo, unit spread
+    "mc-tilted-beta0-endpoint-cdf": (
+        ["mc", "tilted", "--beta", "0", "--n", "60", "--observable", "endpoint_cdf",
+         "--c-point", "0.5", "--seed", "3", "--samples", "20000"], {
+            "estimate.json": "1fb26e5d48e35bfa",
+            "manifest.json": "fcb29428ee7e8dfe",
+        }),
+    "mc-corollary-d2": (
+        ["mc", "corollary", *_BETA, "--d", "2", "--n", "50", "--seed", "3",
+         "--samples", "20000"], {
+            "corollary.json": "66a34671fd34ded9",
+            "manifest.json": "744d7812be6052c5",
         }),
     "bench-mc-brownian-1-thread": ([*_BROWNIAN, "--threads", "1"], {
         **_BROWNIAN_FILES, "manifest.json": "e22f2d90d320b0b3"}),

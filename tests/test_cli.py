@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, manifests, determinism, file contents."""
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -677,8 +678,56 @@ def test_manifest_lists_each_output_once(tmp_path):
                  "--out", str(out)]) == 0
     manifest = json.loads(_read(out / "manifest.json"))
     assert manifest["outputs"] == ["partition.json"]
-    assert manifest["parameters"]["outputs"] == ["Z", "Z"]
+    assert manifest["parameters"]["outputs"] == "Z,Z"
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "partition.json"]
+
+
+def _subparser_dests(command):
+    """The option ``dest``s of the subparser that ``command`` names."""
+    parser = cli._build_parser()
+    for name in command.split():
+        [action] = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+        parser = action.choices[name]
+    return {a.dest for a in parser._actions} - {"help", "out"}
+
+
+def _argv_from_manifest(manifest):
+    """The command line a manifest records: ``--opt=value`` so that negative
+    numbers parse, a true flag bare, a false flag and a None value left out."""
+    argv = manifest["command"].split()
+    for key, value in manifest["parameters"].items():
+        option = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(option)
+        elif value is not None and value is not False:
+            argv.append(f"{option}={value}")
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--beta", "1", "--format", "json"],
+    ["rate-curves", "--beta", "1", "--model", "discrete", "--grid", "0:1:5"],
+    ["exact", "--beta", "1", "--n", "30", "--outputs", "Z,free-energy",
+     "--n-grid", "10,20,30"],
+    ["continuous", "--beta", "1", "--t", "4", "--exact-radius"],
+    ["mc", "tilted", "--beta", "1", "--n", "50", "--observable", "endpoint_cdf",
+     "--c-point=-0.3", "--seed", "1", "--samples", "2000"],
+    ["mc", "corollary", "--beta", "1", "--d", "2", "--n", "10", "--seed", "1",
+     "--samples", "500"],
+    ["mc", "brownian", "--t", "1", "--dt", "1e-4", "--seed", "1", "--samples", "50"],
+], ids=["constants", "rate-curves", "exact", "continuous", "mc-tilted", "mc-corollary",
+        "mc-brownian"])
+def test_a_manifest_reproduces_its_run(tmp_path, argv):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([*argv, "--out", str(out1)]) == 0
+    manifest = json.loads(_read(out1 / "manifest.json"))
+    assert set(manifest["parameters"]) == _subparser_dests(manifest["command"])
+    assert main([*_argv_from_manifest(manifest), "--out", str(out2)]) == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert sorted(p.name for p in out2.iterdir()) == files
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 # Ordinary values half the time; otherwise NaN, infinities, signs, zero and

@@ -26,6 +26,7 @@ from rangepolymer import (
 )
 from rangepolymer.cli import main
 from rangepolymer.continuous import continuous_constants
+from rangepolymer.errors import check_grid
 from rangepolymer.exact import joint_law_exact, polymer_law
 from rangepolymer.gaussian import SQRT2PI
 from rangepolymer import density
@@ -624,6 +625,23 @@ class TestEndpointClt:
 def test_scalar_level_rejected(fn):
     with pytest.raises(DomainError, match="1-D sequence"):
         fn(1.0, 40.0, 0.0)
+
+
+# Inputs that numpy cannot make one float array of are DomainErrors (a
+# ValueError too) that name the argument, not numpy's bare ValueError.
+@pytest.mark.parametrize("call, name", [
+    (lambda: range_density(1.0, [[1.0], [1.0, 2.0]]), "r"),
+    (lambda: range_density(1.0, "abc"), "r"),
+    (lambda: joint_density(1.0, "abc", 1.0), "x"),
+    (lambda: joint_density(1.0, [0.1, 0.2], [1.0, 2.0, 3.0]), "x and r"),
+    (lambda: check_grid("C", [[1.0], [1.0, 2.0]]), "C"),
+    (lambda: check_grid("C", ["a"]), "C"),
+    (lambda: endpoint_clt_continuous(1.0, 40.0, [[0.0], [0.0, 1.0]]), "C"),
+], ids=["range-ragged", "range-string", "joint-string", "joint-unbroadcastable",
+        "grid-ragged", "grid-string", "clt-ragged-levels"])
+def test_malformed_array_input_names_its_argument(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        call()
 
 
 # A level list of either CLT must give bitwise its one-level calls.
