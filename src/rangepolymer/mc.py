@@ -15,6 +15,7 @@ space until the final normalization.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,9 +40,9 @@ TIME_CHUNK = 2048  # Brownian increments drawn per chunk; fixes the stream order
 LOW_ESS_FRACTION = 0.01
 PATH_STEP_CAP = 10**10  # most path steps (samples * t/dt) brownian_range_mc takes
 # Most walk steps _weighted_walks takes, a walk charged n d + 8: a step peaks
-# at ~9 B (d = 1: a float64 uniform and its bool) or ~16 B (d >= 2), a walk's
+# at ~9 B (d = 1: a uint64 raw word and its bool) or ~16 B (d >= 2), a walk's
 # own arrays at ~80 B.  1.1e8 admits 1e5 walks of n = 1000; peak RSS was
-# 0.97 GB at n = 1 (1.2e7 walks), 1.0 GB and 1.8 GB at 2 walks of n d = 5.5e7
+# 0.99 GB at n = 1 (1.2e7 walks), 1.0 GB and 1.8 GB at 2 walks of n d = 5.5e7
 # in d = 1 and d = 2.
 WALK_STEP_CAP = 11 * 10**7
 
@@ -91,26 +92,71 @@ def _direction_table(d: int) -> np.ndarray:
     return dirs
 
 
+@functools.cache
+def _walk_tables():
+    """(net, low, high) int16 tables over the 2^16 codes of 16 walk steps.
+
+    A code holds its steps' up-bits first step first; low and high are the
+    extremes of 0 and the 16 partial sums.  Built from the 8-bit tables, on
+    first use, since only the walk sampler reads them.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    pos = np.cumsum(bits.astype(np.int16) * 2 - 1, axis=1, dtype=np.int16)
+    net = pos[:, -1]
+    low = np.minimum(pos.min(axis=1), 0)
+    high = np.maximum(pos.max(axis=1), 0)
+    # code = first byte, then second: the second byte's walk starts at net[first]
+    tables = (np.add.outer(net, net).ravel(),
+              np.minimum(low[:, None], np.add.outer(net, low)).ravel(),
+              np.maximum(high[:, None], np.add.outer(net, high)).ravel())
+    for table in tables:  # shared by every call: read-only
+        table.flags.writeable = False
+    return tables
+
+
+def _up_threshold(c: float) -> int:
+    """Largest raw Philox word of an up-step at drift c, -1 when there is none.
+
+    ``random()`` is (raw >> 11) 2^-53, so with p = (1 + c)/2 it is below p
+    exactly when raw >> 11 < ceil(p 2^53), that is raw <= ceil(p 2^53) 2^11 - 1;
+    the - 1 keeps p = 1 inside uint64.
+    """
+    return (math.ceil(0.5 * (1.0 + c) * 2.0**53) << 11) - 1
+
+
 def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
     """(endpoints, ranges) for one block of drifted 1-d walks.
 
-    A nearest-neighbour walk on Z visits every site between its extremes, so
-    the range over S_0..S_{n-1} is max - min + 1, the origin included: one
-    linear pass per walk.  The tests count the distinct sites of sampler
-    blocks by sorting and require them equal.
+    A step goes up when its raw Philox word is at most ``_up_threshold(c)``,
+    exactly when ``random() < (1 + c)/2`` on the same stream.  A
+    nearest-neighbour walk on Z visits every site between its extremes, so
+    the range over S_0..S_{n-1} is max - min + 1, the origin included.  The
+    first 16 floor((n - 1)/16) steps are packed into 16-step codes: a code
+    starts where the net steps of the codes before it lead, and adds its
+    ``_walk_tables`` low and high to that.  The fewer than 16 steps left
+    before the final one move the position and extremes a step at a time,
+    and the final step moves the position only.  The tests count the
+    distinct sites of sampler blocks by sorting and require them equal.
     """
-    rng = _stream(seed, block)
-    steps = (rng.random((count, n)) < 0.5 * (1.0 + c)).view(np.int8)
-    steps *= 2
-    steps -= 1
-    pos = np.cumsum(steps, axis=1, dtype=np.int32)
-    endpoints = pos[:, -1].astype(np.int64)
-    if n == 1:
-        return endpoints, np.ones(count, dtype=np.int64)
-    prefix = pos[:, : n - 1]
-    lo = np.minimum(prefix.min(axis=1), 0)
-    hi = np.maximum(prefix.max(axis=1), 0)
-    return endpoints, (hi - lo + 1).astype(np.int64)
+    up = (_stream(seed, block).bit_generator.random_raw(count * n)
+          <= _up_threshold(c)).reshape(count, n)
+    net, low, high = _walk_tables()
+    full = 16 * ((n - 1) // 16)
+    # row j holds steps 16 j .. 16 j + 15 of every walk
+    codes = np.packbits(up[:, :full], axis=1).view(">u2").T.astype(np.intp)
+    moves = net.take(codes)
+    before = np.cumsum(moves, axis=0, dtype=np.int32)
+    before -= moves  # the position each code starts from
+    lo = np.add(before, low.take(codes)).min(axis=0, initial=0)
+    hi = np.add(before, high.take(codes)).max(axis=0, initial=0)
+    s = moves.sum(axis=0, dtype=np.int32)
+    steps = np.ascontiguousarray(up[:, full:].T).view(np.int8) * 2 - 1
+    for step in steps[:-1]:
+        s += step
+        np.minimum(lo, s, out=lo)
+        np.maximum(hi, s, out=hi)
+    s += steps[-1]
+    return s.astype(np.int64), (hi - lo + 1).astype(np.int64)
 
 
 def _walk_block_nd(seed: int, block: int, count: int, n: int, d: int):

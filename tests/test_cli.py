@@ -923,3 +923,25 @@ def test_continuous_run_imports_neither_fractions_nor_the_gauss_solver(tmp_path)
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.split() == ["0", "[]"]
+
+
+def test_walk_tables_are_built_only_by_a_walk_run(tmp_path):
+    """The tilted walk's 16-step tables are built on first use: importing the
+    package and a ``constants`` run leave them unbuilt, an ``mc tilted`` run
+    builds them."""
+    code = ("import sys\n"
+            "from rangepolymer import mc\n"
+            "from rangepolymer.cli import main\n"
+            "built = [mc._walk_tables.cache_info().currsize]\n"
+            "main(['constants', '--beta', '1', '--out', sys.argv[1] + '/c'])\n"
+            "built.append(mc._walk_tables.cache_info().currsize)\n"
+            "main(['mc', 'tilted', '--beta', '1', '--n', '20', '--seed', '1',\n"
+            "      '--samples', '100', '--out', sys.argv[1] + '/t'])\n"
+            "built.append(mc._walk_tables.cache_info().currsize)\n"
+            "print(*built)\n")
+    src = str(Path(rangepolymer.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["0", "0", "1"]

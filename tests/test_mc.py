@@ -9,6 +9,7 @@ direction-sequence enumeration at n = 12.
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rangepolymer.mc import (
     _path_block,
     _ratio_estimate,
     _stream,
+    _up_threshold,
     _walk_block_1d,
     _walk_block_nd,
     _weighted_walks,
@@ -115,7 +117,8 @@ def _path_block_oracle(seed, block, count, nsteps, sd, time_chunk):
 class TestKernelsMatchOracle:
     @pytest.mark.parametrize("c", [0.0, 0.5, -0.3, 0.8,
                                    pytest.param(_C_NEAR_ONE, id="cstar18")])
-    @pytest.mark.parametrize("n", [1, 2, 3, 200, 1000])
+    # 16..33 steps: no full 16-step code, tails of 0, 1 and 15 steps, two codes
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 18, 32, 33, 200, 1000])
     @pytest.mark.parametrize("count", [WALK_BLOCK, 37])
     def test_walk_block_1d_bitwise(self, n, c, count):
         # the kernel's max - min + 1 against a distinct-site count
@@ -134,14 +137,31 @@ class TestKernelsMatchOracle:
 
     def test_corrupt_range_fails_the_oracle_comparison(self, monkeypatch):
         # control for test_walk_block_1d_bitwise: a range off by one is caught
-        maximum = np.maximum
+        from rangepolymer import mc
+        net, low, high = mc._walk_tables()
         with monkeypatch.context() as patch:
-            patch.setattr(np, "maximum", lambda a, b: maximum(a, b) + 1)
+            patch.setattr(mc, "_walk_tables", lambda: (net, low, high + 1))
             corrupt = _walk_block_1d(5, 0, 64, 50, 0.2)
         want = _walk_block_1d_oracle(5, 0, 64, 50, 0.2)
         with pytest.raises(AssertionError):
             _assert_same_arrays(corrupt, want)
         _assert_same_arrays(_walk_block_1d(5, 0, 64, 50, 0.2), want)
+
+    @pytest.mark.parametrize("c", [-1.0, -0.999, -0.3, -5e-324, 0.0, 5e-324, 0.5,
+                                   pytest.param(_C_NEAR_ONE, id="cstar18"),
+                                   1.0 - 2.0**-53, 1.0])
+    def test_up_threshold_is_random_below_p(self, c):
+        p = 0.5 * (1.0 + c)
+        threshold = _up_threshold(c)
+        k = math.ceil(p * 2.0**53)
+        # the last word that goes up and the first that does not, where they exist
+        edges = [w for w in ((k - 1) * 2**11 + 2047, k * 2**11) if 0 <= w < 2**64]
+        for word in edges:
+            assert (word <= threshold) == (Fraction(word >> 11, 2**53) < Fraction(p))
+        for seed, block in [(0, 0), (11, 3), (2**64 - 1, 24)]:
+            raw = _stream(seed, block).bit_generator.random_raw(200_000)
+            want = _stream(seed, block).random(200_000) < p
+            assert np.array_equal(raw <= threshold, want)
 
 
 class TestSampleWalk:
