@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 
+_CSV_SLICE = 1 << 14  # law.csv rows per join and write
+
+
 @dataclass(frozen=True)
 class JointEndpointRangeLaw:
     """Probability table over (endpoint x, range r) at fixed n.
@@ -74,14 +77,28 @@ class JointEndpointRangeLaw:
     def endpoint_marginal(self) -> dict[int, float]:
         return self._marginal(self.xs)
 
-    def range_marginal(self) -> dict[int, float]:
-        return self._marginal(self.rs)
-
     def to_csv(self, path) -> None:
+        """Write ``x,r,probability`` rows in storage order, 17 digits each.
+
+        Each distinct probability is formatted once and the ``x,``/``r,``
+        fields come from string tables over -n..n and 0..n, so the slow
+        correctly rounded conversion runs per value, not per row.  The bytes
+        are those of one f-string per entry: ``.17g`` depends only on a
+        double's value, and a law table holds no -0.0 (equal to +0.0 but
+        printed apart) and no NaN.  Rows are joined and written in slices of
+        ``_CSV_SLICE``, which bounds the text held at once.
+        """
+        n = self.n
+        uq, inv = np.unique(self.ps, return_inverse=True)
+        ptxt = np.array([f"{p:.17g}\n" for p in uq.tolist()], dtype=object)
+        xtxt = np.array([f"{x}," for x in range(-n, n + 1)], dtype=object)
+        rtxt = np.array([f"{r}," for r in range(n + 1)], dtype=object)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("x,r,probability\n")
-            for x, r, p in self.entries():
-                fh.write(f"{x},{r},{p:.17g}\n")
+            for i in range(0, len(inv), _CSV_SLICE):
+                j = slice(i, i + _CSV_SLICE)
+                rows = xtxt[self.xs[j] + n] + rtxt[self.rs[j]] + ptxt[inv[j]]
+                fh.write("".join(rows.tolist()))
 
     def to_json(self, path) -> None:
         payload = {
@@ -123,8 +140,6 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
     """
     m = n - 1
     h0 = (m + 1) // 2  # the first h with X >= 0
-    hs = np.arange(h0, m + 1)
-    ax = 2 * hs - m  # |X| on the half
     ints = np.arange(m + 2).astype(object)  # exact factors s + 1 - |X|
     binom = np.zeros(2 * m + 2, dtype=object)  # padded for the residue sums
     row = [1]
@@ -134,8 +149,8 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
     binom[m - m // 2 : m + 1] = row[::-1]
     # G + 2^m: the constant cancels in the second difference and the row
     # reads 2^m off the support |X| <= s, where G itself is 0.
-    g = np.full(len(hs), 1 << m, dtype=object)
-    dg = np.zeros(len(hs), dtype=object)
+    g = np.full(m + 1 - h0, 1 << m, dtype=object)
+    dg = np.zeros(m + 1 - h0, dtype=object)
     H0 = (n + 1) // 2  # the first final half-index with x >= 0
     pt = np.zeros((n + 1, n))  # x-major, so the support reads in storage order
     for s in range(m + 1):
@@ -143,12 +158,19 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
         if k == 0:  # s = 0 with m odd: no X has |X| <= 0
             continue
         W = s + 2
-        # the comb: residue sums of N_m modulo W, for the residues h mod W
-        B = binom[: -(-(m + 1) // W) * W].reshape(-1, W)[:, hs[:k] % W].sum(axis=0)
-        pairs = 2 * B  # B(q) + B(-q)
+        # the comb: residue sums of N_m modulo W, for the residues h mod W.
+        # k <= s / 2 + 1 < W, so the residues of h0 .. h0 + k - 1 are one
+        # contiguous run of columns that wraps past W - 1 at most once.
+        cols = binom[: -(-(m + 1) // W) * W].reshape(-1, W)
+        r0 = h0 % W
+        B = cols[:, r0:r0 + k].sum(axis=0)
+        if r0 + k > W:
+            B = np.concatenate((B, cols[:, :r0 + k - W].sum(axis=0)))
+        pairs = B + B  # B(q) + B(-q)
         if m % 2 == 0:
             pairs[0] = B[0]  # X = 0 counts once
-        g_s = ints[s + 1 - ax[:k]] * B + np.cumsum(pairs)
+        # s + 1 - |X| as a view, for |X| = m % 2, m % 2 + 2, ... on the half
+        g_s = ints[s + 1 - m % 2::-2][:k] * B + np.cumsum(pairs)
         d = g_s - g[:k]
         c = d - dg[:k]  # paths with range s + 1 ending at X
         g[:k], dg[:k] = g_s, d

@@ -20,6 +20,8 @@ None of these is on a CLI or library path; each recomputes a quantity that
                                at any order, from numpy's ``leggauss``
   * ``window_by_fractions``  - the quadrature window of ``density._window``
                                with its peak formed as a ``Fraction``
+  * ``range_marginal``       - P(R_n = r) of a law table; no library path reads it
+  * ``_oracle_law_csv``      - ``law.csv`` written one f-string per entry
 
 The joint-law routes build the same (endpoint, range) table as
 ``joint_law_exact`` with the same range convention: the law is built at
@@ -46,6 +48,19 @@ def _law_from_counts(n: int, counts: dict[tuple[int, int], int]) -> JointEndpoin
     rs = np.array([k[1] for k in keys], dtype=np.int64)
     ps = np.array([math.ldexp(float(counts[k]), -n) for k in keys], dtype=float)
     return JointEndpointRangeLaw(n=n, xs=xs, rs=rs, ps=ps)
+
+
+def range_marginal(law: JointEndpointRangeLaw) -> dict[int, float]:
+    """P(R_n = r) by r, summed in storage order as ``endpoint_marginal`` is."""
+    return law._marginal(law.rs)
+
+
+def _oracle_law_csv(law: JointEndpointRangeLaw, path) -> None:
+    """The per-entry writer that ``JointEndpointRangeLaw.to_csv`` replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,r,probability\n")
+        for x, r, p in law.entries():
+            fh.write(f"{x},{r},{p:.17g}\n")
 
 
 def _convolve_final_step(prefix: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:

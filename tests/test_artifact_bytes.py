@@ -1,7 +1,7 @@
 """Every artifact of the README and benchmark CLI commands keeps its bytes.
 
-Two more runs pin the drift-free walk paths of ``mc tilted`` at beta = 0 and
-of ``mc corollary`` in d = 2.
+Three more runs pin the drift-free walk paths of ``mc tilted`` at beta = 0
+and of ``mc corollary`` in d = 2, and the JSON form of the exact law.
 
 Each command runs in-process and every file it writes, ``manifest.json``
 included, must hash to the recorded sha256 prefix (first 16 hex digits).
@@ -61,6 +61,11 @@ ARTIFACTS = {
             "ldp.csv": "d22dc7f4317b578e",
             "manifest.json": "f1c0fae51da824d6",
             "partition.json": "e8b0d811e6bec50e",
+        }),
+    "exact-law-json": (
+        ["exact", *_BETA, "--n", "30", "--outputs", "law", "--format", "json"], {
+            "law.json": "93894c71892fbcde",
+            "manifest.json": "f050309466e844e3",
         }),
     "continuous-t40": (_CONTINUOUS_40, _CONTINUOUS_40_FILES),
     "readme-mc-tilted": (

@@ -42,7 +42,7 @@ from rangepolymer.density import (
     _window,
 )
 
-from oracles import gauss_legendre_panels, window_by_fractions
+from oracles import gauss_legendre_panels, range_marginal, window_by_fractions
 
 PREFACTOR = 8.0 / math.sqrt(3.0)
 
@@ -555,7 +555,7 @@ def test_exact_range_marginal_converges_to_the_feller_density(n):
     n = 100, 200, 400 and 1000: O(1/n).  Against f_R(r - 1) it is the unit
     shift, 2.44 to 2.48 of peak/sqrt(n).  A 1% error in t reads 6.0 to 6.4
     of peak/n at n = 400, where the f_R(r - 1) gap still passes."""
-    marginal = joint_law_exact(n).range_marginal()
+    marginal = range_marginal(joint_law_exact(n))
     rs = np.array(sorted(marginal), dtype=float)
     ps = np.array([marginal[r] for r in sorted(marginal)])
     keep = rs - 1.0 >= DEFAULT_FLOOR * math.sqrt(n)  # holds all but 1e-300 of the mass

@@ -26,14 +26,16 @@ from rangepolymer import (
     speed_c_star,
     tilde_c_d,
 )
-from rangepolymer.exact import _ks_distance, _window_site
+from rangepolymer.exact import _CSV_SLICE, JointEndpointRangeLaw, _ks_distance, _window_site
 
 from oracles import (
     _convolve_final_step,
     _law_from_counts,
+    _oracle_law_csv,
     endpoint_variance_conditional,
     enumerate_joint_law,
     joint_law_dp,
+    range_marginal,
     reflection_min_max_endpoint,
 )
 
@@ -85,7 +87,7 @@ class TestEnumeration:
         assert law == {(-2, 2): 0.25, (0, 2): 0.5, (2, 2): 0.25}
 
     def test_n3_range_marginal(self):
-        marg = enumerate_joint_law(3).range_marginal()
+        marg = range_marginal(enumerate_joint_law(3))
         assert marg[2] == pytest.approx(0.5, abs=1e-15)
         assert marg[3] == pytest.approx(0.5, abs=1e-15)
 
@@ -273,10 +275,10 @@ class TestRowBuilderMatchesDictOracle:
     def test_marginals_bitwise(self, n):
         law = joint_law_exact(n)
         assert law.endpoint_marginal() == _dict_marginal(law, 0)
-        assert law.range_marginal() == _dict_marginal(law, 1)
+        assert range_marginal(law) == _dict_marginal(law, 1)
         tilted = polymer_law(1.0, n).tilted
         assert tilted.endpoint_marginal() == _dict_marginal(tilted, 0)
-        assert tilted.range_marginal() == _dict_marginal(tilted, 1)
+        assert range_marginal(tilted) == _dict_marginal(tilted, 1)
 
     @pytest.mark.parametrize("n, digest", [
         # m odd: the x = 0 column holds 2 c(1)
@@ -500,6 +502,47 @@ def test_law_taking_checks_match_the_beta_n_forms(beta, n):
     thetas = [i / 40 for i in range(41)] + [0.3, 0.5, 0.7, 0.95]
     assert clt_check(law) == _oracle_clt_check(beta, n)
     assert ldp_empirical(law, thetas) == _oracle_ldp_empirical(beta, n, thetas)
+
+
+def _assert_csv_matches_oracle(law, tmp_path, write=JointEndpointRangeLaw.to_csv):
+    write(law, tmp_path / "got.csv")
+    _oracle_law_csv(law, tmp_path / "ref.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestCsvWriterMatchesOracle:
+    """``to_csv`` formats each distinct value once; the bytes are the
+    per-entry writer's.  n <= 150 fits one slice of rows, n = 301 takes
+    two and n = 1033 seventeen."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 31, 64, 150, 301, 600, 1033])
+    def test_untilted(self, tmp_path, n):
+        _assert_csv_matches_oracle(joint_law_exact(n), tmp_path)
+
+    @pytest.mark.parametrize("beta, n", [(0.0, 200), (1.0, 600), (0.5, 301), (5.0, 200)])
+    def test_tilted(self, tmp_path, beta, n):
+        tilted = polymer_law(beta, n).tilted
+        if beta == 5.0:  # small-r cells underflow to 0.0, printed "0"
+            assert (tilted.ps == 0.0).any()
+        _assert_csv_matches_oracle(tilted, tmp_path)
+
+    def test_slice_counts(self):
+        sizes = {n: len(joint_law_exact(n).ps) for n in (150, 301, 1033)}
+        assert sizes[150] <= _CSV_SLICE < sizes[301] <= 2 * _CSV_SLICE
+        assert 16 * _CSV_SLICE < sizes[1033] <= 17 * _CSV_SLICE
+
+    def test_control_one_value_at_16_digits_fails(self, tmp_path):
+        law = polymer_law(1.0, 64).tilted
+        slip = next(p for p in law.ps.tolist() if f"{p:.16g}" != f"{p:.17g}")
+
+        def misprint(law, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("x,r,probability\n")
+                for x, r, p in law.entries():
+                    fh.write(f"{x},{r},{p:{'.16g' if p == slip else '.17g'}}\n")
+
+        with pytest.raises(AssertionError):
+            _assert_csv_matches_oracle(law, tmp_path, write=misprint)
 
 
 class TestExports:
