@@ -18,7 +18,7 @@ root solves the cubic 4 r^3 - 2 theta r^2 = beta.  Every cube root is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, SolverError, check_grid, check_positive
 from .roots import RootResult, bisect_newton
@@ -32,8 +32,7 @@ __all__ = [
     "ldp_rate_continuous_info",
 ]
 
-@dataclass(frozen=True)
-class ContinuousConstants:
+class ContinuousConstants(NamedTuple):
     """Explicit constants of the continuous model at one beta.
 
     For d >= 2 only ``beta_tilde_d`` and ``free_energy_bound`` (the
@@ -92,7 +91,7 @@ def continuous_constants(beta: float, d: int = 1) -> ContinuousConstants:
         beta_tilde_d=0.5 * ratio,
         free_energy_bound=-1.5 * ratio * ratio,
     )
-    if not all(math.isfinite(v) for v in (scaled, *vars(consts).values())):
+    if not all(math.isfinite(v) for v in (scaled, *consts)):
         raise DomainError(f"beta/w_(d-1) = {scaled!r} is not finite at d={d!r}")
     return consts
 

@@ -31,7 +31,6 @@ overflows or underflows at any t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +69,7 @@ _GL_WEIGHTS = np.array([
 # here use at most a few thousand per layout at the documented sizes.
 PANEL_NODE_CAP = 10**6
 
-@dataclass(frozen=True)
-class SeriesEval:
+class SeriesEval(NamedTuple):
     """Series value with a rigorous truncation bound and the term count;
     value and bound are arrays when the series is evaluated at an array."""
 
@@ -80,8 +78,7 @@ class SeriesEval:
     terms_used: int
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Integral value, error estimate from panel refinement, and the domain.
 
     ``log_value`` stays finite when ``value`` itself would underflow (the

@@ -23,7 +23,7 @@ downstream formula is read off s (``_at_logit``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, SolverError, check_grid, check_positive
 from .roots import RootResult, bisect_newton
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolymerConstants:
+class PolymerConstants(NamedTuple):
     """Speed, free energy and spread at one beta."""
 
     beta: float

@@ -30,8 +30,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
 _CSV_SLICE = 1 << 14  # law.csv rows per join and write
 
 
-@dataclass(frozen=True)
-class JointEndpointRangeLaw:
+class JointEndpointRangeLaw(NamedTuple):
     """Probability table over (endpoint x, range r) at fixed n.
 
     Entries are stored sorted by x ascending then r ascending; ``ps`` holds
@@ -203,8 +202,7 @@ def joint_law_exact(n: int) -> JointEndpointRangeLaw:
     return _exact_law_cached(n)
 
 
-@dataclass(frozen=True)
-class PolymerLaw:
+class PolymerLaw(NamedTuple):
     """The walk's joint law reweighted by exp(-beta n^2 / r) and normalized.
 
     ``log_partition`` is exact up to rounding; ``partition_value`` underflows

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ PATH_STEP_CAP = 10**10  # most path steps (samples * t/dt) brownian_range_mc tak
 WALK_STEP_CAP = 11 * 10**7
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Estimate with standard error, sample count and effective sample size.
 
     ``low_ess`` flags effective sample sizes below 1% of the nominal count;
@@ -76,11 +75,28 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    has one, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_blocks(fn, nblocks: int, threads: int) -> list:
-    """Run fn(block_index) for every block, results in block order."""
-    if threads <= 1 or nblocks <= 1:
+    """Run fn(block_index) for every block, results in block order.
+
+    Workers number at most ``threads``, the blocks and the usable cores: a
+    thread past the cores cannot speed anything up, yet holds its block's
+    buffers (8 MiB of increments for a Brownian block).  The thread pool is
+    imported here, on demand: ``concurrent.futures`` pulls in ``logging``,
+    ``queue`` and ``traceback``, which a one-worker run never needs.
+    """
+    workers = min(threads, nblocks, _usable_cores())
+    if workers <= 1:
         return [fn(b) for b in range(nblocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(nblocks)))
 
 
@@ -274,8 +290,7 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
     raise DomainError(f"unknown observable {observable!r}")
 
 
-@dataclass(frozen=True)
-class CorollaryBoundReport:
+class CorollaryBoundReport(NamedTuple):
     """Soft consistency report of E[R_n/n] against the threshold bound."""
 
     estimate: McEstimate
@@ -312,8 +327,7 @@ def corollary_bound_check(beta: float, d: int, n: int, seed: int,
     )
 
 
-@dataclass(frozen=True)
-class BrownianRangeHistograms:
+class BrownianRangeHistograms(NamedTuple):
     """Histogram densities of the endpoint and range of discretized paths.
 
     Euler discretization with exact Gaussian increments; the grid range

@@ -11,14 +11,12 @@ caller checks its own residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import SolverError
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     """Solver output for a scalar root.
 
     value      : the root

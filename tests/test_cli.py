@@ -925,6 +925,52 @@ def test_continuous_run_imports_neither_fractions_nor_the_gauss_solver(tmp_path)
     assert done.stdout.split() == ["0", "[]"]
 
 
+def test_one_thread_runs_import_neither_dataclasses_nor_the_thread_pool(tmp_path):
+    """The records are NamedTuples and ``mc`` imports its thread pool only
+    when it starts one: frozen dataclasses and ``concurrent.futures`` took
+    about 15 ms of every start-up (BENCH_startup-imports.json)."""
+    code = ("import sys\n"
+            "import rangepolymer.cli\n"
+            "runs = [['constants', '--beta', '1'],\n"
+            "        ['exact', '--beta', '1', '--n', '30'],\n"
+            "        ['continuous', '--beta', '1', '--t', '4'],\n"
+            "        ['mc', 'tilted', '--beta', '1', '--n', '20', '--seed', '1',\n"
+            "         '--samples', '100']]\n"
+            "codes = [rangepolymer.cli.main([*argv, '--threads', '1', '--out',\n"
+            "                                sys.argv[1] + f'/{i}'])\n"
+            "         for i, argv in enumerate(runs)]\n"
+            "print(*codes, [m for m in ('dataclasses', 'concurrent.futures')\n"
+            "               if m in sys.modules])\n")
+    src = str(Path(rangepolymer.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["0", "0", "0", "0", "[]"]
+
+
+def test_every_record_is_immutable():
+    """Assigning to any field of any public record type raises AttributeError."""
+    law = rangepolymer.polymer_law(1.0, 6)
+    report = rangepolymer.corollary_bound_check(1.0, 2, 10, seed=1, samples=100)
+    records = [
+        rangepolymer.speed_c_star(1.0),
+        rangepolymer.free_energy_g_star(1.0),
+        rangepolymer.continuous_constants(1.0),
+        rangepolymer.range_density(1.0, 1.0),
+        rangepolymer.partition_function_continuous(1.0, 4.0),
+        law, law.tilted, report, report.estimate,
+        rangepolymer.brownian_range_mc(1.0, 1e-4, seed=1, samples=10),
+    ]
+    public = {obj for obj in (getattr(rangepolymer, name) for name in rangepolymer.__all__)
+              if isinstance(obj, type) and not issubclass(obj, Exception)}
+    assert {type(record) for record in records} == public
+    for record in records:
+        for field in type(record).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
+
 def test_walk_tables_are_built_only_by_a_walk_run(tmp_path):
     """The tilted walk's 16-step tables are built on first use: importing the
     package and a ``constants`` run leave them unbuilt, an ``mc tilted`` run

@@ -6,9 +6,10 @@ equality.  The d = 2 tilt is cross-checked against an exhaustive
 direction-sequence enumeration at n = 12.
 """
 
-import dataclasses
+import concurrent.futures
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -474,8 +475,8 @@ def _brownian_joint_oracle(t, dt, seed, samples, threads=1):
 
 def _bits(value):
     """A value with every float replaced by its exact bit pattern."""
-    if dataclasses.is_dataclass(value):
-        return (type(value).__name__, _bits(dataclasses.astuple(value)))
+    if hasattr(value, "_fields"):  # a record: its type name and its fields
+        return (type(value).__name__, _bits(tuple(value)))
     if isinstance(value, (list, tuple)):
         return tuple(_bits(v) for v in value)
     if isinstance(value, np.ndarray):
@@ -510,6 +511,40 @@ class TestEstimatorsMatchPipelineOracle:
         h = brownian_range_mc(1.0, 1e-4, seed=6, samples=1100, threads=2)
         got = (h.joint_x_edges, h.joint_r_edges, h.joint_density, h.joint_se)
         assert _bits(got) == _bits(_brownian_joint_oracle(1.0, 1e-4, 6, 1100))
+
+
+def test_workers_are_capped_at_the_usable_cores(monkeypatch):
+    """A thread count far past the cores asks the pool for at most the usable
+    cores, and the results keep the one-thread bits.  The stand-in pool runs
+    every task inline and starts no thread."""
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    runs = [  # 3 path blocks, 6 walk blocks
+        lambda threads: brownian_range_mc(1.0, 1e-4, seed=3, samples=1100,
+                                          threads=threads),
+        lambda threads: polymer_estimate_tilted(1.0, 40, "range_mean", 4,
+                                                5 * WALK_BLOCK + 1, threads=threads),
+    ]
+    for run in runs:
+        assert _bits(run(10**6)) == _bits(run(1))
+    assert len(asked) == (2 if cores > 1 else 0)
+    assert all(workers <= cores for workers in asked)
 
 
 @pytest.mark.parametrize("d", [1, 2])
