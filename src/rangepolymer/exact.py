@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +50,118 @@ __all__ = [
 
 
 _CSV_SLICE = 1 << 14  # law.csv rows per join and write
+_DEKKER = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
+_TIE_BAND = 2.0**-46  # bound on the error of the scaled value p 10^(16 - E)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact split a = hi + lo, each half of at most 26 bits."""
+    t = _DEKKER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _words(table: np.ndarray) -> np.ndarray:
+    """A table of 4-byte ASCII rows as native-order uint32 words."""
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint32).squeeze(-1)
+
+
+@cache
+def _g17_tables():
+    """The tables of ``_format_17g``, built on first use.
+
+    For q = 16 - E with E = -5 .. -324 (index -5 - E), 10^q = (th + tl) 2^b
+    with th in [1, 2) correctly rounded, tl the correctly rounded rest and
+    (t1, t2) Dekker's split of th; ten[k + 325] = fl(10^k).  The text
+    tables hold 4-byte words, NUL-padded: "d." per leading digit and, for a
+    value with no fraction digits, "d"; the 4-digit chunks and, for the
+    last nonzero chunk, the same with trailing zeros as NUL; per exponent,
+    "e-" with two digits, then its third digit, if any, and the row's end.
+    """
+    th, tl, b = [], [], []
+    ten_q = 10**20
+    for _ in range(320):
+        ten_q *= 10
+        e = ten_q.bit_length() - 1
+        hi = ten_q / (1 << e)  # int / int rounds correctly
+        th.append(hi)
+        tl.append((ten_q - (int(hi * 2.0**52) << (e - 52))) / (1 << e))
+        b.append(e)
+    th = np.array(th)
+    ten = np.array([1 / 10**k for k in range(325, 2, -1)])
+    four = np.indices((10,) * 4).reshape(4, -1).T + 48  # "0000" .. "9999"
+    # trailing zeros turn NUL in the copy for the last nonzero chunk
+    zeros = np.logical_and.accumulate(four[:, ::-1] == 48, axis=1)[:, ::-1]
+    four = np.concatenate([four, np.where(zeros, 0, four)])
+    lead = np.zeros((2, 10, 4), dtype=np.uint8)  # "d." and, with no fraction, "d"
+    lead[:, :, 0], lead[0, :, 1] = np.arange(48, 58), ord(".")
+    e = np.arange(325)[:, None]
+    big = e >= 100
+    expo = np.zeros((325, 8), dtype=np.uint8)
+    expo[:, :6] = np.concatenate([
+        np.full_like(e, ord("e")), np.full_like(e, ord("-")),
+        np.where(big, e // 100, e // 10) + 48, np.where(big, e // 10, e) % 10 + 48,
+        np.where(big, e % 10 + 48, 10), np.where(big, 10, 0)], axis=1)
+    expo = _words(expo.reshape(325, 2, 4))
+    tables = (th, *_split(th), np.array(tl), np.array(b, dtype=np.int32), ten,
+              _words(lead.reshape(20, 4)), _words(four),
+              expo[:, 0].copy(), expo[:, 1].copy())
+    for table in tables:  # shared by every call: read-only
+        table.flags.writeable = False
+    return tables
+
+
+def _format_17g(values: np.ndarray) -> np.ndarray:
+    """``f"{p:.17g}"`` of every value, as an object array of str.
+
+    Values in (0, 1e-4) are printed from the scaled product that
+    ``JointEndpointRangeLaw.to_csv`` describes; every other value, and any
+    whose rounding that product leaves open, goes through ``format``.
+    """
+    v = np.asarray(values, dtype=float)
+    th_t, t1_t, t2_t, tl_t, b_t, ten, lead, four, ex1, ex2 = _g17_tables()
+    ok = (v > 0.0) & (v < 1e-4)
+    p = np.where(ok, v, 1e-5)
+    E = np.floor(np.log10(p)).astype(np.intp)  # off by at most one
+    E -= p < ten[E + 325]
+    E += p >= ten[E + 326]
+    np.clip(E, -324, -5, out=E)
+    i = -5 - E
+    # p 10^(16 - E) = f (th + tl) 2^(k + b), f in [0.5, 1): f th = ph + pl
+    # exactly by Dekker's two-product, and f tl joins the low part
+    f, k = np.frexp(p)
+    ph = f * th_t[i]
+    f1, f2 = _split(f)
+    t1, t2 = t1_t[i], t2_t[i]
+    pl = ((f1 * t1 - ph) + f1 * t2 + f2 * t1) + f2 * t2
+    K = k + b_t[i]
+    xh = np.ldexp(ph, K)  # an even integer once xh > 2^53
+    xl = np.ldexp(pl + f * tl_t[i], K)
+    below = np.floor(xl)
+    frac = xl - below
+    D = xh.astype(np.int64) + (below + (frac > 0.5)).astype(np.int64)
+    fall = ~ok | (np.abs(frac - 0.5) <= _TIE_BAND) | (D <= 10**16) | (D >= 10**17)
+    D[fall] = 10**16 + 1  # keeps the table indices in range
+    chunks = []  # the leading digit, then four chunks of 4 fraction digits
+    for scale in (10**16, 10**12, 10**8, 10**4):
+        top = D // scale
+        D -= top * scale
+        chunks.append(top)
+    chunks.append(D)
+    W = np.empty((len(v), 7), dtype=np.uint32)
+    zero_after = np.ones(len(v), dtype=bool)  # every later fraction digit is 0
+    for j in (4, 3, 2, 1):
+        W[:, j] = four[chunks[j] + 10000 * zero_after]
+        zero_after &= chunks[j] == 0
+    W[:, 0] = lead[chunks[0] + 10 * zero_after]
+    W[:, 5] = ex1[-E]
+    W[:, 6] = ex2[-E]
+    text = W.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    text.pop()
+    idx = np.flatnonzero(fall)
+    for j, x in zip(idx.tolist(), v[idx].tolist()):
+        text[j] = f"{x:.17g}"
+    return np.array(text, dtype=object)
 
 
 class JointEndpointRangeLaw(NamedTuple):
@@ -80,16 +192,34 @@ class JointEndpointRangeLaw(NamedTuple):
         """Write ``x,r,probability`` rows in storage order, 17 digits each.
 
         Each distinct probability is formatted once and the ``x,``/``r,``
-        fields come from string tables over -n..n and 0..n, so the slow
-        correctly rounded conversion runs per value, not per row.  The bytes
-        are those of one f-string per entry: ``.17g`` depends only on a
-        double's value, and a law table holds no -0.0 (equal to +0.0 but
-        printed apart) and no NaN.  Rows are joined and written in slices of
-        ``_CSV_SLICE``, which bounds the text held at once.
+        fields come from string tables over -n..n and 0..n, so the digits
+        are formed per value, not per row.  The bytes are those of one
+        f-string per entry: ``.17g`` depends only on a double's value, and a
+        law table holds no -0.0 (equal to +0.0 but printed apart) and no
+        NaN.  Rows are joined and written in slices of ``_CSV_SLICE``, which
+        bounds the text held at once.
+
+        ``_format_17g`` prints the distinct values in one vectorized pass.
+        For p in (0, 1e-4), which ``.17g`` prints as ``d.dddde-XX``, the
+        decimal exponent E comes from log10(p), corrected by comparing p
+        with fl(10^E) and fl(10^(E + 1)), and the digits are
+        D = round-half-even(p 10^(16 - E)).  With p = f 2^k, f in [0.5, 1),
+        and 10^(16 - E) = (th + tl) 2^b from exact integers (th in [1, 2)
+        and tl both correctly rounded), Dekker's two-product gives f th =
+        ph + pl exactly; rounding tl, f tl and pl + f tl adds less than
+        2^-104 to f (th + tl), and the scale 2^(k + b) < 2^58 makes that
+        less than 2^-46 on p 10^(16 - E).  So xh = ph 2^(k + b), an integer
+        above 2^53, plus the rounding of xl = (pl + f tl) 2^(k + b) gives D
+        unless the fraction of xl lies within 2^-46 of 1/2.  Such values
+        (exact ties among them), a D outside (10^16, 10^17) (a carry to
+        10^17 or an exponent off by one), 0.0 and the values that ``.17g``
+        prints in fixed notation (1e-4 <= p < 1e17) fall back to
+        ``format``.  The argument uses only IEEE double arithmetic, so the
+        platform can change how many values fall back, never a byte.
         """
         n = self.n
         uq, inv = np.unique(self.ps, return_inverse=True)
-        ptxt = np.array([f"{p:.17g}\n" for p in uq.tolist()], dtype=object)
+        ptxt = _format_17g(uq)
         xtxt = np.array([f"{x}," for x in range(-n, n + 1)], dtype=object)
         rtxt = np.array([f"{r}," for r in range(n + 1)], dtype=object)
         with open(path, "w", encoding="utf-8") as fh:
@@ -97,7 +227,7 @@ class JointEndpointRangeLaw(NamedTuple):
             for i in range(0, len(inv), _CSV_SLICE):
                 j = slice(i, i + _CSV_SLICE)
                 rows = xtxt[self.xs[j] + n] + rtxt[self.rs[j]] + ptxt[inv[j]]
-                fh.write("".join(rows.tolist()))
+                fh.write("\n".join(rows.tolist()) + "\n")
 
     def to_json(self, path) -> None:
         payload = {
@@ -139,7 +269,7 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
     """
     m = n - 1
     h0 = (m + 1) // 2  # the first h with X >= 0
-    ints = np.arange(m + 2).astype(object)  # exact factors s + 1 - |X|
+    ints = np.arange(m + 2).astype(object)  # exact factors s + 3 - |X|
     binom = np.zeros(2 * m + 2, dtype=object)  # padded for the residue sums
     row = [1]
     for j in range(m // 2):  # C(m, j + 1) = C(m, j) (m - j) / (j + 1)
@@ -165,11 +295,13 @@ def _exact_law_cached(n: int) -> JointEndpointRangeLaw:
         B = cols[:, r0:r0 + k].sum(axis=0)
         if r0 + k > W:
             B = np.concatenate((B, cols[:, :r0 + k - W].sum(axis=0)))
-        pairs = B + B  # B(q) + B(-q)
-        if m % 2 == 0:
-            pairs[0] = B[0]  # X = 0 counts once
-        # s + 1 - |X| as a view, for |X| = m % 2, m % 2 + 2, ... on the half
-        g_s = ints[s + 1 - m % 2::-2][:k] * B + np.cumsum(pairs)
+        # g(X) - g(X - 2) = (s + 3 - X)(B(X) - B(X - 2)), and g = (s + 2) B
+        # at the first X = m % 2; s + 3 - X for X = m % 2 + 2, ... is a view
+        g_s = np.empty(k, dtype=object)
+        g_s[0] = (s + 2) * B[0]
+        np.subtract(B[1:], B[:-1], out=g_s[1:])
+        g_s[1:] *= ints[s + 1 - m % 2::-2][:k - 1]
+        np.cumsum(g_s, out=g_s)
         d = g_s - g[:k]
         c = d - dg[:k]  # paths with range s + 1 ending at X
         g[:k], dg[:k] = g_s, d

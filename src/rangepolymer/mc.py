@@ -378,10 +378,11 @@ def _path_block(seed: int, block: int, count: int, nsteps: int, sd: float):
         rng.standard_normal(out=inc)
         inc *= sd  # bitwise rng.normal(0.0, sd)
         np.cumsum(inc, axis=1, out=inc)
-        inc += x[:, None]
-        np.minimum(lo, inc.min(axis=1, out=extreme), out=lo)
-        np.maximum(hi, inc.max(axis=1, out=extreme), out=hi)
-        x[:] = inc[:, -1]
+        # rounding is monotone, so min_k fl(a_k + x) = fl(min_k a_k + x): the
+        # chunk's prefix sums a_k are shifted by x only at their extremes
+        np.minimum(lo, np.add(inc.min(axis=1, out=extreme), x, out=extreme), out=lo)
+        np.maximum(hi, np.add(inc.max(axis=1, out=extreme), x, out=extreme), out=hi)
+        x += inc[:, -1]
         left -= L
     return x, lo, hi
 

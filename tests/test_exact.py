@@ -9,6 +9,7 @@ well inside the 1e-12 contract.
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from rangepolymer import (
     speed_c_star,
     tilde_c_d,
 )
-from rangepolymer.exact import _CSV_SLICE, JointEndpointRangeLaw, _ks_distance, _window_site
+from rangepolymer import exact
+from rangepolymer.exact import (
+    _CSV_SLICE,
+    JointEndpointRangeLaw,
+    _format_17g,
+    _ks_distance,
+    _window_site,
+)
 
 from oracles import (
     _convolve_final_step,
@@ -519,11 +527,14 @@ class TestCsvWriterMatchesOracle:
     def test_untilted(self, tmp_path, n):
         _assert_csv_matches_oracle(joint_law_exact(n), tmp_path)
 
-    @pytest.mark.parametrize("beta, n", [(0.0, 200), (1.0, 600), (0.5, 301), (5.0, 200)])
+    @pytest.mark.parametrize("beta, n", [(0.0, 200), (1.0, 600), (0.5, 301), (5.0, 200),
+                                         (50.0, 300)])
     def test_tilted(self, tmp_path, beta, n):
         tilted = polymer_law(beta, n).tilted
-        if beta == 5.0:  # small-r cells underflow to 0.0, printed "0"
+        if beta >= 5.0:  # small-r cells underflow to 0.0, printed "0"
             assert (tilted.ps == 0.0).any()
+        if beta == 50.0:  # and some cells are subnormal
+            assert ((tilted.ps > 0.0) & (tilted.ps < sys.float_info.min)).any()
         _assert_csv_matches_oracle(tilted, tmp_path)
 
     def test_slice_counts(self):
@@ -543,6 +554,65 @@ class TestCsvWriterMatchesOracle:
 
         with pytest.raises(AssertionError):
             _assert_csv_matches_oracle(law, tmp_path, write=misprint)
+
+
+def _assert_prints_17g(values):
+    values = np.asarray(values, dtype=float)
+    assert _format_17g(values).tolist() == [f"{x:.17g}" for x in values.tolist()]
+
+
+def _ties():
+    """Doubles M / 2^(q + 1), M odd, with 18 significant digits ending in 5.
+
+    ``.17g`` rounds them half-even: 26217 / 2^18 prints 0.10000991821289062.
+    For q >= 21 they are below 1e-4, where the vectorized digits apply.
+    """
+    out = []
+    for q in range(17, 25):
+        lo, hi = -(-10**17 // 5 ** (q + 1)), 10**18 // 5 ** (q + 1)
+        odd = range(lo | 1, hi + 1, 2)
+        out += [math.ldexp(m, -q - 1) for m in odd[:: max(1, len(odd) // 300)]]
+    return np.array(out)
+
+
+class TestFormat17g:
+    """``_format_17g`` prints each double as ``f"{x:.17g}"`` does."""
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True),
+                    min_size=1, max_size=64))
+    def test_floats_in_unit_interval(self, xs):
+        _assert_prints_17g(xs)
+
+    @given(st.lists(st.integers(min_value=1, max_value=np.float64(1e-4).view(np.int64)),
+                    min_size=1, max_size=64))
+    def test_every_bit_pattern_below_1e_4(self, bits):
+        _assert_prints_17g(np.array(bits, dtype=np.int64).view(np.float64))
+
+    def test_edges_and_powers_of_ten(self):
+        _assert_prints_17g([0.0, 5e-324, 1.0, sys.float_info.min]
+                           + [10.0**-k for k in range(1, 301)] + [float(f"1e-{k}") for k in range(1, 324)])
+
+    @pytest.mark.parametrize("beta, n", [(1.0, 1000), (50.0, 300)])
+    def test_every_value_of_a_law(self, beta, n):
+        _assert_prints_17g(np.unique(polymer_law(beta, n).tilted.ps))
+
+    def test_exact_ties_round_half_even(self):
+        ties = _ties()
+        assert _format_17g(np.array([26217 / 2**18]))[0] == "0.10000991821289062"
+        assert (ties < 1e-4).sum() > 100
+        _assert_prints_17g(ties)
+
+    def test_nearest_doubles_to_midpoints(self):
+        rng = np.random.default_rng(33)
+        ds = rng.integers(10**16, 10**17, 2000).tolist()
+        qs = rng.integers(21, 341, 2000).tolist()
+        mid = np.array([float(f"{d}5e-{q + 1}") for d, q in zip(ds, qs)])
+        _assert_prints_17g(np.concatenate([mid, np.nextafter(mid, 0.0), np.nextafter(mid, 1.0)]))
+
+    def test_control_without_the_tie_fallback_fails(self, monkeypatch):
+        monkeypatch.setattr(exact, "_TIE_BAND", -1.0)
+        with pytest.raises(AssertionError):
+            _assert_prints_17g(_ties())
 
 
 class TestExports:
