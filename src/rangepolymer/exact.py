@@ -61,11 +61,6 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _words(table: np.ndarray) -> np.ndarray:
-    """A table of 4-byte ASCII rows as native-order uint32 words."""
-    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint32).squeeze(-1)
-
-
 @cache
 def _g17_tables():
     """The tables of ``_format_17g``, built on first use.
@@ -73,10 +68,11 @@ def _g17_tables():
     For q = 16 - E with E = -5 .. -324 (index -5 - E), 10^q = (th + tl) 2^b
     with th in [1, 2) correctly rounded, tl the correctly rounded rest and
     (t1, t2) Dekker's split of th; ten[k + 325] = fl(10^k).  The text
-    tables hold 4-byte words, NUL-padded: "d." per leading digit and, for a
-    value with no fraction digits, "d"; the 4-digit chunks and, for the
-    last nonzero chunk, the same with trailing zeros as NUL; per exponent,
-    "e-" with two digits, then its third digit, if any, and the row's end.
+    tables hold native-order uint32 words of 4 NUL-padded ASCII bytes: "d."
+    per leading digit and "d" for a value with no fraction digits; the
+    4-digit chunks, then the same with trailing zeros as NUL for the last
+    nonzero chunk; per exponent "e-" with two digits, then the third digit,
+    if any, and the row's end.
     """
     th, tl, b = [], [], []
     ten_q = 10**20
@@ -90,22 +86,14 @@ def _g17_tables():
     th = np.array(th)
     ten = np.array([1 / 10**k for k in range(325, 2, -1)])
     four = np.indices((10,) * 4).reshape(4, -1).T + 48  # "0000" .. "9999"
-    # trailing zeros turn NUL in the copy for the last nonzero chunk
     zeros = np.logical_and.accumulate(four[:, ::-1] == 48, axis=1)[:, ::-1]
-    four = np.concatenate([four, np.where(zeros, 0, four)])
-    lead = np.zeros((2, 10, 4), dtype=np.uint8)  # "d." and, with no fraction, "d"
-    lead[:, :, 0], lead[0, :, 1] = np.arange(48, 58), ord(".")
-    e = np.arange(325)[:, None]
-    big = e >= 100
-    expo = np.zeros((325, 8), dtype=np.uint8)
-    expo[:, :6] = np.concatenate([
-        np.full_like(e, ord("e")), np.full_like(e, ord("-")),
-        np.where(big, e // 100, e // 10) + 48, np.where(big, e // 10, e) % 10 + 48,
-        np.where(big, e % 10 + 48, 10), np.where(big, 10, 0)], axis=1)
-    expo = _words(expo.reshape(325, 2, 4))
+    four = np.concatenate([four, np.where(zeros, 0, four)]).astype(np.uint8, order="C")
+    lead = "".join([f"{d}.\0\0" for d in range(10)] + [f"{d}\0\0\0" for d in range(10)])
+    expo = "".join(f"e-{e:02d}\n\0\0\0" if e < 100 else f"e-{e}\n\0\0" for e in range(325))
+    expo = np.frombuffer(expo.encode("ascii"), dtype=np.uint32).reshape(325, 2)
     tables = (th, *_split(th), np.array(tl), np.array(b, dtype=np.int32), ten,
-              _words(lead.reshape(20, 4)), _words(four),
-              expo[:, 0].copy(), expo[:, 1].copy())
+              np.frombuffer(lead.encode("ascii"), dtype=np.uint32),
+              four.view(np.uint32).ravel(), expo[:, 0].copy(), expo[:, 1].copy())
     for table in tables:  # shared by every call: read-only
         table.flags.writeable = False
     return tables
