@@ -1,9 +1,11 @@
 """Seeded Monte Carlo for the range-penalized walk and Brownian range.
 
-Reproducibility contract: every estimator draws from counter-based Philox
-streams keyed by (seed, block index) over fixed-size sample blocks, and all
-reductions run in block order.  Results are therefore bit-identical for a
-given (seed, samples) regardless of the number of worker threads.
+Reproducibility contract: ``_map_blocks`` alone turns (seed, samples) into
+fixed-size sample blocks, each drawn from its own counter-based Philox
+stream keyed by (seed, block index), and returns the blocks' results in
+block order for every reduction.  Results are therefore bit-identical for a
+given (seed, samples) regardless of the number of worker threads, and a
+sampler is a plain kernel fn(stream, count).
 
 The workhorse estimator is self-normalized importance sampling from the
 exponentially tilted proposal: a drifted walk with up-step probability
@@ -83,29 +85,28 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _map_blocks(fn, nblocks: int, threads: int) -> list:
-    """Run fn(block_index) for every block, results in block order.
+def _map_blocks(fn, seed: int, samples: int, block: int, threads: int) -> list:
+    """fn(_stream(seed, b), count) for every block b of ``samples``, in order.
 
-    Workers number at most ``threads``, the blocks and the usable cores: a
-    thread past the cores cannot speed anything up, yet holds its block's
-    buffers (8 MiB of increments for a Brownian block).  The thread pool is
-    imported here, on demand: ``concurrent.futures`` pulls in ``logging``,
-    ``queue`` and ``traceback``, which a one-worker run never needs.
+    The samples split into blocks of ``block``, the last one short, and the
+    results come back in block order whatever the thread count.  Workers
+    number at most ``threads``, the blocks and the usable cores: a thread
+    past the cores cannot speed anything up, yet holds its block's buffers
+    (8 MiB of increments for a Brownian block).  The thread pool is imported
+    here, on demand: ``concurrent.futures`` pulls in ``logging``, ``queue``
+    and ``traceback``, which a one-worker run never needs.
     """
+    nblocks = (samples + block - 1) // block
+
+    def job(b: int):
+        return fn(_stream(seed, b), min(block, samples - b * block))
+
     workers = min(threads, nblocks, _usable_cores())
     if workers <= 1:
-        return [fn(b) for b in range(nblocks)]
+        return [job(b) for b in range(nblocks)]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(nblocks)))
-
-
-def _direction_table(d: int) -> np.ndarray:
-    dirs = np.zeros((2 * d, d), dtype=np.int64)
-    for axis in range(d):
-        dirs[2 * axis, axis] = 1
-        dirs[2 * axis + 1, axis] = -1
-    return dirs
+        return list(pool.map(job, range(nblocks)))
 
 
 @functools.cache
@@ -140,8 +141,8 @@ def _up_threshold(c: float) -> int:
     return (math.ceil(0.5 * (1.0 + c) * 2.0**53) << 11) - 1
 
 
-def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
-    """(endpoints, ranges) for one block of drifted 1-d walks.
+def _walk_block_1d(rng: np.random.Generator, count: int, n: int, c: float):
+    """(endpoints, ranges) of ``count`` drifted 1-d walks drawn from rng.
 
     A step goes up when its raw Philox word is at most ``_up_threshold(c)``,
     exactly when ``random() < (1 + c)/2`` on the same stream.  A
@@ -154,8 +155,7 @@ def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
     and the final step moves the position only.  The tests count the
     distinct sites of sampler blocks by sorting and require them equal.
     """
-    up = (_stream(seed, block).bit_generator.random_raw(count * n)
-          <= _up_threshold(c)).reshape(count, n)
+    up = (rng.bit_generator.random_raw(count * n) <= _up_threshold(c)).reshape(count, n)
     net, low, high = _walk_tables()
     full = 16 * ((n - 1) // 16)
     # row j holds steps 16 j .. 16 j + 15 of every walk
@@ -175,13 +175,14 @@ def _walk_block_1d(seed: int, block: int, count: int, n: int, c: float):
     return s.astype(np.int64), (hi - lo + 1).astype(np.int64)
 
 
-def _walk_block_nd(seed: int, block: int, count: int, n: int, d: int):
-    """(endpoint norms, ranges) for one block of undrifted d-dim walks."""
+def _walk_block_nd(rng: np.random.Generator, count: int, n: int, d: int):
+    """(endpoint norms, ranges) of ``count`` undrifted d-dim walks drawn from rng."""
     span = 2 * n + 1
-    rng = _stream(seed, block)
-    coords = _direction_table(d)[rng.integers(0, 2 * d, size=(count, n))]
+    dirs = np.repeat(np.eye(d, dtype=np.int64), 2, axis=0)
+    dirs[1::2] *= -1  # +e1, -e1, +e2, -e2, ...
+    coords = dirs[rng.integers(0, 2 * d, size=(count, n))]
     np.cumsum(coords, axis=1, out=coords)  # (count, n, d), summed in place
-    visited = coords[:, : n - 1, :] if n > 1 else np.zeros((count, 0, d), np.int64)
+    visited = coords[:, : n - 1, :]
     packed = np.zeros((count, visited.shape[1] + 1), dtype=np.int64)
     stride = 1
     for axis in range(d):
@@ -216,12 +217,8 @@ def _weighted_walks(beta, n, d, seed, samples, drift, threads):
                                f"steps exceeds the cap of {WALK_STEP_CAP:.1e}")
     check_range_energy(beta, n)
     kernel, arg = (_walk_block_1d, drift) if d == 1 else (_walk_block_nd, d)
-    nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
-
-    def job(b: int):
-        return kernel(seed, b, min(WALK_BLOCK, samples - b * WALK_BLOCK), n, arg)
-
-    parts = _map_blocks(job, nblocks, threads)
+    parts = _map_blocks(lambda rng, count: kernel(rng, count, n, arg),
+                        seed, samples, WALK_BLOCK, threads)
     f, r = (np.concatenate([p[k] for p in parts]) for k in (0, 1))
     # the likelihood-ratio term is exactly 0.0 at drift 0, so logw keeps its bits
     logw = -beta * float(n) * float(n) / r - ((n + f) * 0.5 * math.log1p(drift)
@@ -351,21 +348,20 @@ class BrownianRangeHistograms(NamedTuple):
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("kind,lo,hi,density,std_error\n")
-            for lo, hi, v, s in zip(self.range_edges[:-1], self.range_edges[1:],
-                                    self.range_density, self.range_se):
-                fh.write(f"range,{lo:.17g},{hi:.17g},{v:.17g},{s:.17g}\n")
-            for lo, hi, v, s in zip(self.endpoint_edges[:-1], self.endpoint_edges[1:],
-                                    self.endpoint_density, self.endpoint_se):
-                fh.write(f"endpoint,{lo:.17g},{hi:.17g},{v:.17g},{s:.17g}\n")
+            for kind, edges, density, se in (
+                    ("range", self.range_edges, self.range_density, self.range_se),
+                    ("endpoint", self.endpoint_edges, self.endpoint_density,
+                     self.endpoint_se)):
+                for lo, hi, v, s in zip(edges[:-1], edges[1:], density, se):
+                    fh.write(f"{kind},{lo:.17g},{hi:.17g},{v:.17g},{s:.17g}\n")
 
 
-def _path_block(seed: int, block: int, count: int, nsteps: int, sd: float):
-    """(endpoints, minima, maxima) over one block of discretized paths from 0.
+def _path_block(rng: np.random.Generator, count: int, nsteps: int, sd: float):
+    """(endpoints, minima, maxima) of ``count`` discretized paths from 0.
 
     Increments come in (count, L) chunks of at most TIME_CHUNK steps, which
     fixes the stream order; each chunk is drawn into the front of one buffer.
     """
-    rng = _stream(seed, block)
     x = np.zeros(count)
     lo = np.zeros(count)
     hi = np.zeros(count)
@@ -418,34 +414,27 @@ def brownian_range_mc(t: float, dt: float, seed: int, samples: int,
     joint_x_edges = np.linspace(0.0, 3.0 * st, 31)
     joint_r_edges = np.linspace(0.0, 4.0 * st, 41)
     sd = math.sqrt(dt)
-    nblocks = (samples + PATH_BLOCK - 1) // PATH_BLOCK
+    parts = _map_blocks(lambda rng, count: _path_block(rng, count, nsteps, sd),
+                        seed, samples, PATH_BLOCK, threads)
+    spans = [hi - lo for _, lo, hi in parts]
+    x, r = np.concatenate([p[0] for p in parts]), np.concatenate(spans)
 
-    def job(b: int):
-        count = min(PATH_BLOCK, samples - b * PATH_BLOCK)
-        x, lo, hi = _path_block(seed, b, count, nsteps, sd)
-        rng_vals = hi - lo
-        h_r = np.histogram(rng_vals, range_edges)[0]
-        h_b = np.histogram(x, endpoint_edges)[0]
-        h_j = np.histogram2d(x, rng_vals, bins=(joint_x_edges, joint_r_edges))[0]
-        return (h_r, h_b, h_j, int(np.count_nonzero(x > 0)), float(rng_vals.sum()))
-
-    parts = _map_blocks(job, nblocks, threads)
-    n_pos = sum(p[3] for p in parts)
-    total_range = math.fsum(p[4] for p in parts)
-
-    def _density(k, widths):
-        p = sum(part[k] for part in parts) / samples
+    def _density(counts, widths):
+        p = counts / samples
         se = np.sqrt(p * (1.0 - p) / samples)
         return p / widths, se / widths
 
-    rd, rse = _density(0, np.diff(range_edges))
-    bd, bse = _density(1, np.diff(endpoint_edges))
-    jd, jse = _density(2, np.outer(np.diff(joint_x_edges), np.diff(joint_r_edges)))
+    # the counts are integers, so binning the joined paths once equals
+    # summing the blocks' histograms
+    rd, rse = _density(np.histogram(r, range_edges)[0], np.diff(range_edges))
+    bd, bse = _density(np.histogram(x, endpoint_edges)[0], np.diff(endpoint_edges))
+    jd, jse = _density(np.histogram2d(x, r, bins=(joint_x_edges, joint_r_edges))[0],
+                       np.outer(np.diff(joint_x_edges), np.diff(joint_r_edges)))
     return BrownianRangeHistograms(
         range_edges=range_edges, range_density=rd, range_se=rse,
         endpoint_edges=endpoint_edges, endpoint_density=bd, endpoint_se=bse,
         joint_x_edges=joint_x_edges, joint_r_edges=joint_r_edges,
         joint_density=jd, joint_se=jse,
-        positive_fraction=n_pos / samples,
-        mean_range=total_range / samples,
+        positive_fraction=int(np.count_nonzero(x > 0)) / samples,
+        mean_range=math.fsum(float(s.sum()) for s in spans) / samples,
     )

@@ -306,6 +306,15 @@ def test_mc_tilted_where_the_speed_rounds_to_one_exits_2(tmp_path, capsys, beta)
     _assert_published(out, 2)
 
 
+def test_mc_tilted_without_a_positive_endpoint_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["mc", "tilted", "--beta", "0", "--n", "1", "--seed", "5",
+                 "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: conditioning event has zero sampled mass\n"
+    _assert_published(out, 2)
+
+
 def test_exact_ldp_rates_stay_finite_where_the_tilt_underflows(tmp_path):
     out = tmp_path / "run"
     assert main(["exact", "--beta", "500", "--n", "50", "--outputs", "Z,free-energy,clt,ldp",

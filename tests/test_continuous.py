@@ -52,6 +52,8 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
+    with pytest.raises(DomainError, match="nonnegative"):
+        unit_ball_volume(-1)
 
 
 class TestConstants:
@@ -95,6 +97,10 @@ class TestCubicRoot:
             for theta in (0.0, 0.3 * beta ** (1 / 3)):
                 r = positive_cubic_root(beta, theta)
                 assert abs(2.0 * r.value**2 * (2.0 * r.value - theta) - beta) <= 1e-12
+
+    def test_negative_theta_rejected(self):
+        with pytest.raises(DomainError, match="theta must be nonnegative"):
+            positive_cubic_root(1.0, -0.5)
 
 
 class TestLdpRateContinuous:

@@ -159,6 +159,11 @@ class TestSpeed:
         with pytest.raises(DomainError):
             speed_c_star(-1.0)
 
+    def test_beta_past_the_logit_range_rejected(self):
+        # the bracket's upper end 2 beta + 1 overflows to inf
+        with pytest.raises(DomainError, match="too large"):
+            free_energy_g_star(1e308)
+
 
 def _log_gap(beta):
     """log(1 - c*(beta)), read off the solve's log(1 - c*^2)."""
@@ -431,6 +436,10 @@ class TestTildeCd:
            st.integers(min_value=1, max_value=6))
     def test_in_unit_interval(self, beta, d):
         assert 0.0 < tilde_c_d(beta, d) < 1.0
+
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(DomainError, match="positive integer"):
+            tilde_c_d(1.0, 0)
 
     def test_dimension_past_the_double_range(self):
         """log(2.0 * d) raised OverflowError for an int d above ~1e308."""

@@ -35,6 +35,7 @@ from rangepolymer.mc import (
     _ratio_estimate,
     _stream,
     _up_threshold,
+    _usable_cores,
     _walk_block_1d,
     _walk_block_nd,
     _weighted_walks,
@@ -124,14 +125,14 @@ class TestKernelsMatchOracle:
     def test_walk_block_1d_bitwise(self, n, c, count):
         # the kernel's max - min + 1 against a distinct-site count
         for seed, block in _WALK_KEYS:
-            _assert_same_arrays(_walk_block_1d(seed, block, count, n, c),
+            _assert_same_arrays(_walk_block_1d(_stream(seed, block), count, n, c),
                                 _walk_block_1d_oracle(seed, block, count, n, c))
 
     def test_path_block_bitwise(self):
         # 10000 steps in chunks of 2048 leave a last chunk of 1808 steps
         assert TIME_CHUNK == 2048
         sd = math.sqrt(1e-4)
-        got = _path_block(42, 2, 64, 10000, sd)
+        got = _path_block(_stream(42, 2), 64, 10000, sd)
         want = _path_block_oracle(42, 2, 64, 10000, sd, 2048)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -142,11 +143,11 @@ class TestKernelsMatchOracle:
         net, low, high = mc._walk_tables()
         with monkeypatch.context() as patch:
             patch.setattr(mc, "_walk_tables", lambda: (net, low, high + 1))
-            corrupt = _walk_block_1d(5, 0, 64, 50, 0.2)
+            corrupt = _walk_block_1d(_stream(5, 0), 64, 50, 0.2)
         want = _walk_block_1d_oracle(5, 0, 64, 50, 0.2)
         with pytest.raises(AssertionError):
             _assert_same_arrays(corrupt, want)
-        _assert_same_arrays(_walk_block_1d(5, 0, 64, 50, 0.2), want)
+        _assert_same_arrays(_walk_block_1d(_stream(5, 0), 64, 50, 0.2), want)
 
     @pytest.mark.parametrize("c", [-1.0, -0.999, -0.3, -5e-324, 0.0, 5e-324, 0.5,
                                    pytest.param(_C_NEAR_ONE, id="cstar18"),
@@ -168,7 +169,7 @@ class TestKernelsMatchOracle:
 class TestSampleWalk:
     def test_two_steps_always_two_sites(self):
         for seed in range(12):
-            _, r = _walk_block_1d(seed, 0, 64, 2, 0.0)
+            _, r = _walk_block_1d(_stream(seed, 0), 64, 2, 0.0)
             assert np.all(r == 2)
 
     def test_d1_visited_set_is_an_interval(self):
@@ -177,7 +178,7 @@ class TestSampleWalk:
         count = 50
         for (seed, block), n, c in itertools.product(
                 _WALK_KEYS, [1, 2, 40, 200, 1000], [0.0, 0.3, 0.8, _C_NEAR_ONE]):
-            e, r = _walk_block_1d(seed, block, count, n, c)
+            e, r = _walk_block_1d(_stream(seed, block), count, n, c)
             up = _stream(seed, block).random((count, n)) < 0.5 * (1.0 + c)
             pos = np.cumsum(np.where(up, 1, -1), axis=1)
             for k in range(count):
@@ -214,10 +215,12 @@ class TestSampleWalk:
         assert frac(400) < frac(50)
 
     def test_d2_endpoint_shape(self):
-        count, n = 16, 64
-        norms, r = _walk_block_nd(5, 0, count, n, 2)
-        assert norms.shape == r.shape == (count,)
-        assert np.all((1 <= r) & (r <= n)) and np.all(norms <= n)
+        # at n = 1 a walk visits the origin alone: every range is 1
+        count = 16
+        for n in (1, 64):
+            norms, r = _walk_block_nd(_stream(5, 0), count, n, 2)
+            assert norms.shape == r.shape == (count,)
+            assert np.all((1 <= r) & (r <= n)) and np.all(norms <= n)
 
 
 def _naive_range_mean(n, seed, samples):
@@ -300,6 +303,11 @@ class TestTiltedEstimator:
         assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
         assert 1.0 <= ess <= 5000.0
 
+    def test_conditioning_event_without_sampled_mass(self):
+        # both one-step walks of seed 5 end at -1, so no walk has S_n > 0
+        with pytest.raises(DomainError, match="zero sampled mass"):
+            polymer_estimate_tilted(0.0, 1, "endpoint_mean_positive", seed=5, samples=2)
+
     def test_unknown_observable(self):
         with pytest.raises(DomainError):
             polymer_estimate_tilted(1.0, 50, "entropy", seed=1, samples=100)
@@ -381,22 +389,20 @@ class TestBrownian:
 
 # The sampling pipeline before the estimators shared one weighted-walk
 # sampler, verbatim except that the weighted mean is a correctly rounded
-# math.fsum.  Every estimate must stay bitwise what it gives.
+# math.fsum and the blocks run serially from their own streams, apart from
+# _map_blocks.  Every estimate must stay bitwise what it gives.
 
-def _walk_blocks_oracle(kernel, seed, samples, n, arg, threads):
+def _walk_blocks_oracle(kernel, seed, samples, n, arg):
     if n < 1:
         raise DomainError(f"need walk length n >= 1, got {n!r}")
     nblocks = (samples + WALK_BLOCK - 1) // WALK_BLOCK
-
-    def job(b: int):
-        return kernel(seed, b, min(WALK_BLOCK, samples - b * WALK_BLOCK), n, arg)
-
-    parts = _map_blocks(job, nblocks, threads)
+    parts = [kernel(_stream(seed, b), min(WALK_BLOCK, samples - b * WALK_BLOCK), n, arg)
+             for b in range(nblocks)]
     return tuple(np.concatenate([p[k] for p in parts]) for k in (0, 1))
 
 
-def _collect_1d(beta, n, seed, samples, drift, threads):
-    e, r = _walk_blocks_oracle(_walk_block_1d, seed, samples, n, drift, threads)
+def _collect_1d(beta, n, seed, samples, drift):
+    e, r = _walk_blocks_oracle(_walk_block_1d, seed, samples, n, drift)
     logw = -beta * float(n) * float(n) / r
     if drift != 0.0:
         logw = logw - (
@@ -424,9 +430,9 @@ def _ratio_estimate_oracle(w, f, indicator, samples, ess):
                       effective_sample_size=ess, low_ess=ess < 0.01 * samples)
 
 
-def _tilted_oracle(beta, n, observable, seed, samples, threads=1, c_point=0.0):
+def _tilted_oracle(beta, n, observable, seed, samples, c_point=0.0):
     drift = 0.0 if beta == 0.0 else free_energy_g_star(beta).c_star
-    e, r, logw = _collect_1d(beta, n, seed, samples, drift, threads)
+    e, r, logw = _collect_1d(beta, n, seed, samples, drift)
     w, ess = _normalized_weights(logw)
     ones = np.ones_like(w)
     if observable == "endpoint_mean":
@@ -441,8 +447,8 @@ def _tilted_oracle(beta, n, observable, seed, samples, threads=1, c_point=0.0):
                                   (e > 0).astype(float), samples, ess)
 
 
-def _corollary_oracle(beta, d, n, seed, samples, threads=1, slack=0.05):
-    _, r = _walk_blocks_oracle(_walk_block_nd, seed, samples, n, d, threads)
+def _corollary_oracle(beta, d, n, seed, samples, slack=0.05):
+    _, r = _walk_blocks_oracle(_walk_block_nd, seed, samples, n, d)
     logw = -beta * float(n) * float(n) / r
     w, ess = _normalized_weights(logw)
     est = _ratio_estimate_oracle(w, r / n, np.ones_like(w), samples, ess)
@@ -452,8 +458,9 @@ def _corollary_oracle(beta, d, n, seed, samples, threads=1, slack=0.05):
                                 satisfied=margin >= 0.0, unreliable=est.low_ess)
 
 
-def _brownian_joint_oracle(t, dt, seed, samples, threads=1):
-    """The joint table of brownian_range_mc with its own density arithmetic."""
+def _brownian_joint_oracle(t, dt, seed, samples):
+    """The joint table of brownian_range_mc with its own density arithmetic,
+    summed over serial per-block histograms."""
     st_ = math.sqrt(t)
     joint_x_edges = np.linspace(0.0, 3.0 * st_, 31)
     joint_r_edges = np.linspace(0.0, 4.0 * st_, 41)
@@ -465,7 +472,7 @@ def _brownian_joint_oracle(t, dt, seed, samples, threads=1):
         x, lo, hi = _path_block_oracle(seed, b, count, nsteps, math.sqrt(dt), 2048)
         return np.histogram2d(x, hi - lo, bins=(joint_x_edges, joint_r_edges))[0]
 
-    h_joint = sum(_map_blocks(job, nblocks, threads))
+    h_joint = sum(job(b) for b in range(nblocks))
     area = np.outer(np.diff(joint_x_edges), np.diff(joint_r_edges))
     jp = h_joint / samples
     jd = jp / area
@@ -495,15 +502,15 @@ class TestEstimatorsMatchPipelineOracle:
     @pytest.mark.parametrize("observable", ["endpoint_mean", "endpoint_mean_positive",
                                             "range_mean", "endpoint_cdf"])
     def test_tilted_bitwise(self, observable, threads):
-        kwargs = dict(threads=threads, c_point=0.25)
-        got = polymer_estimate_tilted(1.0, 120, observable, 5, _SAMPLES, **kwargs)
-        want = _tilted_oracle(1.0, 120, observable, 5, _SAMPLES, **kwargs)
+        got = polymer_estimate_tilted(1.0, 120, observable, 5, _SAMPLES,
+                                      threads=threads, c_point=0.25)
+        want = _tilted_oracle(1.0, 120, observable, 5, _SAMPLES, c_point=0.25)
         assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_corollary_bitwise(self, d):
         got = corollary_bound_check(1.0, d, 60, 13, _SAMPLES, threads=2)
-        want = _corollary_oracle(1.0, d, 60, 13, _SAMPLES, threads=2)
+        want = _corollary_oracle(1.0, d, 60, 13, _SAMPLES)
         assert _bits(got) == _bits(want)
 
     def test_brownian_joint_table_bitwise(self):
@@ -511,6 +518,28 @@ class TestEstimatorsMatchPipelineOracle:
         h = brownian_range_mc(1.0, 1e-4, seed=6, samples=1100, threads=2)
         got = (h.joint_x_edges, h.joint_r_edges, h.joint_density, h.joint_se)
         assert _bits(got) == _bits(_brownian_joint_oracle(1.0, 1e-4, 6, 1100))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_blocks_keys_each_block_by_seed_and_index(threads):
+    # the plan: blocks of WALK_BLOCK, the last one short, each on the
+    # Philox stream keyed (seed, b), returned in block order
+    seed = 2**64 - 1
+
+    def key_and_count(rng, count):
+        return rng.bit_generator.state["state"]["key"].tolist(), count
+
+    got = _map_blocks(key_and_count, seed, _SAMPLES, WALK_BLOCK, threads)
+    assert got == [([seed, b], count)
+                   for b, count in enumerate([4096, 4096, 4096, 517])]
+
+
+@pytest.mark.parametrize("cpu_count, cores", [(3, 3), (None, 1)])
+def test_usable_cores_without_an_affinity_set(monkeypatch, cpu_count, cores):
+    # a platform without sched_getaffinity falls back to every core, or 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert _usable_cores() == cores
 
 
 def test_workers_are_capped_at_the_usable_cores(monkeypatch):
