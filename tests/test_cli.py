@@ -464,6 +464,35 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     for name in ("constants.csv", "manifest.json"):
         assert _read(out / name) == _read(ref / name)
     assert json.loads(_read(out / "manifest.json"))["outputs"] == ["constants.csv"]
+    # failing runs keep their exit code and one error line through the exit hook
+    for code, args in ((2, ["constants", "--beta", "0"]),
+                       (3, ["exact", "--beta", "1", "--n", "700"])):
+        bad = tmp_path / f"exit{code}"
+        bad.mkdir()
+        done = subprocess.run([sys.executable, "-m", module, *args, "--out", str(bad)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr[-2000:]
+        assert sum(line.startswith("error:") for line in done.stderr.splitlines()) == 1
+        assert "Traceback" not in done.stderr
+        assert list(bad.iterdir()) == []
+
+
+@pytest.mark.parametrize("module, frozen", [("rangepolymer", "False"),
+                                            ("rangepolymer.cli", "True")])
+def test_only_the_cli_freezes_the_heap_at_exit(module, frozen):
+    """Importing the CLI registers ``gc.freeze`` to run at exit; importing the
+    library registers nothing.  Exit handlers run last registered first, so
+    the probe registered before the import runs after any hook it adds."""
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            f"import {module}\n")
+    src = str(Path(rangepolymer.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == [frozen]
 
 
 def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
