@@ -157,6 +157,8 @@ class JointEndpointRangeLaw(NamedTuple):
 
     Entries are stored sorted by x ascending then r ascending; ``ps`` holds
     the probabilities.  Supports |x| <= n, 1 <= r <= n, x = n (mod 2).
+    ``endpoint_marginal`` adds each atom's entries in this storage order,
+    the order of a running sum over ``entries()``.
     """
 
     n: int
@@ -168,13 +170,14 @@ class JointEndpointRangeLaw(NamedTuple):
         """Iterate (x, r, p) in the deterministic storage order."""
         return zip(self.xs.tolist(), self.rs.tolist(), self.ps.tolist())
 
-    def _marginal(self, keys: np.ndarray) -> dict[int, float]:
-        # bincount adds in storage order, as a running dict sum would
-        uq, inv = np.unique(keys, return_inverse=True)
-        return dict(zip(uq.tolist(), np.bincount(inv, weights=self.ps).tolist()))
+    def endpoint_marginal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays of the atoms x = -n, -n + 2, .., n and of P(S_n = x).
 
-    def endpoint_marginal(self) -> dict[int, float]:
-        return self._marginal(self.xs)
+        Each such site is in the support, so (x + n) / 2 keys one bincount.
+        """
+        n = self.n
+        probs = np.bincount((self.xs + n) >> 1, weights=self.ps, minlength=n + 1)
+        return np.arange(-n, n + 1, 2), probs
 
     def to_csv(self, path) -> None:
         """Write ``x,r,probability`` rows in storage order, 17 digits each.
@@ -339,17 +342,10 @@ class PolymerLaw(NamedTuple):
         return math.exp(self.log_partition)
 
     def endpoint_conditional_positive(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms and probabilities of S_n given S_n > 0 (S_n = 0 excluded).
-
-        The table is stored x ascending, so the masked endpoints are already
-        sorted and each atom's entries are contiguous.
-        """
-        mask = self.tilted.xs > 0
-        xs = self.tilted.xs[mask]
-        ps = self.tilted.ps[mask]
-        uq, start = np.unique(xs, return_index=True)
-        sums = np.add.reduceat(ps, start)
-        return uq, sums / sums.sum()
+        """Atoms and probabilities of S_n given S_n > 0 (S_n = 0 excluded)."""
+        atoms, probs = self.tilted.endpoint_marginal()
+        pos = atoms > 0
+        return atoms[pos], probs[pos] / probs[pos].sum()
 
     def endpoint_mean_conditional(self) -> float:
         xs, ps = self.endpoint_conditional_positive()
@@ -412,8 +408,8 @@ def clt_check(law: PolymerLaw) -> float:
     """
     n = law.n
     if law.beta == 0.0:
-        atoms, probs = zip(*law.tilted.endpoint_marginal().items())  # ascending
-        return _ks_distance(np.array(atoms, dtype=float), np.array(probs), 0.0, math.sqrt(n))
+        atoms, probs = law.tilted.endpoint_marginal()
+        return _ks_distance(atoms.astype(float), probs, 0.0, math.sqrt(n))
     consts = free_energy_g_star(law.beta)
     if consts.sigma_star == 0.0:
         raise DomainError(f"beta={law.beta!r} is too large: sigma*(beta) underflows to 0")
@@ -442,15 +438,14 @@ def ldp_empirical(law: PolymerLaw, theta_grid) -> list[tuple[float, float]]:
     formed from the log tilt of the untilted law instead.
     """
     n = law.n
-    atoms, probs = law.endpoint_conditional_positive()
-    table = {int(a): float(p) for a, p in zip(atoms, probs)}
+    atoms, probs = law.endpoint_conditional_positive()  # every other site from atoms[0]
     logw = None  # log tilted weights of the positive endpoints, formed on first need
     out: list[tuple[float, float]] = []
     for theta in theta_grid:
         if not 0.0 <= theta <= 1.0:
             raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
         x0 = _window_site(float(theta), n)
-        p = table[x0]
+        p = float(probs[(x0 - atoms[0]) // 2])
         if p >= sys.float_info.min:
             log_p = math.log(p)
         else:

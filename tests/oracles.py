@@ -20,7 +20,9 @@ None of these is on a CLI or library path; each recomputes a quantity that
                                at any order, from numpy's ``leggauss``
   * ``window_by_fractions``  - the quadrature window of ``density._window``
                                with its peak formed as a ``Fraction``
-  * ``range_marginal``       - P(R_n = r) of a law table; no library path reads it
+  * ``range_marginal``       - P(R_n = r) of a law table, summed in storage
+                               order by its own ``np.bincount``; no library
+                               path reads it
   * ``_oracle_law_csv``      - ``law.csv`` written one f-string per entry
 
 The joint-law routes build the same (endpoint, range) table as
@@ -51,8 +53,14 @@ def _law_from_counts(n: int, counts: dict[tuple[int, int], int]) -> JointEndpoin
 
 
 def range_marginal(law: JointEndpointRangeLaw) -> dict[int, float]:
-    """P(R_n = r) by r, summed in storage order as ``endpoint_marginal`` is."""
-    return law._marginal(law.rs)
+    """P(R_n = r) for each r in the table, each summed in storage order.
+
+    One ``np.bincount`` over r adds the entries in the order of a running
+    sum over ``law.entries()``, as ``endpoint_marginal`` does over x.
+    """
+    probs = np.bincount(law.rs, weights=law.ps)
+    present = np.flatnonzero(np.bincount(law.rs))
+    return dict(zip(present.tolist(), probs[present].tolist()))
 
 
 def _oracle_law_csv(law: JointEndpointRangeLaw, path) -> None:

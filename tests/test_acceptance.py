@@ -52,6 +52,7 @@ from rangepolymer import (
     brownian_range_mc,
 )
 from rangepolymer.density import joint_density, _panels
+from rangepolymer.mc import _usable_cores
 
 from oracles import enumerate_joint_law, g_star_infimum, gauss_legendre_panels
 
@@ -308,7 +309,7 @@ def test_criterion_08_density_normalizations():
         acc += w * float(np.dot(WX, joint_density(1.0, XX, float(r)).value))
     ok_joint_norm = abs(acc - 0.5) <= 1e-4
 
-    h = brownian_range_mc(1.0, 1e-4, seed=20260809, samples=100000)
+    h = brownian_range_mc(1.0, 1e-4, seed=20260809, samples=100000, threads=_usable_cores())
     bad_bins = 0
     checked = 0
     for i, (lo, hi) in enumerate(zip(h.range_edges[:-1], h.range_edges[1:])):

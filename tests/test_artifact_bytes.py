@@ -87,7 +87,7 @@ ARTIFACTS = {
     "bench-exact": (
         ["exact", *_BETA, "--n", "600", "--outputs", "law,Z,free-energy,clt,ldp",
          "--n-grid", "150,300,450,600"], {
-            "clt.json": "d6aaa9510c616ce0",
+            "clt.json": "32a5b4dab133cf8b",
             "free_energy.csv": "58d31f693a75db4d",
             "law.csv": "6472a7abcf7c5830",
             "ldp.csv": "476c8358ac635ec4",
@@ -97,7 +97,7 @@ ARTIFACTS = {
     "bench-exact-big": (
         ["exact", *_BETA, "--n", "1000", "--cap-override", "1000",
          "--outputs", "Z,clt,ldp"], {
-            "clt.json": "7f3b63175fc8809e",
+            "clt.json": "20e7594990169b5f",
             "ldp.csv": "ebe14958bf9375bf",
             "manifest.json": "57c7879b2fe60fef",
             "partition.json": "28fe125b0eff62a1",

@@ -161,8 +161,8 @@ class TestReflection:
 class TestJointLawExact:
     def test_endpoint_marginal_is_binomial(self):
         for n in (7, 40, 123):
-            marg = joint_law_exact(n).endpoint_marginal()
-            for x, p in marg.items():
+            atoms, probs = joint_law_exact(n).endpoint_marginal()
+            for x, p in zip(atoms.tolist(), probs.tolist()):
                 expected = math.ldexp(float(math.comb(n, (n + x) // 2)), -n)
                 assert p == pytest.approx(expected, abs=1e-15)
 
@@ -175,9 +175,10 @@ class TestJointLawExact:
             assert p > 0.0
 
     def test_endpoint_symmetry(self):
-        marg = joint_law_exact(44).endpoint_marginal()
-        for x, p in marg.items():
-            assert p == pytest.approx(marg[-x], abs=1e-16)
+        atoms, probs = joint_law_exact(44).endpoint_marginal()
+        assert np.array_equal(atoms, -atoms[::-1])
+        for p, q in zip(probs.tolist(), probs[::-1].tolist()):
+            assert p == pytest.approx(q, abs=1e-16)
 
     def test_cap(self):
         # the size cap is the exact command's input check, not the library's
@@ -281,11 +282,14 @@ class TestRowBuilderMatchesDictOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 17, 150])
     def test_marginals_bitwise(self, n):
+        def endpoint_dict(law):
+            return dict(zip(*(a.tolist() for a in law.endpoint_marginal())))
+
         law = joint_law_exact(n)
-        assert law.endpoint_marginal() == _dict_marginal(law, 0)
+        assert endpoint_dict(law) == _dict_marginal(law, 0)
         assert range_marginal(law) == _dict_marginal(law, 1)
         tilted = polymer_law(1.0, n).tilted
-        assert tilted.endpoint_marginal() == _dict_marginal(tilted, 0)
+        assert endpoint_dict(tilted) == _dict_marginal(tilted, 0)
         assert range_marginal(tilted) == _dict_marginal(tilted, 1)
 
     @pytest.mark.parametrize("n, digest", [
@@ -385,21 +389,64 @@ class TestPolymerLaw:
 
     @pytest.mark.parametrize("n", [10, 201, 600])
     def test_storage_order_makes_conditional_endpoints_sorted(self, n):
-        """endpoint_conditional_positive relies on the x-ascending storage
-        order instead of sorting; it must match a stable sort's result."""
+        """endpoint_conditional_positive sums each atom in the storage order,
+        x ascending then r ascending; it must match the entry-by-entry
+        running sums, normalized."""
         pl = polymer_law(1.0, n)
         xs, rs = pl.tilted.xs, pl.tilted.rs
         assert np.all(np.diff(xs) >= 0)
         same_x = xs[1:] == xs[:-1]
         assert np.all(rs[1:][same_x] > rs[:-1][same_x])
-        mask = xs > 0
-        order = np.argsort(xs[mask], kind="stable")
-        sx, sp = xs[mask][order], pl.tilted.ps[mask][order]
-        uq, start = np.unique(sx, return_index=True)
-        sums = np.add.reduceat(sp, start)
+        marg = _dict_marginal(pl.tilted, 0)
+        uq = np.array([x for x in sorted(marg) if x > 0])
+        sums = np.array([marg[x] for x in uq.tolist()])
         atoms, probs = pl.endpoint_conditional_positive()
         assert atoms.tobytes() == uq.tobytes()
         assert probs.tobytes() == (sums / sums.sum()).tobytes()
+
+
+def _assert_endpoint_mean_increases_in_range(law):
+    """m(r) = E[S_n | R_n = r, S_n > 0] is non-decreasing in r = 2 .. n.
+
+    The sums over r are storage-order ``np.bincount`` sums, as in
+    ``endpoint_marginal``.  The only tie is m(2) = m(3) = 2 at even n, where
+    S_n > 0 with R_n <= 3 forces S_n = 2; every other step must be at least
+    1/n.  m is below n and its sums carry a relative error below n eps, so
+    the rounding of m is under 1e-10 at n <= 200, far inside that margin.
+    """
+    n = law.n
+    pos = law.xs > 0
+    M = np.bincount(law.rs[pos], weights=(law.xs * law.ps)[pos])
+    P = np.bincount(law.rs[pos], weights=law.ps[pos])
+    r = np.flatnonzero(P)
+    assert r.tolist() == list(range(2, n + 1))
+    m = M[r] / P[r]
+    steps = np.diff(m)
+    if n % 2 == 0:
+        assert m[0] == m[1] == 2.0
+        steps = steps[1:]
+    assert steps.min() >= 1.0 / n
+
+
+class TestEndpointMeanIncreasesInBeta:
+    """The tilt depends on R_n only, so at every beta
+
+        d/dbeta E_beta[S_n | S_n > 0] = -n^2 Cov_beta(m(R_n), 1/R_n | S_n > 0)
+
+    with the beta-free m(r) = E[S_n | R_n = r, S_n > 0].  A non-decreasing,
+    non-constant m makes the covariance negative (Chebyshev's sum
+    inequality), so the conditional endpoint mean strictly increases in beta.
+    """
+
+    def test_every_n_up_to_200(self):
+        for n in range(3, 201):
+            _assert_endpoint_mean_increases_in_range(joint_law_exact(n))
+
+    def test_control_two_range_rows_swapped_fails(self):
+        law = joint_law_exact(50)
+        rs = np.where(law.rs == 20, 21, np.where(law.rs == 21, 20, law.rs))
+        with pytest.raises(AssertionError):
+            _assert_endpoint_mean_increases_in_range(law._replace(rs=rs))
 
 
 class TestFreeEnergy:
@@ -476,7 +523,7 @@ class TestLdpEmpirical:
 def _oracle_clt_check(beta, n):
     if beta == 0.0:
         base = joint_law_exact(n)
-        marg = base.endpoint_marginal()
+        marg = _dict_marginal(base, 0)
         atoms = np.array(sorted(marg), dtype=float)
         probs = np.array([marg[int(a)] for a in atoms])
         return _ks_distance(atoms, probs, 0.0, math.sqrt(n))

@@ -362,7 +362,7 @@ class TestCorollaryBound:
 
 class TestBrownian:
     def test_positive_fraction_and_mean_range(self):
-        h = brownian_range_mc(1.0, 1e-4, seed=42, samples=8000)
+        h = brownian_range_mc(1.0, 1e-4, seed=42, samples=8000, threads=_usable_cores())
         se_frac = math.sqrt(0.25 / 8000)
         assert abs(h.positive_fraction - 0.5) <= 3.0 * se_frac
         # discretization bias ~ -2 * 0.5826 * sqrt(dt) on the mean range
@@ -372,8 +372,8 @@ class TestBrownian:
 
     def test_scaling_between_horizons(self):
         # default bin edges scale with sqrt(t), so bin masses must agree
-        a = brownian_range_mc(1.0, 1e-4, seed=8, samples=12000)
-        b = brownian_range_mc(4.0, 4e-4, seed=9, samples=12000)
+        a = brownian_range_mc(1.0, 1e-4, seed=8, samples=12000, threads=_usable_cores())
+        b = brownian_range_mc(4.0, 4e-4, seed=9, samples=12000, threads=_usable_cores())
         pa = a.range_density * np.diff(a.range_edges)
         pb = b.range_density * np.diff(b.range_edges)
         sea = a.range_se * np.diff(a.range_edges)
