@@ -436,7 +436,9 @@ def range_second_order_cdf(beta: float, t: float, C,
     ``_window`` and 0.0 when it lies at or beyond its upper end.  ``C`` is a
     sequence of finite levels; the tails come back as a list in input order.
     Each is the range mass over [threshold, hi] over the whole window's, at
-    u-panel width 1/4.
+    u-panel width 1/4.  The exact radius keeps the surrogate's centre: at
+    small t and large beta its mass lies far below it, and every tail reads
+    0.0 (beta = 1.25e11, t = 4e-4).
     """
     win = _window(beta, t, use_exact_radius)
     levels = check_grid("C", C)
@@ -463,7 +465,9 @@ def endpoint_clt_continuous(beta: float, t: float, C,
     has a kink.  The denominator is the window's range mass, halved.
 
     ``C`` is a sequence of finite levels; the CDFs come back as a list in
-    input order, each computed as a one-level call would.
+    input order, each computed as a one-level call would.  The exact radius
+    keeps the surrogate's centre c** t: at small t and large beta its mass
+    lies far below it, and every CDF reads 1.0 (beta = 1.25e11, t = 4e-4).
     """
     win = _window(beta, t, use_exact_radius)
     levels = check_grid("C", C)

@@ -120,7 +120,8 @@ def _logit_root(theta: float, target: float) -> tuple[float, float, float, RootR
     s = 2 target + 1 the left side is at least target + 0.85 - 2 e^(-2 target
     - 1)(target + 0.85) > target; at x = (2 target)^(1/3) < 1 it is at least
     x^3 = 2 target.  The solve fails with DomainError only where the upper
-    end overflows (target above ~9e307).
+    end overflows (target above ~9e307), and with SolverError, naming theta,
+    target and the bracket in s, unless |F| <= 1e-12 at the root.
     """
     log_target = math.log(target)
 
@@ -134,20 +135,10 @@ def _logit_root(theta: float, target: float) -> tuple[float, float, float, RootR
         raise DomainError(f"target {target!r} is too large (beta for the speed, 2 beta "
                           "for an interior LDP root): logit x, about twice it, overflows")
     res = bisect_newton(f, max(_logit(0.5 * theta), log_target / 3.0 - 1.0), hi)
-    return (*_at_logit(res.value), res)
-
-
-def _speed(beta: float) -> tuple[float, float, float, RootResult]:
-    """``_logit_root`` at theta = 0 and target beta, the speed equation
-    beta = c^2 I'(c); SolverError unless its log residual is at most 1e-12."""
-    check_positive("beta", beta)
-    solved = _logit_root(0.0, beta)
-    res = solved[3]
     if not abs(res.residual) <= 1e-12:
-        raise SolverError(
-            f"speed solve log residual {res.residual!r} above 1e-12 on bracket "
-            f"{res.bracket!r} in logit c")
-    return solved
+        raise SolverError(f"log residual {res.residual!r} above 1e-12 at theta={theta!r}, "
+                          f"target={target!r}, on bracket {res.bracket!r} in logit x")
+    return (*_at_logit(res.value), res)
 
 
 def speed_c_star(beta: float) -> RootResult:
@@ -156,7 +147,8 @@ def speed_c_star(beta: float) -> RootResult:
     The residual is the log residual log(c^2 artanh c / beta); the bracket is
     in c coordinates.
     """
-    c, _, _, res = _speed(beta)
+    check_positive("beta", beta)
+    c, _, _, res = _logit_root(0.0, beta)
     return RootResult(c, res.residual, res.iterations,
                       (_at_logit(res.bracket[0])[0], _at_logit(res.bracket[1])[0]))
 
@@ -170,7 +162,8 @@ def free_energy_g_star(beta: float) -> PolymerConstants:
     of logs, so it underflows to 0 from beta ~ 745 on where 1/(1 - c*^2)
     would overflow.
     """
-    c, artanh, log_1mc2, _ = _speed(beta)
+    check_positive("beta", beta)
+    c, artanh, log_1mc2, _ = _logit_root(0.0, beta)
     q = 2.0 * (beta / c) / c / c * math.exp(log_1mc2)  # c^3 is subnormal below beta ~ 1e-308
     return PolymerConstants(
         beta=beta,
@@ -246,7 +239,7 @@ def ldp_rate_discrete_info(beta: float, thetas) -> list[tuple[float, str, float]
         return []
     if 0.5 * beta == 0.0:
         raise DomainError(f"beta={beta!r} is too small: beta/2 underflows to 0")
-    c, _, log_1mc2, _ = _speed(beta)
+    c, _, log_1mc2, _ = _logit_root(0.0, beta)
     c = (c, log_1mc2 - math.log1p(c))
     threshold = _logit_root(0.0, 0.5 * beta)[0]  # c*(beta/2)
     out = []

@@ -268,6 +268,8 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
         raise DomainError(f"need n >= 1 and samples >= 2, got {n!r}, {samples!r}")
     if not math.isfinite(c_point):
         raise DomainError(f"c_point must be finite, got {c_point!r}")
+    if observable not in ("endpoint_mean", "endpoint_mean_positive", "range_mean", "endpoint_cdf"):
+        raise DomainError(f"unknown observable {observable!r}")
     consts = free_energy_g_star(beta) if beta > 0.0 else None
     c = consts.c_star if consts else 0.0
     if c == 1.0:
@@ -279,12 +281,10 @@ def polymer_estimate_tilted(beta: float, n: int, observable: str, seed: int,
         return _ratio_estimate(w, e / n, samples, ess, (e > 0).astype(float))
     if observable == "range_mean":
         return _ratio_estimate(w, r / n, samples, ess)
-    if observable == "endpoint_cdf":
-        sigma = consts.sigma_star if consts else 1.0
-        z = (e - c * n) / (sigma * math.sqrt(n))
-        return _ratio_estimate(w, (z <= c_point).astype(float), samples, ess,
-                               (e > 0).astype(float))
-    raise DomainError(f"unknown observable {observable!r}")
+    sigma = consts.sigma_star if consts else 1.0  # endpoint_cdf
+    z = (e - c * n) / (sigma * math.sqrt(n))
+    return _ratio_estimate(w, (z <= c_point).astype(float), samples, ess,
+                           (e > 0).astype(float))
 
 
 class CorollaryBoundReport(NamedTuple):

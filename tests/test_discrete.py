@@ -7,7 +7,9 @@ bisection on the second-branch equation.  ``_grid_minimum`` re-derives the
 variational quantities by brute force at test time.
 """
 
+import inspect
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -167,7 +169,7 @@ class TestSpeed:
 
 def _log_gap(beta):
     """log(1 - c*(beta)), read off the solve's log(1 - c*^2)."""
-    c, _, log_1mc2, _ = discrete._speed(beta)
+    c, _, log_1mc2, _ = discrete._logit_root(0.0, beta)
     return log_1mc2 - math.log1p(c)
 
 
@@ -381,6 +383,35 @@ class TestRateCurve:
         interior = sum(row[1] == "interior" for row in curve)
         assert 0 < interior < len(curve)
         assert len(calls) == 2 + interior
+
+    @pytest.mark.parametrize("beta", REFERENCE_BETAS)
+    def test_every_solve_meets_the_residual_bound(self, monkeypatch, beta):
+        # c*(beta), c*(beta/2) and each interior root of a 2001-point curve
+        solves = []
+
+        def recorded(*args):
+            solves.append(bisect_newton(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(discrete, "bisect_newton", recorded)
+        curve = ldp_rate_discrete_info(beta, [i / 2000 for i in range(2001)])
+        assert len(solves) == 2 + sum(row[1] == "interior" for row in curve)
+        assert max(abs(res.residual) for res in solves) <= 1e-12
+
+    @pytest.mark.parametrize("theta, target", [(0.0, 0.5), (0.25, 2.0)])
+    def test_each_root_checks_its_own_residual(self, monkeypatch, theta, target):
+        # at beta = 1, loosen the threshold c*(1/2) alone, or the interior
+        # root at theta = 0.25 alone: the curve names the root that failed
+        def loose(f, lo, hi):
+            res = bisect_newton(f, lo, hi)
+            var = inspect.getclosurevars(f).nonlocals
+            if (var["theta"], var["log_target"]) == (theta, math.log(target)):
+                return res._replace(residual=1e-9)
+            return res
+
+        monkeypatch.setattr(discrete, "bisect_newton", loose)
+        with pytest.raises(SolverError, match=re.escape(f"theta={theta!r}, target={target!r}")):
+            ldp_rate_discrete_info(1.0, [i / 2000 for i in range(2001)])
 
     def test_logit_root_reads_each_point_once(self, monkeypatch):
         # value and slope share one _at_logit per point the solver asks for;

@@ -412,7 +412,9 @@ def _assert_endpoint_mean_increases_in_range(law):
     ``endpoint_marginal``.  The only tie is m(2) = m(3) = 2 at even n, where
     S_n > 0 with R_n <= 3 forces S_n = 2; every other step must be at least
     1/n.  m is below n and its sums carry a relative error below n eps, so
-    the rounding of m is under 1e-10 at n <= 200, far inside that margin.
+    the rounding of m is under 1e-10 at n <= 300 and under 1e-9 at
+    n <= 1033, far inside that margin.  (A probability below 2^-1022, from
+    n = 1023 on, is a count times 2^-n, an exact multiple of 2^-1074.)
     """
     n = law.n
     pos = law.xs > 0
@@ -438,15 +440,63 @@ class TestEndpointMeanIncreasesInBeta:
     inequality), so the conditional endpoint mean strictly increases in beta.
     """
 
-    def test_every_n_up_to_200(self):
-        for n in range(3, 201):
+    def test_every_n_up_to_300(self):
+        for n in range(3, 301):
+            _assert_endpoint_mean_increases_in_range(joint_law_exact(n))
+
+    @pytest.mark.slow
+    def test_every_n_up_to_1033(self):
+        for n in range(3, 1034):
             _assert_endpoint_mean_increases_in_range(joint_law_exact(n))
 
     def test_control_two_range_rows_swapped_fails(self):
-        law = joint_law_exact(50)
-        rs = np.where(law.rs == 20, 21, np.where(law.rs == 21, 20, law.rs))
         with pytest.raises(AssertionError):
-            _assert_endpoint_mean_increases_in_range(law._replace(rs=rs))
+            _assert_endpoint_mean_increases_in_range(_swap_range_rows(joint_law_exact(50)))
+
+    @pytest.mark.parametrize("n", [5, 6, 11, 30, 50, 101, 200])
+    def test_adjacent_range_rows_are_tp2(self, n):
+        # with the TP2 tilt e^(-beta n^2/r), P_beta(S_n > x | S_n > 0) is
+        # non-decreasing in beta for every x (Karlin's composition formula)
+        _assert_adjacent_range_minors_nonnegative(joint_law_exact(n))
+
+    @pytest.mark.parametrize("n", [50, 101])
+    def test_tp2_control_two_range_rows_swapped_fails(self, n):
+        with pytest.raises(AssertionError, match="negative minor"):
+            _assert_adjacent_range_minors_nonnegative(_swap_range_rows(joint_law_exact(n)))
+
+
+def _swap_range_rows(law, r=20):
+    """The law with range rows r and r + 1 swapped."""
+    rs = np.where(law.rs == r, r + 1, np.where(law.rs == r + 1, r, law.rs))
+    return law._replace(rs=rs)
+
+
+def _assert_adjacent_range_minors_nonnegative(law):
+    """p(x, r) p(x', r + 1) - p(x', r) p(x, r + 1) >= 0 for 0 < x < x' and
+    r = 1 .. n - 1: given R_n = r, S_n on S_n > 0 is likelihood-ratio
+    increasing in r.
+
+    At n <= 50 every count 2^n p is below 2^53, so ``np.ldexp(ps, n)`` holds
+    it exactly and the minors are formed in Python ints.  Above, in floats,
+    each product is within 3 roundings of its exact value, so a minor m
+    passes when m >= -4 2^-53 (p(x, r) p(x', r + 1) + p(x', r) p(x, r + 1)).
+    """
+    n = law.n
+    pos = law.xs > 0
+    exact = n <= 50
+    table = np.zeros((n + 1, n + 1), dtype=object if exact else float)  # [x, r]
+    ps = law.ps[pos]
+    if exact:
+        ps = np.ldexp(ps, n)
+        assert np.array_equal(ps, np.floor(ps))
+        ps = ps.astype(np.int64).astype(object)
+    table[law.xs[pos], law.rs[pos]] = ps
+    upper = np.triu_indices(n + 1, 1)  # x < x'
+    for r in range(1, n):
+        prod = np.outer(table[:, r], table[:, r + 1])
+        left, right = prod[upper], prod.T[upper]  # p(x, r) p(x', r + 1), p(x', r) p(x, r + 1)
+        floor = 0 if exact else -4.0 * 2.0 ** -53 * (left + right)
+        assert np.all(left - right >= floor), f"negative minor at n={n}, r={r}"
 
 
 class TestFreeEnergy:

@@ -308,8 +308,14 @@ class TestTiltedEstimator:
         with pytest.raises(DomainError, match="zero sampled mass"):
             polymer_estimate_tilted(0.0, 1, "endpoint_mean_positive", seed=5, samples=2)
 
-    def test_unknown_observable(self):
-        with pytest.raises(DomainError):
+    def test_unknown_observable(self, monkeypatch):
+        from rangepolymer import mc
+
+        def no_draw(*args):
+            raise AssertionError("walks drawn before the observable check")
+
+        monkeypatch.setattr(mc, "_map_blocks", no_draw)
+        with pytest.raises(DomainError, match="unknown observable 'entropy'"):
             polymer_estimate_tilted(1.0, 50, "entropy", seed=1, samples=100)
 
 
